@@ -34,7 +34,13 @@ from typing import Callable, Iterable, Sequence
 from . import __version__
 from .cif import composition_of, parse_cif
 from .elements import is_element
-from .geometry import DEFAULT_NEIGHBOR_SCALE, build_neighbor_list, min_pair_distance, volume_per_atom
+from .geometry import (
+    DEFAULT_NEIGHBOR_SCALE,
+    DegenerateCellError,
+    build_neighbor_list,
+    min_pair_distance,
+    volume_per_atom,
+)
 from .policy import (
     GrpoConfig,
     MmtgConfig,
@@ -466,13 +472,13 @@ def cmd_mmtg(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     section = dict(config.get("search", {}))
-    if "target_composition" in section:
-        section["target_composition"] = {
-            str(k): int(v) for k, v in section["target_composition"].items()
-        }
     if args.seed is not None:
         section["seed"] = args.seed
     try:
+        if "target_composition" in section:
+            section["target_composition"] = {
+                str(k): int(v) for k, v in section["target_composition"].items()
+            }
         cfg = SearchConfig(**section)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad search config: {exc}") from None
@@ -483,8 +489,8 @@ def cmd_search(args: argparse.Namespace) -> int:
             raise CliError(f"unknown element {el!r} in target_composition")
 
     gen_section = dict(config.get("generator", {}))
-    rates = DefectRates(**gen_section.pop("defect_rates", {}))
     try:
+        rates = DefectRates(**gen_section.pop("defect_rates", {}))
         generator = MutationGenerator(defect_rates=rates, **gen_section)
         predictor = PairPotentialSurrogate(**config.get("predictor", {}))
     except (TypeError, ValueError) as exc:
@@ -555,14 +561,18 @@ def cmd_geometry(args: argparse.Namespace) -> int:
                 "defects": [d.to_json_dict() for d in outcome.defects],
             }
         s = outcome.structure
-        nl = build_neighbor_list(s, scale=scale)
+        try:
+            nl = build_neighbor_list(s, scale=scale)
+            min_dist = min_pair_distance(s)
+        except DegenerateCellError as exc:
+            return {"path": path, "ok": False, "error": str(exc)}
         record = {
             "path": path,
             "ok": True,
             "n_sites": len(s.sites),
             "volume": s.lattice.volume,
             "volume_per_atom": volume_per_atom(s),
-            "min_pair_distance": min_pair_distance(s),
+            "min_pair_distance": min_dist,
             "n_neighbor_entries": len(nl),
         }
         if args.neighbors:
@@ -586,7 +596,7 @@ def cmd_geometry(args: argparse.Namespace) -> int:
                     f"neighbors={r['n_neighbor_entries']}"
                 )
             else:
-                lines.append(f"{r['path']}: parse failure")
+                lines.append(f"{r['path']}: {r.get('error', 'parse failure')}")
         return "\n".join(lines) + "\n"
 
     _emit(artifact, args, "geometry_report.json", table)

@@ -1,16 +1,20 @@
 """Periodic-boundary geometry: minimum-image distances and neighbor lists.
 
 All routines treat the cell as fully periodic and work for arbitrary (also
-strongly skewed) cells.  Distances are in angstroms.  Cells whose volume is
-below `DEGENERATE_VOLUME` cannot support meaningful distances and raise
-`DegenerateCellError`.
+strongly skewed) cells.  Distances are in angstroms.
+
+Every distance comes from one kernel, `_pair_table`, which measures all
+upper-triangle site pairs against every lattice offset that can reach a
+cutoff and memoizes the table on the structure at the largest cutoff asked
+for so far; smaller cutoffs, scalar or per pair, filter it.  A cell below
+`DEGENERATE_VOLUME`, or needing more than `MAX_IMAGES` offsets for a
+cutoff, raises `DegenerateCellError`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -19,10 +23,13 @@ from .elements import COVALENT_RADII
 
 DEGENERATE_VOLUME = 1e-6  # cubic angstroms
 DEFAULT_NEIGHBOR_SCALE = 1.2
+MAX_IMAGES = 100_000  # lattice offsets one enumeration may lay out
+_BLOCK_ROWS = 4096  # pair-image rows per matrix product
+_BOUND_SLACK = 1e-9  # keeps a bound's own image despite rounding
 
 
 class DegenerateCellError(ValueError):
-    """Raised when a cell is too close to zero volume for distance work."""
+    """Raised when a cell is too small for distance work."""
 
 
 def _check_cell(structure: Structure) -> np.ndarray:
@@ -44,62 +51,82 @@ def _slab_spacings(matrix: np.ndarray) -> np.ndarray:
     return 1.0 / np.linalg.norm(inv, axis=0)
 
 
-def _shell_offsets(m: int) -> np.ndarray:
-    """Integer offsets with max-norm exactly m (for m >= 1)."""
-    rng = range(-m, m + 1)
-    offs = [
-        (i, j, k)
-        for i, j, k in itertools.product(rng, rng, rng)
-        if max(abs(i), abs(j), abs(k)) == m
-    ]
-    return np.array(offs, dtype=float)
+class _PairTable(NamedTuple):
+    cutoff: float
+    i: np.ndarray  # (K,) site indices, i <= j
+    j: np.ndarray
+    image: np.ndarray  # (K, 3) integer lattice offsets
+    distance: np.ndarray  # (K,) angstroms
 
 
-_CORE_OFFSETS = np.array(
-    list(itertools.product((-2, -1, 0, 1, 2), repeat=3)), dtype=float
-)
+def _pair_table(structure: Structure, cutoff: float) -> _PairTable:
+    """Every periodic pair within `cutoff` or a larger memoized cutoff.
+
+    Ordered as in `iter_periodic_pairs`; memoized like `Lattice.matrix`.
+    """
+    memo = structure.__dict__.get("_pair_table")
+    if memo is not None and cutoff <= memo.cutoff:
+        return memo
+    matrix = _check_cell(structure)
+    reach = np.ceil(cutoff / _slab_spacings(matrix) + 0.5)
+    n_images = float(np.prod(2.0 * reach + 1.0))
+    if not n_images <= MAX_IMAGES:  # also catches a NaN cutoff
+        raise DegenerateCellError(
+            f"{n_images:.4g} lattice images within {cutoff:.4g} A (limit {MAX_IMAGES})"
+        )
+    axes = [np.arange(-r, r + 1) for r in reach.astype(int)]
+    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    g = len(offsets)
+    frac = structure.frac_coords()
+    pi, pj = np.triu_indices(len(frac))
+    step = max(1, _BLOCK_ROWS // g)
+    parts = []
+    for start in range(0, len(pi), step):
+        bi, bj = pi[start : start + step], pj[start : start + step]
+        # (delta + offset) @ matrix, not delta @ M + offset @ M: the two round
+        # differently, and a distance must not depend on the cutoff asked for.
+        vecs = ((frac[bj] - frac[bi])[:, None, :] + offsets).reshape(-1, 3) @ matrix
+        dist = np.linalg.norm(vecs, axis=1).reshape(len(bi), g)
+        keep = dist <= cutoff
+        keep[bi == bj, : g // 2 + 1] = False  # the zero offset sits at g // 2
+        p, k = np.nonzero(keep)
+        parts.append((bi[p], bj[p], offsets[k], dist[p, k]))
+    table = _PairTable(cutoff, *(np.concatenate(c) for c in zip(*parts)))
+    structure.__dict__["_pair_table"] = table
+    return table
 
 
 def min_image_distance(structure: Structure, i: int, j: int) -> float:
     """Shortest distance between site i and any periodic image of site j.
 
-    For i == j this is the shortest nonzero lattice translation from the
-    site to its own images.  The search scans the {-2..2}^3 offset block and
-    keeps expanding shells until no closer image is geometrically possible.
+    For i == j this is the shortest nonzero lattice translation, bounded by
+    the shortest lattice row.  For i != j the wrapped image bounds it; in a
+    long, thin cell that can lie beyond the shortest lattice row.
     """
     matrix = _check_cell(structure)
     n = len(structure.sites)
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"site index out of range for {n} sites")
-    frac = structure.frac_coords()
-    delta = frac[j] - frac[i]
-    delta -= np.round(delta)
-
-    offsets = _CORE_OFFSETS
     if i == j:
-        offsets = offsets[np.any(offsets != 0.0, axis=1)]
-    vecs = (delta + offsets) @ matrix
-    best = float(np.min(np.linalg.norm(vecs, axis=1)))
-
-    spacings = _slab_spacings(matrix)
-    d_min = float(np.min(spacings))
-    m = 3
-    while (m - 0.5) * d_min <= best:
-        shell = _shell_offsets(m)
-        vecs = (delta + shell) @ matrix
-        best = min(best, float(np.min(np.linalg.norm(vecs, axis=1))))
-        m += 1
-    return best
+        bound = float(np.min(np.linalg.norm(matrix, axis=1)))
+    else:
+        delta = np.subtract(structure.sites[j].frac, structure.sites[i].frac)
+        delta -= np.round(delta)
+        bound = float(np.linalg.norm(delta @ matrix))
+    table = _pair_table(structure, bound * (1.0 + _BOUND_SLACK))
+    pair = (table.i == min(i, j)) & (table.j == max(i, j))
+    return float(np.min(table.distance[pair]))
 
 
 def min_pair_distance(structure: Structure) -> float:
     """Smallest periodic distance over all site pairs, including self-images."""
-    n = len(structure.sites)
-    return min(
-        min_image_distance(structure, i, j)
-        for i in range(n)
-        for j in range(i, n)
-    )
+    # Any non-empty table holds the minimum; the shortest lattice row is a
+    # self-image distance, so a table at that cutoff is never empty.
+    table = structure.__dict__.get("_pair_table")
+    if table is None or not table.distance.size:
+        bound = float(np.min(np.linalg.norm(_check_cell(structure), axis=1)))
+        table = _pair_table(structure, bound * (1.0 + _BOUND_SLACK))
+    return float(np.min(table.distance))
 
 
 def volume_per_atom(structure: Structure) -> float:
@@ -107,57 +134,30 @@ def volume_per_atom(structure: Structure) -> float:
     return structure.lattice.volume / len(structure.sites)
 
 
-def _lex_positive(offset: tuple[int, int, int]) -> bool:
-    for v in offset:
-        if v != 0:
-            return v > 0
-    return False
-
-
 def iter_periodic_pairs(
     structure: Structure, cutoff: float | np.ndarray
 ) -> list[tuple[int, int, tuple[int, int, int], float]]:
     """All periodic pairs (i, j, image, distance) within a cutoff.
 
-    `cutoff` is either a scalar or an (N, N) per-pair matrix.  Each physical
-    pair appears once: i < j with any image, or i == j with a
-    lexicographically positive image.  The zero-offset self pair is never
-    included.
+    `cutoff` is either a scalar or an (N, N) per-pair matrix; a pair whose
+    cutoff is <= 0 is skipped.  Each physical pair appears once: i < j with
+    any image, or i == j with a lexicographically positive image, in
+    row-major (i, j) order with images in lexicographic order.  The
+    zero-offset self pair is never included.
     """
-    matrix = _check_cell(structure)
     n = len(structure.sites)
     cut = np.asarray(cutoff, dtype=float)
-    if cut.ndim == 0:
-        cut = np.full((n, n), float(cut))
-    elif cut.shape != (n, n):
+    if cut.ndim != 0 and cut.shape != (n, n):
         raise ValueError(f"cutoff matrix must be ({n}, {n})")
     cut_max = float(np.max(cut))
     if cut_max <= 0.0:
+        _check_cell(structure)
         return []
-
-    spacings = _slab_spacings(matrix)
-    reach = np.ceil(cut_max / spacings + 0.5).astype(int)
-    grids = [np.arange(-r, r + 1) for r in reach]
-    offsets = np.array(
-        list(itertools.product(*grids)), dtype=float
-    )  # (G, 3)
-
-    frac = structure.frac_coords()
-    pairs: list[tuple[int, int, tuple[int, int, int], float]] = []
-    for i in range(n):
-        for j in range(i, n):
-            pair_cut = cut[i, j]
-            if pair_cut <= 0.0:
-                continue
-            delta = frac[j] - frac[i]
-            vecs = (delta + offsets) @ matrix
-            dists = np.linalg.norm(vecs, axis=1)
-            for k in np.flatnonzero(dists <= pair_cut):
-                image = tuple(int(v) for v in offsets[k])
-                if i == j and not _lex_positive(image):
-                    continue
-                pairs.append((i, j, image, float(dists[k])))
-    return pairs
+    table = _pair_table(structure, cut_max)
+    pair_cut = cut if cut.ndim == 0 else cut[table.i, table.j]
+    keep = (table.distance <= pair_cut) & (pair_cut > 0.0)
+    i, j, image, dist = (column[keep].tolist() for column in table[1:])
+    return list(zip(i, j, map(tuple, image), dist))
 
 
 @dataclass(frozen=True)

@@ -256,8 +256,8 @@ def _assess_physical(
     try:
         d_factor, d_notes = _distance_factor(structure, radii, cfg)
         v_factor, v_notes = _volume_factor(structure, cfg)
-    except DegenerateCellError:
-        return 0.0, ["degenerate cell: volume too small for distance checks"]
+    except DegenerateCellError as exc:
+        return 0.0, [f"degenerate cell: {exc}"]
     return d_factor * v_factor, d_notes + v_notes
 
 

@@ -442,6 +442,23 @@ def test_search_unknown_element(tmp_path, capsys):
     assert "unknown element" in err
 
 
+@pytest.mark.parametrize(
+    "section, values",
+    [
+        ("generator", {"defect_rates": {"bogus": 0.1}}),
+        ("search", {"target_composition": {"Cu": "four"}}),
+    ],
+)
+def test_search_bad_config_values_exit_1(tmp_path, capsys, section, values):
+    cfg = search_config_file(tmp_path)
+    obj = json.loads(cfg.read_text())
+    obj.setdefault(section, {}).update(values)
+    cfg.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "search", "--config", str(cfg))
+    assert code == 1
+    assert "bad" in err and "config" in err
+
+
 def test_search_impossible_init_exits_2(tmp_path, capsys):
     cfg = search_config_file(tmp_path)
     obj = json.loads(cfg.read_text())
@@ -504,6 +521,24 @@ def test_geometry_mixed(tmp_path, capsys):
     recs = {r["path"]: r for r in json.loads(out)["files"]}
     assert recs[str(good)]["ok"] is True
     assert recs[str(bad)]["ok"] is False
+
+
+def test_geometry_degenerate_cell_is_a_file_error(tmp_path, capsys):
+    good = tmp_path / "good.cif"
+    good.write_text(MINIMAL_CIF)
+    tiny = tmp_path / "tiny.cif"
+    tiny.write_text(MINIMAL_CIF.replace("4.0", "0.005"))  # volume 1.25e-7 A^3
+    code, out, _ = run_cli(
+        capsys, "geometry", str(good), str(tiny), "--format", "json"
+    )
+    assert code == 0
+    recs = {r["path"]: r for r in json.loads(out)["files"]}
+    assert recs[str(good)]["ok"] is True
+    assert recs[str(tiny)]["ok"] is False
+    assert "cell volume below" in recs[str(tiny)]["error"]
+    code, _, err = run_cli(capsys, "geometry", str(tiny))
+    assert code == 2
+    assert "no input parsed" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Periodic geometry against an exhaustive minimum-image oracle."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -41,6 +42,87 @@ def brute_force_min_image(structure, i, j):
         d = float(np.linalg.norm((delta + np.array(off)) @ m))
         best = min(best, d)
     return best
+
+
+def brute_force_pairs(structure, cutoff, box=9):
+    """Pairs within `cutoff` by a scan of the fixed {-box..box}^3 offset block.
+
+    Listed in kernel order: (i, j) row-major with i <= j, offsets in
+    lexicographic order, self pairs only at lexicographically positive
+    offsets, pairs with a cutoff <= 0 skipped.
+    """
+    n = len(structure.sites)
+    cut = np.broadcast_to(np.asarray(cutoff, dtype=float), (n, n))
+    m = structure.lattice.matrix
+    spacings = 1.0 / np.linalg.norm(np.linalg.inv(m), axis=0)
+    # an offset beyond cutoff / spacing + 1 along any axis is out of reach
+    assert np.all(np.max(cut) / spacings + 1.0 <= box)
+    grid = list(itertools.product(range(-box, box + 1), repeat=3))
+    offsets = np.array(grid, dtype=float)
+    lex_positive = np.array([off > (0, 0, 0) for off in grid])
+    frac = structure.frac_coords()
+    pairs = []
+    for i in range(n):
+        for j in range(i, n):
+            if cut[i, j] <= 0.0:
+                continue
+            dists = np.linalg.norm((frac[j] - frac[i] + offsets) @ m, axis=1)
+            keep = dists <= cut[i, j]
+            if i == j:
+                keep &= lex_positive
+            pairs.extend((i, j, grid[k], float(dists[k])) for k in np.flatnonzero(keep))
+    return pairs
+
+
+def test_pairs_match_brute_force_on_skewed_cells():
+    rng = np.random.default_rng(23)
+    for _ in range(15):
+        s = random_structure(rng, max_sites=6)
+        n = len(s.sites)
+        per_pair = rng.uniform(0.0, 5.0, size=(n, n))
+        per_pair[rng.random((n, n)) < 0.2] = 0.0
+        for cutoff in (6.0, float(rng.uniform(1.0, 5.0)), per_pair):
+            fresh = dataclasses.replace(s)  # same fields, no memoized table
+            assert iter_periodic_pairs(fresh, cutoff) == brute_force_pairs(s, cutoff)
+
+
+def test_zero_pair_cutoff_skips_coincident_atoms():
+    s = make_structure(
+        ["Cu", "Cu", "O"], [(0.3, 0.3, 0.3), (0.3, 0.3, 0.3), (0.6, 0.5, 0.4)]
+    )
+    # a scalar query first leaves the coincident pair (d = 0) in the memo
+    assert (0, 1, (0, 0, 0), 0.0) in iter_periodic_pairs(s, 3.0)
+    cut = np.full((3, 3), 2.5)
+    cut[0, 1] = 0.0
+    got = iter_periodic_pairs(s, cut)
+    assert all((i, j) != (0, 1) for i, j, _, _ in got)
+    assert got == brute_force_pairs(s, cut)
+
+
+def test_memoized_queries_equal_fresh_structures():
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        s = random_structure(rng, max_sites=6)
+        r = np.array([COVALENT_RADII[site.element] for site in s.sites])
+        rsum = r[:, None] + r[None, :]
+        for cutoff in (6.0, 0.5 * rsum, 0.75 * rsum):
+            fresh = dataclasses.replace(s)  # same fields, no memoized table
+            want = iter_periodic_pairs(fresh, cutoff)
+            assert iter_periodic_pairs(s, cutoff) == want
+            assert want == brute_force_pairs(s, cutoff)
+
+
+def test_min_image_beyond_shortest_lattice_vector():
+    # long, thin cell: the other atom's nearest image is 20 A away, far
+    # beyond the 3 A rows that bound every self-image
+    s = make_structure(
+        ["Cu", "O"], [(0, 0, 0), (0.5, 0.5, 0.5)], lengths=(3.0, 3.0, 40.0)
+    )
+    want = brute_force_min_image(s, 0, 1)
+    assert want == pytest.approx(np.sqrt(2 * 1.5**2 + 20.0**2))
+    assert min_image_distance(s, 0, 1) == pytest.approx(want, abs=1e-12)
+    assert min_image_distance(s, 1, 0) == pytest.approx(want, abs=1e-12)
+    assert min_pair_distance(s) == pytest.approx(3.0)
 
 
 def test_cubic_known_distances():

@@ -2,13 +2,14 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from catloop.cif import parse_cif, serialize_cif
 from catloop.geometry import min_pair_distance, volume_per_atom
-from catloop.reward import FailureMode, pvcp
+from catloop.reward import FailureMode, passes_hard_constraints, pvcp
 from catloop.search import (
     CandidateGenerator,
     DefectRates,
@@ -333,6 +334,26 @@ def test_combined_reward_predictor_failure():
     assert score == 0.0
     assert br.parsed and br.energy is None
     assert any("predictor failed" in d for d in br.diagnostics)
+
+
+@pytest.mark.parametrize(
+    "a, phys_note", [(0.1, "closest pair"), (0.011, "lattice images")]
+)
+def test_tiny_cell_scores_zero_in_bounded_time(a, phys_note):
+    # One Cu atom in a cell far smaller than a bond: the distance credit at
+    # a = 0.1 A still fits the image budget, the 6 A surrogate never does.
+    text = MINIMAL_CIF.replace("4.0", str(a))
+    start = time.perf_counter()
+    br = pvcp(text, {"Cu": 1})
+    assert br.s_phys == 0.0
+    assert any(phys_note in d for d in br.diagnostics)
+    assert not passes_hard_constraints(parse_cif(text).structure)
+    score, cb = combined_reward(text, PairPotentialSurrogate(), base_config())
+    assert score == 0.0 and cb.parsed and not cb.hard_pass
+    assert any(
+        "predictor failed" in d and "lattice images" in d for d in cb.diagnostics
+    )
+    assert time.perf_counter() - start < 1.0
 
 
 def test_combined_reward_nonfinite_energy():
