@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -98,6 +99,14 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
+def _section(config: dict, name: str) -> dict:
+    """A copy of the config's `name` object, empty when absent."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise CliError(f"bad {name} config: expected a JSON object, got {section!r}")
+    return dict(section)
+
+
 def _build_weights(config: dict) -> RewardWeights:
     section = config.get("weights", {})
     try:
@@ -112,6 +121,17 @@ def _build_phys(config: dict) -> PhysConfig:
         return replace(DEFAULT_PHYS, **section)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad phys config: {exc}") from None
+
+
+def _neighbor_scale(config: dict, override: float | None = None) -> float:
+    """The neighbor cutoff scale: `override`, else the config's, else the default."""
+    scale = override
+    if scale is None:
+        scale = config.get("neighbor_scale", DEFAULT_NEIGHBOR_SCALE)
+    number = isinstance(scale, (int, float)) and not isinstance(scale, bool)
+    if not (number and math.isfinite(scale)):
+        raise CliError(f"bad neighbor_scale config: {scale!r} is not a finite number")
+    return scale
 
 
 def parse_composition_arg(text: str) -> dict[str, int]:
@@ -296,8 +316,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_textify(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    scale = config.get("neighbor_scale", DEFAULT_NEIGHBOR_SCALE)
+    scale = _neighbor_scale(config)
     separator = config.get("separator", "</s>")
+    if not isinstance(separator, str):
+        raise CliError(f"bad separator config: expected a string, got {separator!r}")
     blobs, unreadable = _read_inputs(args.paths)
 
     sidecars: dict[str, bytes] = {}
@@ -369,7 +391,7 @@ def cmd_textify(args: argparse.Namespace) -> int:
 
 def cmd_grpo(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    section = dict(config.get("grpo", {}))
+    section = _section(config, "grpo")
     if args.beta is not None:
         section["beta"] = args.beta
     if args.epsilon is not None:
@@ -419,7 +441,7 @@ def cmd_grpo(args: argparse.Namespace) -> int:
 
 def cmd_mmtg(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    section = dict(config.get("mmtg", {}))
+    section = _section(config, "mmtg")
     if args.gating is not None:
         section["gating"] = args.gating
     try:
@@ -471,14 +493,13 @@ def cmd_mmtg(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    section = dict(config.get("search", {}))
+    section = _section(config, "search")
     if args.seed is not None:
         section["seed"] = args.seed
     try:
-        if "target_composition" in section:
-            section["target_composition"] = {
-                str(k): int(v) for k, v in section["target_composition"].items()
-            }
+        comp = section.get("target_composition")
+        if isinstance(comp, dict):  # SearchConfig rejects any other type
+            section["target_composition"] = {str(k): int(v) for k, v in comp.items()}
         cfg = SearchConfig(**section)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad search config: {exc}") from None
@@ -488,7 +509,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         if not is_element(el):
             raise CliError(f"unknown element {el!r} in target_composition")
 
-    gen_section = dict(config.get("generator", {}))
+    gen_section = _section(config, "generator")
     try:
         rates = DefectRates(**gen_section.pop("defect_rates", {}))
         generator = MutationGenerator(defect_rates=rates, **gen_section)
@@ -542,9 +563,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_geometry(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    scale = args.scale if args.scale is not None else config.get(
-        "neighbor_scale", DEFAULT_NEIGHBOR_SCALE
-    )
+    scale = _neighbor_scale(config, args.scale)
     blobs, unreadable = _read_inputs(args.paths)
     if not blobs:
         _log("no readable input files")

@@ -3,12 +3,15 @@
 All routines treat the cell as fully periodic and work for arbitrary (also
 strongly skewed) cells.  Distances are in angstroms.
 
-Every distance comes from one kernel, `_pair_table`, which measures all
-upper-triangle site pairs against every lattice offset that can reach a
-cutoff and memoizes the table on the structure at the largest cutoff asked
-for so far; smaller cutoffs, scalar or per pair, filter it.  A cell below
-`DEGENERATE_VOLUME`, or needing more than `MAX_IMAGES` offsets for a
-cutoff, raises `DegenerateCellError`.
+Every distance comes from one kernel, `_pair_table`, which finds all
+upper-triangle site pairs within a cutoff over the lattice offsets that can
+reach it and memoizes the table on the structure at the largest cutoff asked
+for so far; smaller cutoffs, scalar or per pair, filter it.  The slab bound
+(`_slab_spacings`) sizes the offset grid once per structure and then, per
+pair and axis, skips every image it rules out, so only images that can lie
+within the cutoff are measured.  A cell below `DEGENERATE_VOLUME`, or
+needing more than `MAX_IMAGES` offsets for a cutoff, raises
+`DegenerateCellError`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .elements import COVALENT_RADII
 DEGENERATE_VOLUME = 1e-6  # cubic angstroms
 DEFAULT_NEIGHBOR_SCALE = 1.2
 MAX_IMAGES = 100_000  # lattice offsets one enumeration may lay out
-_BLOCK_ROWS = 4096  # pair-image rows per matrix product
+_BLOCK_ROWS = 1 << 16  # cells of one block's (pairs x images) mask
 _BOUND_SLACK = 1e-9  # keeps a bound's own image despite rounding
 
 
@@ -68,29 +71,40 @@ def _pair_table(structure: Structure, cutoff: float) -> _PairTable:
     if memo is not None and cutoff <= memo.cutoff:
         return memo
     matrix = _check_cell(structure)
-    reach = np.ceil(cutoff / _slab_spacings(matrix) + 0.5)
+    spacings = _slab_spacings(matrix)
+    reach = np.ceil(cutoff / spacings + 0.5)
     n_images = float(np.prod(2.0 * reach + 1.0))
     if not n_images <= MAX_IMAGES:  # also catches a NaN cutoff
         raise DegenerateCellError(
             f"{n_images:.4g} lattice images within {cutoff:.4g} A (limit {MAX_IMAGES})"
         )
-    axes = [np.arange(-r, r + 1) for r in reach.astype(int)]
-    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    reach = reach.astype(int)
+    offsets = np.indices(2 * reach + 1).reshape(3, -1).T - reach
+    axes = [np.arange(-r, r + 1) for r in reach]
     g = len(offsets)
+    # a pair or image whose fractional displacement exceeds this on any axis
+    # lies beyond the cutoff (`_slab_spacings`), so it is never measured
+    bound = cutoff / spacings * (1.0 + _BOUND_SLACK)
     frac = structure.frac_coords()
     pi, pj = np.triu_indices(len(frac))
     step = max(1, _BLOCK_ROWS // g)
     parts = []
     for start in range(0, len(pi), step):
         bi, bj = pi[start : start + step], pj[start : start + step]
+        delta = frac[bj] - frac[bi]
+        near = np.all(np.abs(delta - np.round(delta)) <= bound, axis=1)
+        bi, bj, delta = bi[near], bj[near], delta[near]
+        ax = [np.abs(d[:, None] + a) <= b for d, a, b in zip(delta.T, axes, bound)]
+        hit = ax[0][:, :, None, None] & ax[1][:, None, :, None]
+        hit = (hit & ax[2][:, None, None, :]).reshape(len(bi), g)
+        hit[bi == bj, : g // 2 + 1] = False  # the zero offset sits at g // 2
+        p, k = np.nonzero(hit)
         # (delta + offset) @ matrix, not delta @ M + offset @ M: the two round
         # differently, and a distance must not depend on the cutoff asked for.
-        vecs = ((frac[bj] - frac[bi])[:, None, :] + offsets).reshape(-1, 3) @ matrix
-        dist = np.linalg.norm(vecs, axis=1).reshape(len(bi), g)
+        dist = np.linalg.norm((delta[p] + offsets[k]) @ matrix, axis=1)
         keep = dist <= cutoff
-        keep[bi == bj, : g // 2 + 1] = False  # the zero offset sits at g // 2
-        p, k = np.nonzero(keep)
-        parts.append((bi[p], bj[p], offsets[k], dist[p, k]))
+        p, k = p[keep], k[keep]
+        parts.append((bi[p], bj[p], offsets[k], dist[keep]))
     table = _PairTable(cutoff, *(np.concatenate(c) for c in zip(*parts)))
     structure.__dict__["_pair_table"] = table
     return table

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol, runtime_checkable
 
@@ -166,6 +168,17 @@ class MutationGenerator:
     radii: Mapping[str, float] = field(default_factory=lambda: COVALENT_RADII)
     spacing_floor: float = 1.9  # angstroms
     spacing_cap: float = 4.2  # angstroms
+
+    def __post_init__(self) -> None:
+        for name in ("coord_jitter", "lattice_jitter", "spacing_floor", "spacing_cap"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        # a cell-length factor 1 +- lattice_jitter must stay positive
+        if not (self.coord_jitter >= 0.0 and 0.0 <= self.lattice_jitter < 1.0):
+            raise ValueError("need coord_jitter >= 0 and 0 <= lattice_jitter < 1")
+        if not 0.0 < self.spacing_floor <= self.spacing_cap:
+            raise ValueError("need 0 < spacing_floor <= spacing_cap")
 
     def propose(
         self,
@@ -409,10 +422,17 @@ class SearchConfig:
         object.__setattr__(self, "target_energy", float(self.target_energy))
         if not math.isfinite(self.target_energy):
             raise ValueError("target_energy must be finite")
-        for name in ("iterations", "candidates_per_iteration", "pool_capacity",
-                     "init_candidates", "init_rounds"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        for name in ("seed", "iterations", "candidates_per_iteration",
+                     "pool_capacity", "init_candidates", "init_rounds"):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)  # numpy integers pass, floats do not
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, value)
+            least = 0 if name == "seed" else 1
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}")
         if self.energy_weight < 0.0 or self.pvcp_weight < 0.0:
             raise ValueError("reward weights must be non-negative")
         if abs(self.energy_weight + self.pvcp_weight - 1.0) > 1e-9:
@@ -421,6 +441,8 @@ class SearchConfig:
             raise ValueError("lambda_energy must be positive")
         if not (math.isfinite(self.success_tolerance) and self.success_tolerance > 0.0):
             raise ValueError("success_tolerance must be positive")
+        if not isinstance(self.target_composition, Mapping):
+            raise TypeError("target_composition must map elements to counts")
         for el, cnt in self.target_composition.items():
             if int(cnt) < 0:
                 raise ValueError(f"negative target count for {el!r}")
@@ -457,10 +479,22 @@ def combined_reward(
     diagnostic rather than propagated.
     """
     outcome = parse_cif(candidate_text)
+    structure = outcome.structure
+    diagnostics: list[str] = []
+    energy = None
+    if outcome.ok:
+        # Scored first: the stock surrogate's 6 A pair table is the widest a
+        # candidate needs, so the distance credit and the hard check reuse it.
+        try:
+            energy = float(predictor.predict(structure))
+            if not math.isfinite(energy):
+                raise ValueError(f"predictor returned non-finite energy {energy!r}")
+        except Exception as exc:  # predictor contract: failures score zero
+            diagnostics.append(f"predictor failed: {exc}")
+            energy = None
     breakdown = pvcp_from_outcome(
         outcome, cfg.target_composition, weights, phys, radii
     )
-    diagnostics: list[str] = []
     if not outcome.ok:
         combined = CombinedBreakdown(
             score=0.0,
@@ -472,15 +506,8 @@ def combined_reward(
             diagnostics=("parse failure",),
         )
         return 0.0, combined
-    structure = outcome.structure
-    assert structure is not None
     hard_pass = passes_hard_constraints(structure, radii, phys)
-    try:
-        energy = float(predictor.predict(structure))
-        if not math.isfinite(energy):
-            raise ValueError(f"predictor returned non-finite energy {energy!r}")
-    except Exception as exc:  # predictor contract: failures score zero
-        diagnostics.append(f"predictor failed: {exc}")
+    if energy is None:
         combined = CombinedBreakdown(
             score=0.0,
             energy=None,

@@ -360,6 +360,15 @@ def test_mmtg_bad_pairs_file(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [["grpo", "groups.jsonl"], ["mmtg", "1", "2"]])
+def test_policy_section_not_an_object_exits_1(tmp_path, capsys, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({argv[0]: "x"}))
+    code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 1
+    assert f"catloop {argv[0]}: bad {argv[0]} config" in err
+
+
 def test_mmtg_negative_loss(capsys):
     code, _, _ = run_cli(capsys, "mmtg", "--", "-1", "2")
     assert code == 1
@@ -447,6 +456,14 @@ def test_search_unknown_element(tmp_path, capsys):
     [
         ("generator", {"defect_rates": {"bogus": 0.1}}),
         ("search", {"target_composition": {"Cu": "four"}}),
+        ("search", {"target_composition": ["Cu"]}),
+        ("search", {"seed": "x"}),
+        ("search", {"seed": -1}),
+        ("search", {"pool_capacity": 2.5}),
+        ("generator", {"coord_jitter": "x"}),
+        ("generator", {"lattice_jitter": 1.5}),
+        ("generator", {"spacing_cap": -1}),
+        ("generator", {"spacing_floor": 5.0}),
     ],
 )
 def test_search_bad_config_values_exit_1(tmp_path, capsys, section, values):
@@ -457,6 +474,17 @@ def test_search_bad_config_values_exit_1(tmp_path, capsys, section, values):
     code, _, err = run_cli(capsys, "search", "--config", str(cfg))
     assert code == 1
     assert "bad" in err and "config" in err
+
+
+@pytest.mark.parametrize("section", ["search", "generator"])
+def test_search_section_not_an_object_exits_1(tmp_path, capsys, section):
+    cfg = search_config_file(tmp_path)
+    obj = json.loads(cfg.read_text())
+    obj[section] = None
+    cfg.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "search", "--config", str(cfg))
+    assert code == 1
+    assert f"bad {section} config" in err
 
 
 def test_search_impossible_init_exits_2(tmp_path, capsys):
@@ -539,6 +567,26 @@ def test_geometry_degenerate_cell_is_a_file_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "geometry", str(tiny))
     assert code == 2
     assert "no input parsed" in err
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["geometry", "--neighbors"], {"neighbor_scale": "x"}, "bad neighbor_scale"),
+        (["geometry", "--neighbors"], {"neighbor_scale": None}, "bad neighbor_scale"),
+        (["textify"], {"neighbor_scale": "x"}, "bad neighbor_scale"),
+        (["textify"], {"separator": None}, "bad separator"),
+    ],
+)
+def test_inspection_bad_config_exits_1(
+    tmp_path, capsys, slab_files, argv, config, message
+):
+    cif_path, _ = slab_files
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, *argv, str(cif_path), "--config", str(cfg))
+    assert code == 1
+    assert f"catloop {argv[0]}: {message} config" in err
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,50 @@ def test_pairs_match_brute_force_on_skewed_cells():
             assert iter_periodic_pairs(fresh, cutoff) == brute_force_pairs(s, cutoff)
 
 
+def test_pair_exactly_at_cutoff_is_kept():
+    # the slab bound equals the cutoff here; rounding must not prune the image
+    s = make_structure(["Cu", "O"], [(0, 0, 0), (0.25, 0, 0)], lengths=(8, 8, 8))
+    got = iter_periodic_pairs(s, 2.0)
+    assert got == [(0, 1, (0, 0, 0), 2.0)]
+    assert got == brute_force_pairs(s, 2.0)
+
+
+def test_pruning_on_strongly_skewed_cell():
+    rng = np.random.default_rng(31)
+    species = ["Cu", "O", "H", "Pt", "C", "Ni", "O"]
+    s = make_structure(
+        species, rng.random((7, 3)), lengths=(5.0, 5.5, 6.0), angles=(78, 96, 25)
+    )
+    r = np.array([COVALENT_RADII[el] for el in species])
+    for cutoff in (4.0, 6.0, 0.75 * (r[:, None] + r[None, :])):
+        fresh = dataclasses.replace(s)  # same fields, no memoized table
+        assert iter_periodic_pairs(fresh, cutoff) == brute_force_pairs(s, cutoff)
+
+
+def test_cutoff_spanning_several_cells():
+    # 6 A in a 2.6 A cell: several images survive the bound on every axis
+    s = make_structure(
+        ["Cu", "O"], [(0.1, 0.2, 0.3), (0.6, 0.55, 0.9)],
+        lengths=(2.6, 2.6, 2.6), angles=(80, 95, 100),
+    )
+    got = iter_periodic_pairs(s, 6.0)
+    assert got == brute_force_pairs(s, 6.0)
+    images = [image for i, j, image, _ in got if (i, j) == (0, 1)]
+    assert all(len({image[k] for image in images}) >= 4 for k in range(3))
+
+
+def test_pruning_on_64_site_structure():
+    rng = np.random.default_rng(37)
+    species = [["Cu", "O"][k] for k in rng.integers(0, 2, size=64)]
+    s = make_structure(
+        species, rng.random((64, 3)), lengths=(12, 13, 14), angles=(85, 100, 75)
+    )
+    r = np.array([COVALENT_RADII[el] for el in species])
+    cutoff = 0.75 * (r[:, None] + r[None, :])
+    got = iter_periodic_pairs(s, cutoff)
+    assert got and got == brute_force_pairs(s, cutoff)
+
+
 def test_zero_pair_cutoff_skips_coincident_atoms():
     s = make_structure(
         ["Cu", "Cu", "O"], [(0.3, 0.3, 0.3), (0.3, 0.3, 0.3), (0.6, 0.5, 0.4)]

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from catloop import geometry
 from catloop.cif import parse_cif, serialize_cif
 from catloop.geometry import min_pair_distance, volume_per_atom
 from catloop.reward import FailureMode, passes_hard_constraints, pvcp
@@ -364,6 +365,27 @@ def test_combined_reward_nonfinite_energy():
     assert br.energy is None
 
 
+def test_one_pair_table_per_scored_candidate(monkeypatch):
+    # the surrogate's 6 A table is the widest one a candidate needs, so the
+    # distance credit and the hard check filter it instead of rebuilding
+    spacings = geometry._slab_spacings
+    builds = []
+    monkeypatch.setattr(
+        geometry, "_slab_spacings", lambda m: builds.append(1) or spacings(m)
+    )
+    target = {"Cu": 4, "O": 2}
+    gen = MutationGenerator()
+    exemplar = parse_cif(gen.propose(None, target, 0)).structure
+    cfg = base_config(target_composition=target)
+    for seed in range(6):
+        for parent in (None, exemplar):
+            builds.clear()
+            text = gen.propose(parent, target, seed)
+            _, br = combined_reward(text, PairPotentialSurrogate(), cfg)
+            assert br.parsed and br.hard_pass and br.energy is not None
+            assert len(builds) == 1
+
+
 def test_combined_reward_serializable():
     _, br = combined_reward(MINIMAL_CIF, FixedPredictor(0.5), base_config())
     d = br.to_json_dict()
@@ -382,6 +404,13 @@ def test_search_config_validation():
         base_config(success_tolerance=0.0)
     with pytest.raises(ValueError):
         base_config(target_energy=float("nan"))
+    with pytest.raises(TypeError):
+        base_config(pool_capacity=2.5)
+    with pytest.raises(TypeError):
+        base_config(target_composition=["Cu"])
+    cfg = base_config(seed=np.int64(3), iterations=np.int32(2))
+    assert type(cfg.seed) is int and type(cfg.iterations) is int  # JSON-safe
+    json.dumps(cfg.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
