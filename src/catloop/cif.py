@@ -11,12 +11,28 @@ Parsing never raises on malformed input.  Every problem is recorded as a
 `Defect` with a code, a human-readable message, and a line number; a fatal
 defect means no `Structure` is produced, while non-fatal defects still yield
 one.  `parse_cif` is a pure function of its input text.
+
+Tokenizer rules, all encoded in `_TOKEN_RE` except text fields:
+
+* Tokens are separated by spaces and tabs only, and never span lines.
+* A quote or `#` counts only at the start of a token, so `ab'c` and `a#b`
+  are bare tokens.  A token starting with `#` comments out the rest of the
+  line.  A token starting with a quote runs to the next same quote on that
+  line, which need not be followed by a space; with none, the rest of the
+  line is dropped with a SYNTAX defect.
+* A line starting with `;` opens a text field that the next line starting
+  with `;` closes; its stripped content is one quoted token.  An unclosed
+  field is a SYNTAX defect and ends the input.
+* Unquoted tags (`_...`), `data_...` and exactly `loop_` are reserved words,
+  the last two in any letter case.  ASCII case classes suffice: no
+  non-ASCII letter lowercases to a letter of `data_` or `loop_`.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -27,7 +43,7 @@ from .elements import COVALENT_RADII, normalize_symbol
 
 DEFAULT_MAX_CHARS = 1 << 20  # parser input budget (~1 MiB of text)
 
-_CELL_TAGS = (
+CELL_TAGS = (
     "_cell_length_a",
     "_cell_length_b",
     "_cell_length_c",
@@ -37,7 +53,7 @@ _CELL_TAGS = (
 )
 _SPACE_GROUP_TAGS = ("_symmetry_space_group_name_h-m", "_space_group_name_h-m_alt")
 _SPACE_GROUP_NUMBER_TAGS = ("_symmetry_int_tables_number", "_space_group_it_number")
-_SITE_TAGS = (
+SITE_TAGS = (
     "_atom_site_label",
     "_atom_site_type_symbol",
     "_atom_site_fract_x",
@@ -46,7 +62,9 @@ _SITE_TAGS = (
 )
 _PLACEHOLDERS = {"?", "."}
 
-_NUMBER_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eEdD][+-]?\d+)?)(\(\d+\))?$")
+_NUMBER_RE = re.compile(
+    r"\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eEdD][+-]?\d+)?)(?:\(\d+\))?\s*"
+)
 
 
 class DefectCode(str, Enum):
@@ -207,10 +225,6 @@ class Lattice:
             gamma=angle(0, 1),
         )
 
-    def fractional_to_cartesian(self, frac: np.ndarray) -> np.ndarray:
-        """Map fractional coordinates (..., 3) to cartesian angstroms."""
-        return np.asarray(frac, dtype=float) @ self.matrix
-
 
 def wrap_fractional(value: float) -> float:
     """Wrap a fractional coordinate into the canonical [0, 1) window."""
@@ -234,9 +248,9 @@ class AtomSite:
             raise ValueError(f"unknown element symbol {self.element!r}")
         if not self.label:
             raise ValueError("site label must be non-empty")
-        if len(self.frac) != 3 or not all(math.isfinite(v) for v in self.frac):
+        if len(self.frac) != 3 or not all(map(math.isfinite, self.frac)):
             raise ValueError("fractional coordinates must be three finite numbers")
-        object.__setattr__(self, "frac", tuple(wrap_fractional(v) for v in self.frac))
+        object.__setattr__(self, "frac", tuple(map(wrap_fractional, self.frac)))
 
 
 @dataclass(frozen=True)
@@ -296,17 +310,25 @@ class ParseOutcome:
 # tokenizer
 
 
-@dataclass
-class _Token:
-    text: str
-    line: int
-    quoted: bool = False
+# One match per token: a quoted value, a reserved word, a bare value, or a
+# comment or unpaired quote, which runs to the end of the line.  Spaces and
+# tabs between tokens match no branch and are skipped.
+_TOKEN_RE = re.compile(
+    r"""('[^']*'|"[^"]*")"""
+    r"""|((?:_|[dD][aA][tT][aA]_)[^ \t]*|[lL][oO][oO][pP]_(?![^ \t]))"""
+    r"""|([^ \t#'"][^ \t]*)"""
+    r"""|([#'"]).*"""
+)
 
 
-def _tokenize(lines: list[str], defects: list[Defect]) -> list[_Token]:
-    """Split CIF text into value tokens, honoring quotes, comments, and
-    semicolon-delimited text fields."""
-    tokens: list[_Token] = []
+def _tokenize(
+    lines: list[str], defects: list[Defect]
+) -> tuple[list[tuple[str, int, bool]], list[int]]:
+    """Split CIF text into `(text, line, quoted)` tokens, honoring quotes,
+    comments, and semicolon-delimited text fields; also return the indices
+    of the reserved words."""
+    tokens: list[tuple[str, int, bool]] = []
+    reserved: list[int] = []
     i = 0
     n = len(lines)
     while i < n:
@@ -329,36 +351,23 @@ def _tokenize(lines: list[str], defects: list[Defect]) -> list[_Token]:
                 )
                 i = n
                 continue
-            tokens.append(_Token("\n".join(block).strip(), lineno, quoted=True))
+            tokens.append(("\n".join(block).strip(), lineno, True))
             i = j + 1
             continue
-        pos = 0
-        ln = len(line)
-        while pos < ln:
-            ch = line[pos]
-            if ch in " \t":
-                pos += 1
-                continue
-            if ch == "#":
-                break
-            if ch in "'\"":
-                end = line.find(ch, pos + 1)
-                if end < 0:
-                    defects.append(
-                        Defect(DefectCode.SYNTAX, "unterminated quoted value", lineno)
-                    )
-                    pos = ln
-                    continue
-                tokens.append(_Token(line[pos + 1 : end], lineno, quoted=True))
-                pos = end + 1
-                continue
-            end = pos
-            while end < ln and line[end] not in " \t":
-                end += 1
-            tokens.append(_Token(line[pos:end], lineno))
-            pos = end
+        for quoted, word, bare, stop in _TOKEN_RE.findall(line):
+            if bare:
+                tokens.append((bare, lineno, False))
+            elif word:
+                reserved.append(len(tokens))
+                tokens.append((word, lineno, False))
+            elif quoted:
+                tokens.append((quoted[1:-1], lineno, True))
+            elif stop != "#":
+                defects.append(
+                    Defect(DefectCode.SYNTAX, "unterminated quoted value", lineno)
+                )
         i += 1
-    return tokens
+    return tokens, reserved
 
 
 def parse_number(raw: str) -> float | None:
@@ -366,14 +375,19 @@ def parse_number(raw: str) -> float | None:
 
     Returns None when the value is not a plain number.
     """
-    m = _NUMBER_RE.match(raw.strip())
-    if not m:
-        return None
-    mantissa = m.group(1).replace("d", "e").replace("D", "e")
+    # Apart from digit-group underscores, inf and nan, float() accepts a
+    # subset of _NUMBER_RE (whitespace strip included) with the same value;
+    # the regex is needed only for `d` exponents and uncertainty suffixes.
     try:
-        value = float(mantissa)
-    except ValueError:  # pragma: no cover - regex already constrains this
-        return None
+        value = float(raw)
+    except ValueError:
+        m = _NUMBER_RE.fullmatch(raw)
+        if m is None:
+            return None
+        value = float(m[1].replace("d", "e").replace("D", "e"))
+    else:
+        if "_" in raw:
+            return None
     return value if math.isfinite(value) else None
 
 
@@ -381,25 +395,20 @@ def parse_number(raw: str) -> float | None:
 # parser
 
 
-def _is_reserved(tok: _Token) -> bool:
-    if tok.quoted:
-        return False
-    low = tok.text.lower()
-    return low.startswith("data_") or low == "loop_" or tok.text.startswith("_")
-
-
 def _parse_document(
     text: str, defects: list[Defect]
 ) -> CifDocument | None:
-    lines = text.splitlines()
-    tokens = _tokenize(lines, defects)
+    tokens, reserved = _tokenize(text.splitlines(), defects)
+    n = len(tokens)
+    reserved.append(n)  # sentinel: every run of values ends at a reserved index
+
+    def next_reserved(k: int) -> int:
+        return reserved[bisect_left(reserved, k)]
 
     # locate the data block header
-    start = None
-    for idx, tok in enumerate(tokens):
-        if not tok.quoted and tok.text.lower().startswith("data_"):
-            start = idx
-            break
+    start = next(
+        (k for k in reserved[:-1] if tokens[k][0].lower().startswith("data_")), None
+    )
     if start is None:
         defects.append(Defect(DefectCode.SYNTAX, "missing data block header", 0))
         return None
@@ -408,35 +417,42 @@ def _parse_document(
             Defect(
                 DefectCode.SYNTAX,
                 "content before data block header",
-                tokens[0].line,
+                tokens[0][1],
             )
         )
-    block_name = tokens[start].text[len("data_") :]
+    block_name = tokens[start][0][len("data_") :]
 
     scalars: dict[str, str] = {}
     loops: list[CifLoop] = []
     spans: dict[str, tuple[int, int]] = {}
 
     i = start + 1
-    n = len(tokens)
     while i < n:
-        tok = tokens[i]
-        low = tok.text.lower() if not tok.quoted else ""
-        if not tok.quoted and low.startswith("data_"):
+        j = next_reserved(i)
+        for value, line, _ in tokens[i:j]:
             defects.append(
-                Defect(DefectCode.SYNTAX, "multiple data blocks", tok.line)
+                Defect(
+                    DefectCode.SYNTAX,
+                    f"unexpected value {value!r} outside any loop",
+                    line,
+                )
             )
+        if j == n:
             break
-        if low == "loop_":
-            loop_line = tok.line
+        i = j
+        word, line = tokens[i][0].lower(), tokens[i][1]
+        if word.startswith("data_"):
+            defects.append(Defect(DefectCode.SYNTAX, "multiple data blocks", line))
+            break
+        if word == "loop_":
             i += 1
             columns: list[str] = []
-            while i < n and not tokens[i].quoted and tokens[i].text.startswith("_"):
-                columns.append(tokens[i].text.lower())
+            while i < n and not tokens[i][2] and tokens[i][0].startswith("_"):
+                columns.append(tokens[i][0].lower())
                 i += 1
             if not columns:
                 defects.append(
-                    Defect(DefectCode.SYNTAX, "loop without column tags", loop_line)
+                    Defect(DefectCode.SYNTAX, "loop without column tags", line)
                 )
                 continue
             if len(set(columns)) != len(columns):
@@ -444,68 +460,47 @@ def _parse_document(
                     Defect(
                         DefectCode.INCONSISTENT_LOOP,
                         "duplicate column tag in loop",
-                        loop_line,
+                        line,
                     )
                 )
-            values: list[_Token] = []
-            while i < n and not _is_reserved(tokens[i]):
-                values.append(tokens[i])
-                i += 1
+            end = next_reserved(i)
+            texts, lines, _ = zip(*tokens[i:end]) if end > i else ((), (), ())
+            i = end
             ncol = len(columns)
-            if not values:
+            if not texts:
                 defects.append(
-                    Defect(DefectCode.INCONSISTENT_LOOP, "loop has no data rows", loop_line)
+                    Defect(DefectCode.INCONSISTENT_LOOP, "loop has no data rows", line)
                 )
-            elif len(values) % ncol != 0:
+            elif len(texts) % ncol != 0:
                 defects.append(
                     Defect(
                         DefectCode.INCONSISTENT_LOOP,
-                        f"loop value count {len(values)} is not a multiple of "
+                        f"loop value count {len(texts)} is not a multiple of "
                         f"{ncol} columns",
-                        values[-1].line,
+                        lines[-1],
                     )
                 )
-            nrows = len(values) // ncol
-            rows = tuple(
-                tuple(values[r * ncol + c].text for c in range(ncol))
-                for r in range(nrows)
-            )
-            row_lines = tuple(values[r * ncol].line for r in range(nrows))
-            end_line = values[-1].line if values else loop_line
-            loops.append(CifLoop(tuple(columns), rows, loop_line, row_lines))
+            nrows = len(texts) // ncol
+            rows = tuple(zip(*(texts[c::ncol] for c in range(ncol))))
+            row_lines = lines[: nrows * ncol : ncol]
+            loops.append(CifLoop(tuple(columns), rows, line, row_lines))
             for col in columns:
-                spans.setdefault(col, (loop_line, end_line))
+                spans.setdefault(col, (line, lines[-1] if texts else line))
             continue
-        if not tok.quoted and tok.text.startswith("_"):
-            tag = tok.text.lower()
-            if i + 1 < n and not _is_reserved(tokens[i + 1]):
-                value = tokens[i + 1].text
-                if tag in scalars:
-                    defects.append(
-                        Defect(
-                            DefectCode.SYNTAX,
-                            f"duplicate tag {tag}",
-                            tok.line,
-                        )
-                    )
-                else:
-                    scalars[tag] = value
-                    spans[tag] = (tok.line, tokens[i + 1].line)
-                i += 2
-            else:
+        # a tag: its value is the next token unless that is reserved too
+        if next_reserved(i + 1) > i + 1:
+            value, value_line, _ = tokens[i + 1]
+            if word in scalars:
                 defects.append(
-                    Defect(DefectCode.SYNTAX, f"tag {tag} has no value", tok.line)
+                    Defect(DefectCode.SYNTAX, f"duplicate tag {word}", line)
                 )
-                i += 1
-            continue
-        defects.append(
-            Defect(
-                DefectCode.SYNTAX,
-                f"unexpected value {tok.text!r} outside any loop",
-                tok.line,
-            )
-        )
-        i += 1
+            else:
+                scalars[word] = value
+                spans[word] = (line, value_line)
+            i += 2
+        else:
+            defects.append(Defect(DefectCode.SYNTAX, f"tag {word} has no value", line))
+            i += 1
 
     return CifDocument(block_name, scalars, tuple(loops), spans)
 
@@ -513,7 +508,7 @@ def _parse_document(
 def find_atom_site_loop(document: CifDocument) -> CifLoop | None:
     """First loop carrying any `_atom_site_*` column of the supported subset."""
     for loop in document.loops:
-        if any(col in _SITE_TAGS for col in loop.columns):
+        if any(col in SITE_TAGS for col in loop.columns):
             return loop
     return None
 
@@ -524,7 +519,7 @@ def _tag_line(document: CifDocument, tag: str) -> int:
 
 
 def _parse_lattice(document: CifDocument, defects: list[Defect]) -> Lattice | None:
-    missing = [t for t in _CELL_TAGS if t not in document.scalars]
+    missing = [t for t in CELL_TAGS if t not in document.scalars]
     if missing:
         defects.append(
             Defect(
@@ -536,7 +531,7 @@ def _parse_lattice(document: CifDocument, defects: list[Defect]) -> Lattice | No
         return None
     values: dict[str, float] = {}
     bad = False
-    for tag in _CELL_TAGS:
+    for tag in CELL_TAGS:
         raw = document.scalars[tag]
         num = parse_number(raw)
         if num is None:
@@ -613,11 +608,10 @@ def _parse_sites(
     if loop is None:
         defects.append(Defect(DefectCode.EMPTY_SITES, "no atom site loop", 0))
         return None, True
-    col_index = {col: k for k, col in enumerate(loop.columns)}
     fract_cols = ("_atom_site_fract_x", "_atom_site_fract_y", "_atom_site_fract_z")
-    missing = [c for c in fract_cols if c not in col_index]
-    has_label = "_atom_site_label" in col_index
-    has_type = "_atom_site_type_symbol" in col_index
+    missing = [c for c in fract_cols if c not in loop.columns]
+    has_label = "_atom_site_label" in loop.columns
+    has_type = "_atom_site_type_symbol" in loop.columns
     if missing or not (has_label or has_type):
         what = list(missing)
         if not (has_label or has_type):
@@ -636,57 +630,55 @@ def _parse_sites(
         )
         return None, True
 
+    # one pass per column: convert the coordinates, resolve each distinct
+    # symbol once; then one pass per row for defects, labels and sites
+    columns = dict(zip(loop.columns, zip(*loop.rows)))
+    raw_xyz = [columns[col] for col in fract_cols]
+    xyz = [list(map(parse_number, raws)) for raws in raw_xyz]
+    coords_in_window = all(
+        -0.5 <= v < 1.5 for col in xyz for v in col if v is not None
+    )
+    labels = columns.get("_atom_site_label")
+    elements: list[str | None] = [None] * len(loop.rows)
+    for column in (columns.get("_atom_site_type_symbol"), labels):
+        if column is not None and None in elements:
+            symbol = {tok: normalize_symbol(tok) for tok in set(column)}
+            elements = [el or symbol[tok] for el, tok in zip(elements, column)]
+    sources = labels or columns["_atom_site_type_symbol"]
+
     sites: list[AtomSite] = []
-    coords_in_window = True
     fatal = False
     element_counts: dict[str, int] = {}
     seen_labels: set[str] = set()
-    for row, row_line in zip(loop.rows, loop.row_lines):
-        coords: list[float] = []
-        row_ok = True
-        for col in fract_cols:
-            raw = row[col_index[col]]
-            num = parse_number(raw)
-            if num is None:
+    for k, (x, y, z, element, row_line) in enumerate(
+        zip(*xyz, elements, loop.row_lines)
+    ):
+        if x is None or y is None or z is None or element is None:
+            for col, raws, num in zip(fract_cols, raw_xyz, (x, y, z)):
+                if num is None:
+                    defects.append(
+                        Defect(
+                            DefectCode.BAD_NUMBER,
+                            f"{col} value {raws[k]!r} is not numeric",
+                            row_line,
+                        )
+                    )
+            if element is None:
                 defects.append(
                     Defect(
-                        DefectCode.BAD_NUMBER,
-                        f"{col} value {raw!r} is not numeric",
+                        DefectCode.UNKNOWN_ELEMENT,
+                        f"no element recognized in {sources[k]!r}",
                         row_line,
                     )
                 )
-                fatal = True
-                row_ok = False
-                continue
-            if not (-0.5 <= num < 1.5):
-                coords_in_window = False
-            coords.append(num)
-        element: str | None = None
-        source = ""
-        if has_type:
-            source = row[col_index["_atom_site_type_symbol"]]
-            element = normalize_symbol(source)
-        if element is None and has_label:
-            source = row[col_index["_atom_site_label"]]
-            element = normalize_symbol(source)
-        if element is None:
-            defects.append(
-                Defect(
-                    DefectCode.UNKNOWN_ELEMENT,
-                    f"no element recognized in {source!r}",
-                    row_line,
-                )
-            )
             fatal = True
-            row_ok = False
-        if not row_ok:
             continue
-        assert element is not None
         element_counts[element] = element_counts.get(element, 0) + 1
-        if has_label:
-            label = row[col_index["_atom_site_label"]]
-        else:
-            label = f"{element}{element_counts[element]}"
+        label = labels[k] if labels else f"{element}{element_counts[element]}"
+        if not label:
+            defects.append(Defect(DefectCode.SYNTAX, "empty site label", row_line))
+            fatal = True
+            continue
         if label in seen_labels:
             defects.append(
                 Defect(
@@ -696,17 +688,8 @@ def _parse_sites(
                 )
             )
         seen_labels.add(label)
-        sites.append(
-            AtomSite(label=label, element=element, frac=(coords[0], coords[1], coords[2]))
-        )
-    if fatal:
-        return None, coords_in_window
-    if not sites:
-        defects.append(
-            Defect(DefectCode.EMPTY_SITES, "no usable atom sites", loop.line)
-        )
-        return None, coords_in_window
-    return sites, coords_in_window
+        sites.append(AtomSite(label, element, (x, y, z)))
+    return (None if fatal else sites), coords_in_window
 
 
 def parse_cif(
@@ -774,7 +757,7 @@ def serialize_cif(structure: Structure, block_name: str | None = None) -> str:
         block_name = _format_block_name(structure)
     lat = structure.lattice
     lines = [f"data_{block_name}"]
-    for tag, value in zip(_CELL_TAGS, (*lat.lengths, *lat.angles)):
+    for tag, value in zip(CELL_TAGS, (*lat.lengths, *lat.angles)):
         lines.append(f"{tag} {value:.9f}")
     sg = structure.space_group_symbol
     lines.append(
@@ -783,15 +766,7 @@ def serialize_cif(structure: Structure, block_name: str | None = None) -> str:
     if structure.space_group_number is not None:
         lines.append(f"_symmetry_Int_Tables_number {structure.space_group_number}")
     lines.append("loop_")
-    lines.extend(
-        (
-            "_atom_site_label",
-            "_atom_site_type_symbol",
-            "_atom_site_fract_x",
-            "_atom_site_fract_y",
-            "_atom_site_fract_z",
-        )
-    )
+    lines.extend(SITE_TAGS)
     for site in structure.sites:
         x, y, z = site.frac
         lines.append(

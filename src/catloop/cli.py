@@ -516,6 +516,9 @@ def cmd_search(args: argparse.Namespace) -> int:
         predictor = PairPotentialSurrogate(**config.get("predictor", {}))
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad generator/predictor config: {exc}") from None
+    missing = sorted(set(cfg.target_composition) - set(generator.radii))
+    if missing:
+        raise CliError(f"bad generator config: radii lack {', '.join(missing)}")
     weights = _build_weights(config)
     phys = _build_phys(config)
 

@@ -23,6 +23,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .cif import (
+    CELL_TAGS,
+    SITE_TAGS,
     DefectCode,
     ParseOutcome,
     Structure,
@@ -34,22 +36,6 @@ from .elements import COVALENT_RADII
 from .geometry import DegenerateCellError, iter_periodic_pairs, volume_per_atom
 
 CompositionVector = Mapping[str, int]
-
-_SITE_COLUMNS = (
-    "_atom_site_label",
-    "_atom_site_type_symbol",
-    "_atom_site_fract_x",
-    "_atom_site_fract_y",
-    "_atom_site_fract_z",
-)
-_CELL_TAGS = (
-    "_cell_length_a",
-    "_cell_length_b",
-    "_cell_length_c",
-    "_cell_angle_alpha",
-    "_cell_angle_beta",
-    "_cell_angle_gamma",
-)
 
 N_VALIDITY_CHECKS = 6
 
@@ -160,9 +146,9 @@ def validity_checklist(outcome: ParseOutcome) -> list[tuple[str, bool]]:
     sg_ok = s is not None and (
         s.space_group_symbol is not None or s.space_group_number is not None
     )
-    cell_ok = doc is not None and all(t in doc.scalars for t in _CELL_TAGS)
+    cell_ok = doc is not None and all(t in doc.scalars for t in CELL_TAGS)
     loop = find_atom_site_loop(doc) if doc is not None else None
-    columns_ok = loop is not None and all(c in loop.columns for c in _SITE_COLUMNS)
+    columns_ok = loop is not None and all(c in loop.columns for c in SITE_TAGS)
     labels_ok = not outcome.has(DefectCode.DUPLICATE_LABEL)
     loops_ok = not outcome.has(DefectCode.INCONSISTENT_LOOP)
     return [

@@ -179,6 +179,17 @@ class MutationGenerator:
             raise ValueError("need coord_jitter >= 0 and 0 <= lattice_jitter < 1")
         if not 0.0 < self.spacing_floor <= self.spacing_cap:
             raise ValueError("need 0 < spacing_floor <= spacing_cap")
+        if not isinstance(self.radii, Mapping) or not all(
+            el in COVALENT_RADII
+            and isinstance(r, numbers.Real)
+            and not isinstance(r, bool)
+            and math.isfinite(r)
+            and r > 0.0
+            for el, r in self.radii.items()
+        ):
+            raise ValueError(
+                "radii must map element symbols to finite positive numbers"
+            )
 
     def propose(
         self,

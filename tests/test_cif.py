@@ -63,6 +63,11 @@ def test_parse_number_forms():
     assert parse_number("inf") is None
     assert parse_number("1.0.0") is None
     assert parse_number("") is None
+    # forms float() alone would read differently
+    assert parse_number("1_000") is None
+    assert parse_number("1e999") is None
+    assert parse_number("\xa0+.5E1\t") == 5.0
+    assert parse_number(" 2.5d-1(4)\n") == 0.25
 
 
 def test_coordinates_wrapped(minimal_cif):
@@ -155,6 +160,8 @@ def test_label_column_optional(minimal_cif):
         (lambda t: edit(t, "Cu1 Cu", "Xx1 Xx"), DefectCode.UNKNOWN_ELEMENT),
         (lambda t: edit(t, "Cu1 Cu 0.0 0.0 0.0\n", ""), DefectCode.INCONSISTENT_LOOP),
         (lambda t: edit(t, " 0.0\n", "\n"), DefectCode.INCONSISTENT_LOOP),
+        (lambda t: edit(t, "Cu1 Cu", "'' Cu"), DefectCode.SYNTAX),
+        (lambda t: edit(t, "Cu1 Cu", ";\n;\nCu"), DefectCode.SYNTAX),
     ],
 )
 def test_fatal_defects(minimal_cif, mutate, code):

@@ -464,6 +464,18 @@ def test_search_unknown_element(tmp_path, capsys):
         ("generator", {"lattice_jitter": 1.5}),
         ("generator", {"spacing_cap": -1}),
         ("generator", {"spacing_floor": 5.0}),
+        ("generator", {"radii": "x"}),
+        ("generator", {"radii": None}),
+        ("generator", {"radii": 2.5}),
+        ("generator", {"radii": []}),
+        ("generator", {"radii": {}}),
+        ("generator", {"radii": {"Cu": 1.32}}),
+        ("generator", {"radii": {"Cu": "x", "O": 0.66}}),
+        ("generator", {"radii": {"Cu": None, "O": 0.66}}),
+        ("generator", {"radii": {"Cu": [1.32], "O": 0.66}}),
+        ("generator", {"radii": {"Cu": -1.32, "O": 0.66}}),
+        ("generator", {"radii": {"Cu": True, "O": 0.66}}),
+        ("generator", {"radii": {"Cu": 1.32, "O": 0.66, "Xq": 1.0}}),
     ],
 )
 def test_search_bad_config_values_exit_1(tmp_path, capsys, section, values):

@@ -1,9 +1,11 @@
-"""Golden digests of two CLI artifacts.
+"""Golden digests of two CLI artifacts and of the parser's outcomes.
 
 The SHA-256 digests below pin the exact bytes of `catloop search` reports
-at the criterion-7 configuration and of a `catloop validate` report over a
-seeded corpus at the criterion-6 defect rates.  A numeric refactor that
-moves even one bit of a distance, an energy or a score changes a digest.
+at the criterion-7 configuration, of a `catloop validate` report over a
+seeded corpus at the criterion-6 defect rates, and of a canonical dump of
+every `parse_cif` outcome over a seeded corpus of generated and mutated CIF
+text.  A numeric refactor that moves even one bit of a distance, an energy,
+a score, a parsed coordinate or a defect changes a digest.
 
 The digests were taken with numpy 2.4.6 (Python 3.11, x86-64) and so pin
 that numpy/BLAS build as well: another build may round a product in the
@@ -17,6 +19,7 @@ The CLI runs inside `tmp_path` with relative file names, so the manifest
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from catloop.cif import parse_cif
@@ -40,6 +43,75 @@ SEARCH_DIGESTS = {
     2: "e13276679da2e9498390037975576cddc496de221b4e60bca62e4ad907396b61",
 }
 VALIDATE_DIGEST = "0c37b774f0c5edd103d8ec58769fef251cfffffc98d64f38674971c76d487f7c"
+PARSE_DIGEST = "0d89c24c8449ace5332ccc1bd523a6f17af522670dc394aea7c2a62a3dd5373e"
+
+# Parse corpus: generated files at 6, 64 and 128 sites, then seeded text
+# edits of the 6- and 64-site files.  The snippets hit every tokenizer rule
+# (quotes and `#` inside and at the start of a token, `;` text fields, tabs,
+# line breaks, reserved words in either case) and every number form (`(3)`
+# suffixes, `d` exponents, overflow, `nan`), and the inserted rows repeat a
+# label, fall back from the type symbol to the label or leave the [-0.5, 1.5)
+# window; `İ` lowercases to two characters.
+PARSE_CORPUS = ((CU4O2, 40), ({"Cu": 43, "O": 21}, 6), ({"Cu": 85, "O": 43}, 4))
+PARSE_EDITS = (
+    "'", '"', "#", ";", "\t", "\n", " ", "_", "\n;", ";\n", "loop_", "LOOP_",
+    "data_", "Data_x ", "(3)", "d", "D-1", "e", "1e999", "nan", "İ", "\xa0",
+    " ' ", ' "a b" ', " # ", "\nloop_\n_atom_site_label\n", "\n_cell_length_a ",
+    "\nCu1 Cu 0.5 0.25 1.75(2)", "\nO1 Xx -0.6 .5 0", "\n? ? 0 0 0", "\u212a",
+)
+MUTANTS_PER_FILE = 10
+
+
+def _mutate(text: str, rng: np.random.Generator) -> str:
+    for _ in range(int(rng.integers(1, 5))):
+        pos = int(rng.integers(0, len(text) + 1))
+        if rng.random() < 0.6:
+            text = text[:pos] + PARSE_EDITS[int(rng.integers(len(PARSE_EDITS)))] + text[pos:]
+        else:
+            text = text[:pos] + text[pos + int(rng.integers(1, 4)) :]
+    return text
+
+
+def parse_corpus() -> list[str]:
+    gen = MutationGenerator(defect_rates=DefectRates(**CRITERION6_RATES))
+    texts = [
+        gen.propose(None, target, seed)
+        for target, count in PARSE_CORPUS
+        for seed in range(count)
+    ]
+    rng = np.random.default_rng(20261018)
+    mutants = [
+        _mutate(text, rng)
+        for text in texts
+        if len(text) < 5000
+        for _ in range(MUTANTS_PER_FILE)
+    ]
+    return texts + mutants
+
+
+def _hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def dump_outcome(outcome) -> list:
+    """Every field of a `ParseOutcome`, floats as `float.hex`."""
+    doc, st = outcome.document, outcome.structure
+    return [
+        [[d.code.value, d.message, d.line] for d in outcome.defects],
+        doc and [
+            doc.block_name,
+            list(doc.scalars.items()),
+            [[lp.columns, lp.rows, lp.line, lp.row_lines] for lp in doc.loops],
+            list(doc.source_line_spans.items()),
+        ],
+        st and [
+            _hexes(st.lattice.lengths + st.lattice.angles),
+            st.space_group_symbol,
+            st.space_group_number,
+            [[s.label, s.element, _hexes(s.frac), s.role_tag.value] for s in st.sites],
+        ],
+        outcome.coords_in_window,
+    ]
 
 
 def _run(capsys, *argv) -> bytes:
@@ -101,3 +173,11 @@ def test_search_report_digest(tmp_path, monkeypatch, capsys, seed):
 def test_validate_report_digest(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert _digest(validate_artifact(capsys)) == VALIDATE_DIGEST
+
+
+def test_parse_outcome_digest():
+    sha = hashlib.sha256()
+    for text in parse_corpus():
+        sha.update(json.dumps(dump_outcome(parse_cif(text))).encode())
+        sha.update(b"\n")
+    assert sha.hexdigest() == PARSE_DIGEST
