@@ -10,7 +10,6 @@ surface, and the bonded contact map.
 from catloop import (
     AtomSite,
     Lattice,
-    RoleTag,
     Structure,
     SystemMetadata,
     find_interaction_atoms,
@@ -22,10 +21,10 @@ a, c = 5.1, 12.0
 top, sub, h = 6.0 / c, 4.2 / c, 7.4 / c
 sites = []
 for k, (x, y) in enumerate([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)]):
-    sites.append(AtomSite(f"Cu{k+1}", "Cu", (x, y, top), RoleTag.SURFACE_TOP))
+    sites.append(AtomSite(f"Cu{k+1}", "Cu", (x, y, top)))
 for k, (x, y) in enumerate([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)]):
-    sites.append(AtomSite(f"Cu{k+5}", "Cu", (x, y, sub), RoleTag.SUBSURFACE))
-sites.append(AtomSite("H1", "H", (0.0, 0.0, h), RoleTag.ADSORBATE))
+    sites.append(AtomSite(f"Cu{k+5}", "Cu", (x, y, sub)))
+sites.append(AtomSite("H1", "H", (0.0, 0.0, h)))
 
 slab = Structure(
     lattice=Lattice(a, a, c, 90, 90, 90),

@@ -133,15 +133,6 @@ class CifDocument:
     source_line_spans: dict[str, tuple[int, int]]
 
 
-class RoleTag(str, Enum):
-    """Structural role of a site within an adsorption system."""
-
-    ADSORBATE = "adsorbate"
-    SURFACE_TOP = "surface_top"
-    SUBSURFACE = "subsurface"
-    UNSPECIFIED = "unspecified"
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Cell parameters: lengths in angstroms, angles in degrees."""
@@ -241,7 +232,6 @@ class AtomSite:
     label: str
     element: str
     frac: tuple[float, float, float]
-    role_tag: RoleTag = RoleTag.UNSPECIFIED
 
     def __post_init__(self) -> None:
         if self.element not in COVALENT_RADII:
@@ -751,7 +741,7 @@ def serialize_cif(structure: Structure, block_name: str | None = None) -> str:
 
     Numbers are written with nine decimal places.  A structure without a
     space group is written with the CIF unknown-value marker `?` so the tag
-    stays present.  Role tags are sidecar metadata and are not written.
+    stays present.
     """
     if block_name is None:
         block_name = _format_block_name(structure)
@@ -787,8 +777,8 @@ def structures_close(
     """Site-by-site equality of two structures within `tol`.
 
     Compares cell parameters, site order, labels, elements, and fractional
-    coordinates modulo 1.  Role tags and space-group fields are ignored by
-    coordinate comparison but symbol/number must match exactly.
+    coordinates modulo 1.  Space-group fields are ignored by coordinate
+    comparison but symbol/number must match exactly.
     """
     if len(s1.sites) != len(s2.sites):
         return False

@@ -9,7 +9,7 @@ Subcommands:
 * ``search``    - run the closed-loop exemplar search with the surrogates
 * ``geometry``  - periodic distances and neighbor summaries for CIF files
 
-Shared flags: ``--config`` (JSON), ``--seed``, ``--jobs``, ``--out`` (artifact
+Shared flags: ``--config`` (JSON), ``--seed``, ``--out`` (artifact
 directory), ``--format`` (json or table).  Every artifact embeds a run
 manifest: command, effective config, sha256 of each input file, tool
 version, seed, and an id over those fields.  Wall-clock time goes only to
@@ -26,11 +26,10 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .cif import composition_of, parse_cif
@@ -52,9 +51,7 @@ from .policy import (
 from .reward import (
     DEFAULT_PHYS,
     DEFAULT_WEIGHTS,
-    PhysConfig,
     RewardBreakdown,
-    RewardWeights,
     corpus_failure_rates,
     pvcp_from_outcome,
 )
@@ -68,9 +65,17 @@ from .search import (
 )
 from .textify import SystemMetadata, to_system_text
 
+# What a subcommand hands to `main`: the run manifest, the artifact's other
+# keys, and the table renderer for ``--format table``.
+Outcome = tuple[dict, dict, Callable[[dict], str]]
+
 
 class CliError(Exception):
     """Configuration or usage problem; maps to exit code 1."""
+
+
+class _NoInput(Exception):
+    """No input could be processed; maps to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,11 +94,11 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config {path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise CliError(f"config {path} is not valid JSON/UTF-8: {exc}") from None
     if not isinstance(obj, dict):
         raise CliError(f"config {path} must hold a JSON object")
     return obj
@@ -107,20 +112,14 @@ def _section(config: dict, name: str) -> dict:
     return dict(section)
 
 
-def _build_weights(config: dict) -> RewardWeights:
-    section = config.get("weights", {})
+def _configured(config: dict, name: str, default, **flags):
+    """`default` updated by the config's `name` object, then by non-None flags."""
+    section = _section(config, name)
+    section.update((k, v) for k, v in flags.items() if v is not None)
     try:
-        return replace(DEFAULT_WEIGHTS, **section)
+        return replace(default, **section)
     except (TypeError, ValueError) as exc:
-        raise CliError(f"bad weights config: {exc}") from None
-
-
-def _build_phys(config: dict) -> PhysConfig:
-    section = config.get("phys", {})
-    try:
-        return replace(DEFAULT_PHYS, **section)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad phys config: {exc}") from None
+        raise CliError(f"bad {name} config: {exc}") from None
 
 
 def _neighbor_scale(config: dict, override: float | None = None) -> float:
@@ -134,23 +133,32 @@ def _neighbor_scale(config: dict, override: float | None = None) -> float:
     return scale
 
 
+def _composition(mapping: object, where: str) -> dict[str, int]:
+    """A composition from outside the program: known elements, integer counts >= 0."""
+    if not isinstance(mapping, dict):
+        raise CliError(f"{where}: expected element counts, got {mapping!r}")
+    for el, count in mapping.items():
+        if not is_element(el):
+            raise CliError(f"{where}: unknown element {el!r}")
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise CliError(f"{where}: count {count!r} for {el!r} is not an int >= 0")
+    return dict(mapping)
+
+
 def parse_composition_arg(text: str) -> dict[str, int]:
     """Parse a composition argument like ``Cu:4,O:1``."""
+    where = f"composition {text!r}"
     comp: dict[str, int] = {}
     for part in text.split(","):
-        part = part.strip()
-        if not part:
+        if not part.strip():
             continue
         el, _, num = part.partition(":")
         el = el.strip()
-        if not is_element(el):
-            raise CliError(f"unknown element {el!r} in composition {text!r}")
         try:
             count = int(num)
         except ValueError:
-            raise CliError(f"bad count {num!r} for {el!r} in composition") from None
-        if count < 0:
-            raise CliError(f"negative count for {el!r} in composition")
+            raise CliError(f"{where}: bad count {num!r} for {el!r}") from None
+        _composition({el: count}, where)
         comp[el] = comp.get(el, 0) + count
     if not comp:
         raise CliError(f"empty composition {text!r}")
@@ -194,15 +202,24 @@ def _log(message: str) -> None:
     print(f"[{stamp}] {message}", file=sys.stderr)
 
 
+def _manifest(
+    args: argparse.Namespace, config: dict, inputs: dict[str, bytes], seed: int | None
+) -> dict:
+    """Build the run manifest and log its id before the command does its work."""
+    manifest = build_manifest(args.command, config, inputs, seed)
+    _log(f"{args.command} manifest {manifest['id']}")
+    return manifest
+
+
 def _emit(
-    artifact: dict, args: argparse.Namespace, filename: str, table: Callable[[dict], str]
+    artifact: dict, args: argparse.Namespace, table: Callable[[dict], str]
 ) -> None:
     """Print per --format and, with --out, write the JSON artifact."""
     rendered = json.dumps(artifact, indent=2, sort_keys=True) + "\n"
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / filename).write_text(rendered)
+        (out_dir / f"{args.command}_report.json").write_text(rendered)
     if args.format == "json":
         sys.stdout.write(rendered)
     else:
@@ -210,7 +227,10 @@ def _emit(
 
 
 def _read_inputs(paths: Sequence[str]) -> tuple[dict[str, bytes], list[str]]:
-    """Read every path; returns (name -> bytes, unreadable paths)."""
+    """Read every path; returns (name -> bytes, unreadable paths).
+
+    Raises `_NoInput` when no path could be read.
+    """
     blobs: dict[str, bytes] = {}
     errors: list[str] = []
     for p in paths:
@@ -219,29 +239,19 @@ def _read_inputs(paths: Sequence[str]) -> tuple[dict[str, bytes], list[str]]:
         except OSError as exc:
             _log(f"skipping {p}: {exc}")
             errors.append(p)
+    if not blobs:
+        raise _NoInput("no readable input files")
     return blobs, errors
-
-
-def _map_jobs(fn: Callable, items: Iterable, jobs: int) -> list:
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    weights = _build_weights(config)
-    phys = _build_phys(config)
+def cmd_validate(args: argparse.Namespace, config: dict) -> Outcome:
+    weights = _configured(config, "weights", DEFAULT_WEIGHTS)
+    phys = _configured(config, "phys", DEFAULT_PHYS)
     blobs, unreadable = _read_inputs(args.paths)
-    if not blobs:
-        _log("no readable input files")
-        return 2
 
     per_file_targets: dict[str, dict[str, int]] = {}
     if args.targets_file:
@@ -252,12 +262,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
         blobs[args.targets_file] = raw
         try:
             table = json.loads(raw.decode("utf-8"))
-            if not isinstance(table, dict):
-                raise ValueError("top level must be an object")
-            for name, comp in table.items():
-                per_file_targets[name] = {str(k): int(v) for k, v in comp.items()}
-        except (ValueError, TypeError, AttributeError) as exc:
+        except ValueError as exc:
             raise CliError(f"bad targets file: {exc}") from None
+        if not isinstance(table, dict):
+            raise CliError("bad targets file: top level must be an object")
+        for name, comp in table.items():
+            where = f"bad targets file entry {name!r}"
+            per_file_targets[name] = _composition(comp, where)
     uniform_target = parse_composition_arg(args.target) if args.target else None
 
     cfg_snapshot = {
@@ -266,8 +277,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "target": uniform_target,
         "targets_file": args.targets_file,
     }
-    manifest = build_manifest("validate", cfg_snapshot, blobs, args.seed)
-    _log(f"validate manifest {manifest['id']}")
+    manifest = _manifest(args, cfg_snapshot, blobs, args.seed)
 
     paths = [p for p in args.paths if p in blobs and p != args.targets_file]
 
@@ -289,11 +299,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
         }
         return record, breakdown
 
-    scored = _map_jobs(score_one, paths, args.jobs)
-    reports = [record for record, _ in scored]
-    artifact = {
-        "manifest": manifest,
-        "files": reports,
+    scored = [score_one(p) for p in paths]
+    body = {
+        "files": [record for record, _ in scored],
         "unreadable": unreadable,
         "failure_rates": corpus_failure_rates(br for _, br in scored),
     }
@@ -310,17 +318,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
         )
         return "\n".join(lines) + "\n"
 
-    _emit(artifact, args, "validate_report.json", table)
-    return 0
+    return manifest, body, table
 
 
-def cmd_textify(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
     scale = _neighbor_scale(config)
     separator = config.get("separator", "</s>")
     if not isinstance(separator, str):
         raise CliError(f"bad separator config: expected a string, got {separator!r}")
-    blobs, unreadable = _read_inputs(args.paths)
+    blobs, _unreadable = _read_inputs(args.paths)
 
     sidecars: dict[str, bytes] = {}
     for p in list(blobs):
@@ -332,8 +338,7 @@ def cmd_textify(args: argparse.Namespace) -> int:
             pass
 
     cfg_snapshot = {"neighbor_scale": scale, "separator": separator}
-    manifest = build_manifest("textify", cfg_snapshot, blobs, args.seed)
-    _log(f"textify manifest {manifest['id']}")
+    manifest = _manifest(args, cfg_snapshot, blobs, args.seed)
 
     systems = []
     errors = []
@@ -355,7 +360,7 @@ def cmd_textify(args: argparse.Namespace) -> int:
             text = to_system_text(
                 outcome.structure, meta, scale=scale, separator=separator
             )
-        except (ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
             record["error"] = str(exc)
             errors.append(record)
             continue
@@ -372,9 +377,7 @@ def cmd_textify(args: argparse.Namespace) -> int:
     for record in errors:
         _log(f"textify {record['path']}: {record['error']}")
     if not systems:
-        _log("no system could be textified")
-        return 2
-    artifact = {"manifest": manifest, "systems": systems, "errors": errors}
+        raise _NoInput("no system could be textified")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -385,37 +388,26 @@ def cmd_textify(args: argparse.Namespace) -> int:
     def table(art: dict) -> str:
         return "".join(rec["text"] + "\n" for rec in art["systems"])
 
-    _emit(artifact, args, "textify_report.json", table)
-    return 0
+    return manifest, {"systems": systems, "errors": errors}, table
 
 
-def cmd_grpo(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    section = _section(config, "grpo")
-    if args.beta is not None:
-        section["beta"] = args.beta
-    if args.epsilon is not None:
-        section["epsilon"] = args.epsilon
-    try:
-        cfg = GrpoConfig(**section)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad grpo config: {exc}") from None
-
-    blobs, _unreadable = _read_inputs([args.groups])
-    if args.groups not in blobs:
-        _log("no readable input files")
-        return 2
-    manifest = build_manifest(
-        "grpo", {"beta": cfg.beta, "epsilon": cfg.epsilon}, blobs, args.seed
+def cmd_grpo(args: argparse.Namespace, config: dict) -> Outcome:
+    cfg = _configured(
+        config, "grpo", GrpoConfig(), beta=args.beta, epsilon=args.epsilon
     )
-    _log(f"grpo manifest {manifest['id']}")
+    blobs, _unreadable = _read_inputs([args.groups])
+    cfg_snapshot = {"beta": cfg.beta, "epsilon": cfg.epsilon}
+    manifest = _manifest(args, cfg_snapshot, blobs, args.seed)
 
     reports = []
     errors = []
-    for lineno, line in enumerate(blobs[args.groups].decode("utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    # split as bytes and decode each line, so one line that is not UTF-8 is
+    # one line error
+    for lineno, raw in enumerate(blobs[args.groups].splitlines(), 1):
         try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
             group = group_from_json_line(line, default_epsilon=cfg.epsilon)
         except ValueError as exc:
             errors.append({"line": lineno, "error": str(exc)})
@@ -423,9 +415,7 @@ def cmd_grpo(args: argparse.Namespace) -> int:
             continue
         reports.append(group_report(group, cfg))
     if not reports:
-        _log("no valid group records")
-        return 2
-    artifact = {"manifest": manifest, "groups": reports, "errors": errors}
+        raise _NoInput("no valid group records")
 
     def table(art: dict) -> str:
         lines = [
@@ -435,30 +425,20 @@ def cmd_grpo(args: argparse.Namespace) -> int:
         ]
         return "\n".join(lines) + "\n"
 
-    _emit(artifact, args, "grpo_report.json", table)
-    return 0
+    return manifest, {"groups": reports, "errors": errors}, table
 
 
-def cmd_mmtg(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    section = _section(config, "mmtg")
-    if args.gating is not None:
-        section["gating"] = args.gating
-    try:
-        cfg = MmtgConfig(**section)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad mmtg config: {exc}") from None
+def cmd_mmtg(args: argparse.Namespace, config: dict) -> Outcome:
+    if args.losses and len(args.losses) != 2:
+        raise CliError("provide exactly two losses")
+    cfg = _configured(config, "mmtg", MmtgConfig(), gating=args.gating)
 
     pairs: list[tuple[float, float]] = []
     blobs: dict[str, bytes] = {}
     if args.pairs:
-        raw, _ = _read_inputs([args.pairs])
-        if args.pairs not in raw:
-            _log("no readable input files")
-            return 2
-        blobs = raw
+        blobs, _unreadable = _read_inputs([args.pairs])
         try:
-            data = json.loads(raw[args.pairs].decode())
+            data = json.loads(blobs[args.pairs].decode())
             pairs = [(float(a), float(b)) for a, b in data]
         except (ValueError, TypeError) as exc:
             raise CliError(f"bad pairs file: {exc}") from None
@@ -467,8 +447,7 @@ def cmd_mmtg(args: argparse.Namespace) -> int:
     if not pairs:
         raise CliError("provide two positional losses or --pairs FILE")
 
-    manifest = build_manifest("mmtg", {"gating": cfg.gating}, blobs, args.seed)
-    _log(f"mmtg manifest {manifest['id']}")
+    manifest = _manifest(args, {"gating": cfg.gating}, blobs, args.seed)
     try:
         results = [
             {"loss_a": a, "loss_b": b, "combined": mmtg_loss(a, b, cfg)}
@@ -476,7 +455,6 @@ def cmd_mmtg(args: argparse.Namespace) -> int:
         ]
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    artifact = {"manifest": manifest, "results": results}
 
     def table(art: dict) -> str:
         return (
@@ -487,27 +465,23 @@ def cmd_mmtg(args: argparse.Namespace) -> int:
             + "\n"
         )
 
-    _emit(artifact, args, "mmtg_report.json", table)
-    return 0
+    return manifest, {"results": results}, table
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+def cmd_search(args: argparse.Namespace, config: dict) -> Outcome:
     section = _section(config, "search")
     if args.seed is not None:
         section["seed"] = args.seed
+    if "target_composition" in section:
+        section["target_composition"] = _composition(
+            section["target_composition"], "bad search config: target_composition"
+        )
     try:
-        comp = section.get("target_composition")
-        if isinstance(comp, dict):  # SearchConfig rejects any other type
-            section["target_composition"] = {str(k): int(v) for k, v in comp.items()}
         cfg = SearchConfig(**section)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad search config: {exc}") from None
     if not cfg.target_composition:
         raise CliError("search config needs a non-empty target_composition")
-    for el in cfg.target_composition:
-        if not is_element(el):
-            raise CliError(f"unknown element {el!r} in target_composition")
 
     gen_section = _section(config, "generator")
     try:
@@ -519,28 +493,21 @@ def cmd_search(args: argparse.Namespace) -> int:
     missing = sorted(set(cfg.target_composition) - set(generator.radii))
     if missing:
         raise CliError(f"bad generator config: radii lack {', '.join(missing)}")
-    weights = _build_weights(config)
-    phys = _build_phys(config)
+    weights = _configured(config, "weights", DEFAULT_WEIGHTS)
+    phys = _configured(config, "phys", DEFAULT_PHYS)
 
-    manifest = build_manifest(
-        "search",
-        {
-            "search": cfg.to_json_dict(),
-            "weights": vars(weights),
-            "phys": vars(phys),
-            "generator": {**gen_section, "defect_rates": vars(rates)},
-            "predictor": config.get("predictor", {}),
-        },
-        {},
-        cfg.seed,
-    )
-    _log(f"search manifest {manifest['id']}")
+    cfg_snapshot = {
+        "search": cfg.to_json_dict(),
+        "weights": vars(weights),
+        "phys": vars(phys),
+        "generator": {**gen_section, "defect_rates": vars(rates)},
+        "predictor": config.get("predictor", {}),
+    }
+    manifest = _manifest(args, cfg_snapshot, {}, cfg.seed)
     try:
         report = run_search(generator, predictor, cfg, weights, phys)
     except PoolInitializationError as exc:
-        _log(f"search failed: {exc}")
-        return 2
-    artifact = {"manifest": manifest, "report": report.to_json_dict()}
+        raise _NoInput(f"search failed: {exc}") from None
 
     def table(art: dict) -> str:
         rep = art["report"]
@@ -560,19 +527,13 @@ def cmd_search(args: argparse.Namespace) -> int:
         )
         return "\n".join(lines) + "\n"
 
-    _emit(artifact, args, "search_report.json", table)
-    return 0
+    return manifest, {"report": report.to_json_dict()}, table
 
 
-def cmd_geometry(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+def cmd_geometry(args: argparse.Namespace, config: dict) -> Outcome:
     scale = _neighbor_scale(config, args.scale)
     blobs, unreadable = _read_inputs(args.paths)
-    if not blobs:
-        _log("no readable input files")
-        return 2
-    manifest = build_manifest("geometry", {"neighbor_scale": scale}, blobs, args.seed)
-    _log(f"geometry manifest {manifest['id']}")
+    manifest = _manifest(args, {"neighbor_scale": scale}, blobs, args.seed)
 
     def inspect(path: str) -> dict:
         outcome = parse_cif(blobs[path])
@@ -601,11 +562,9 @@ def cmd_geometry(args: argparse.Namespace) -> int:
             record["neighbors"] = nl.to_json_list()
         return record
 
-    reports = _map_jobs(inspect, [p for p in args.paths if p in blobs], args.jobs)
+    reports = [inspect(p) for p in args.paths if p in blobs]
     if not any(r["ok"] for r in reports):
-        _log("no input parsed into a structure")
-        return 2
-    artifact = {"manifest": manifest, "files": reports, "unreadable": unreadable}
+        raise _NoInput("no input parsed into a structure")
 
     def table(art: dict) -> str:
         lines = []
@@ -621,8 +580,7 @@ def cmd_geometry(args: argparse.Namespace) -> int:
                 lines.append(f"{r['path']}: {r.get('error', 'parse failure')}")
         return "\n".join(lines) + "\n"
 
-    _emit(artifact, args, "geometry_report.json", table)
-    return 0
+    return manifest, {"files": reports, "unreadable": unreadable}, table
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +590,6 @@ def cmd_geometry(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers for file batches"
-    )
     parser.add_argument("--out", help="directory for JSON artifacts")
     parser.add_argument(
         "--format", choices=("json", "table"), default="table",
@@ -707,14 +662,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "mmtg" and args.losses and len(args.losses) != 2:
-        print("catloop mmtg: provide exactly two losses", file=sys.stderr)
-        return 1
     try:
-        return args.func(args)
+        manifest, body, table = args.func(args, _load_config(args.config))
     except CliError as exc:
         print(f"catloop {args.command}: {exc}", file=sys.stderr)
         return 1
+    except _NoInput as exc:
+        _log(str(exc))
+        return 2
+    _emit({"manifest": manifest, **body}, args, table)
+    return 0
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from typing import Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
-from .cif import AtomSite, Lattice, RoleTag, Structure, parse_cif, serialize_cif
+from .cif import AtomSite, Lattice, Structure, parse_cif, serialize_cif
 from .elements import COVALENT_RADII
 from .geometry import iter_periodic_pairs
 from .reward import (
@@ -296,9 +296,7 @@ class MutationGenerator:
                 (idx[k] + 0.5 + rng.uniform(-0.05, 0.05)) / dims[k] for k in range(3)
             )
             counts[el] = counts.get(el, 0) + 1
-            sites.append(
-                _make_site(f"{el}{counts[el]}", el, frac)
-            )
+            sites.append(AtomSite(f"{el}{counts[el]}", el, frac))
         return Structure(
             lattice=lattice,
             sites=tuple(sites),
@@ -322,11 +320,10 @@ class MutationGenerator:
             gamma=lat.gamma,
         )
         sites = tuple(
-            _make_site(
+            AtomSite(
                 site.label,
                 site.element,
                 tuple(site.frac[k] + shifts[i, k] for k in range(3)),
-                site,
             )
             for i, site in enumerate(exemplar.sites)
         )
@@ -336,16 +333,6 @@ class MutationGenerator:
             space_group_symbol=exemplar.space_group_symbol,
             space_group_number=exemplar.space_group_number,
         )
-
-
-def _make_site(
-    label: str,
-    element: str,
-    frac: tuple[float, float, float],
-    template: AtomSite | None = None,
-) -> AtomSite:
-    role = template.role_tag if template is not None else RoleTag.UNSPECIFIED
-    return AtomSite(label=label, element=element, frac=frac, role_tag=role)
 
 
 def _corrupt_composition(structure: Structure) -> Structure:
@@ -360,7 +347,7 @@ def _corrupt_composition(structure: Structure) -> Structure:
     first = structure.sites[0]
     labels = {s.label for s in structure.sites}
     label = f"{sub}1" if f"{sub}1" not in labels else f"{sub}sub1"
-    swapped = _make_site(label, sub, first.frac, first)
+    swapped = AtomSite(label, sub, first.frac)
     return Structure(
         lattice=structure.lattice,
         sites=(swapped,) + structure.sites[1:],
@@ -373,7 +360,7 @@ def _corrupt_overlap(structure: Structure) -> Structure:
     """Move the second site onto the first: a guaranteed hard overlap."""
     first = structure.sites[0]
     second = structure.sites[1]
-    moved = _make_site(second.label, second.element, first.frac, second)
+    moved = AtomSite(second.label, second.element, first.frac)
     return Structure(
         lattice=structure.lattice,
         sites=(first, moved) + structure.sites[2:],

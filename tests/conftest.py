@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from catloop.cif import AtomSite, Lattice, RoleTag, Structure
+from catloop.cif import AtomSite, Lattice, Structure
 from catloop.elements import SYMBOLS
 from catloop.textify import SystemMetadata
 
@@ -27,23 +27,14 @@ def make_structure(
     angles=(90.0, 90.0, 90.0),
     space_group="P 1",
     space_group_number=None,
-    roles=None,
 ):
     """Compact structure builder used across the tests."""
     lattice = Lattice(*lengths, *angles)
     counts: dict[str, int] = {}
     sites = []
-    for k, (el, xyz) in enumerate(zip(species, coords)):
+    for el, xyz in zip(species, coords):
         counts[el] = counts.get(el, 0) + 1
-        role = roles[k] if roles is not None else RoleTag.UNSPECIFIED
-        sites.append(
-            AtomSite(
-                label=f"{el}{counts[el]}",
-                element=el,
-                frac=tuple(xyz),
-                role_tag=role,
-            )
-        )
+        sites.append(AtomSite(label=f"{el}{counts[el]}", element=el, frac=tuple(xyz)))
     return Structure(
         lattice=lattice,
         sites=tuple(sites),
@@ -110,12 +101,7 @@ def cu_slab():
         (0.5, 0.5, z_sub),
         (0.0, 0.0, z_h),
     ]
-    roles = [RoleTag.SURFACE_TOP] * 4 + [RoleTag.SUBSURFACE] * 4 + [
-        RoleTag.ADSORBATE
-    ]
-    structure = make_structure(
-        species, coords, lengths=(a, a, c), roles=roles
-    )
+    structure = make_structure(species, coords, lengths=(a, a, c))
     meta = SystemMetadata(
         adsorbate_indices=frozenset({8}),
         surface_top_indices=frozenset({0, 1, 2, 3}),

@@ -1,7 +1,7 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
 import json
-from pathlib import Path
+import re
 
 import pytest
 
@@ -56,7 +56,7 @@ def test_parse_composition_arg():
     assert parse_composition_arg(" Cu:2 , Cu:1 ") == {"Cu": 3}
     from catloop.cli import CliError
 
-    for bad in ("Xx:1", "Cu:abc", "Cu:-2", ""):
+    for bad in ("Xx:1", "Cu:abc", "Cu:-2", "Cu:2.7", "Cu:-2,Cu:3", ""):
         with pytest.raises(CliError):
             parse_composition_arg(bad)
 
@@ -113,12 +113,22 @@ def test_validate_bad_targets_file(tmp_path, capsys):
     p = tmp_path / "a.cif"
     p.write_text(MINIMAL_CIF)
     targets = tmp_path / "targets.json"
-    targets.write_text("{broken")
-    code, _, err = run_cli(
-        capsys, "validate", str(p), "--targets-file", str(targets)
-    )
-    assert code == 1
-    assert "targets file" in err
+    for content in (
+        "{broken",
+        '["a.cif"]',
+        '{"a.cif": ["Cu"]}',
+        '{"a.cif": {"Xx": 1}}',
+        '{"a.cif": {"Cu": -1}}',
+        '{"a.cif": {"Cu": 2.7}}',
+        '{"a.cif": {"Cu": "1"}}',
+        '{"a.cif": {"Cu": true}}',
+    ):
+        targets.write_text(content)
+        code, _, err = run_cli(
+            capsys, "validate", str(p), "--targets-file", str(targets)
+        )
+        assert code == 1, content
+        assert "targets file" in err
 
 
 def test_validate_unreadable_mixed(tmp_path, capsys):
@@ -172,20 +182,6 @@ def test_validate_rates_match_generator_bookkeeping(tmp_path, capsys):
     got = json.loads(out)["failure_rates"]
     for flag, count in expected.items():
         assert got[flag] == pytest.approx(100.0 * count / n, abs=1e-9)
-
-
-def test_validate_jobs_equivalent(tmp_path, capsys):
-    paths = write_clean_corpus(tmp_path)
-    out1, out4 = tmp_path / "r1", tmp_path / "r4"
-    for jobs, out_dir in (("1", out1), ("4", out4)):
-        code, _, _ = run_cli(
-            capsys, "validate", *paths, "--target", "Cu:4,O:2",
-            "--jobs", jobs, "--out", str(out_dir),
-        )
-        assert code == 0
-    a = (out1 / "validate_report.json").read_bytes()
-    b = (out4 / "validate_report.json").read_bytes()
-    assert a == b
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +472,9 @@ def test_search_unknown_element(tmp_path, capsys):
         ("generator", {"radii": {"Cu": -1.32, "O": 0.66}}),
         ("generator", {"radii": {"Cu": True, "O": 0.66}}),
         ("generator", {"radii": {"Cu": 1.32, "O": 0.66, "Xq": 1.0}}),
+        ("search", {"target_composition": {"Cu": 2.7, "O": 2}}),
+        ("search", {"target_composition": {"Cu": True, "O": 2}}),
+        ("search", {"target_composition": {"Cu": -4, "O": 2}}),
     ],
 )
 def test_search_bad_config_values_exit_1(tmp_path, capsys, section, values):
@@ -656,3 +655,69 @@ def test_artifacts_byte_identical_across_runs(tmp_path, capsys):
         (tmp_path / "s1" / "search_report.json").read_bytes()
         == (tmp_path / "s2" / "search_report.json").read_bytes()
     )
+
+
+# ---------------------------------------------------------------------------
+# no tracebacks on bad files
+
+
+SWEEP_ARGV = {
+    "validate": ["validate", "ok.cif", "--targets-file", "targets.json"],
+    "textify": ["textify", "slab.cif"],
+    "grpo": ["grpo", "groups.jsonl"],
+    "mmtg": ["mmtg", "--pairs", "pairs.json"],
+    "search": ["search"],
+    "geometry": ["geometry", "ok.cif"],
+}
+# (subcommand, the file that is bad): the config of every subcommand, then
+# each input file; validate's CIF is left out because scoring bad CIF text
+# is its job (exit 0)
+SWEEP_SLOTS = [(cmd, "cfg.json") for cmd in SWEEP_ARGV] + [
+    ("validate", "targets.json"),
+    ("textify", "slab.cif"),
+    ("textify", "slab.meta.json"),
+    ("grpo", "groups.jsonl"),
+    ("mmtg", "pairs.json"),
+    ("geometry", "ok.cif"),
+]
+BAD_FILES = {
+    "missing": None,
+    "empty": b"",
+    "not_utf8": b"\xff{}",
+    "wrong_type": b"[1, 2]",
+}
+# a targets file's wrong type is a count that is not an integer
+WRONG_TYPE = {"targets.json": b'{"ok.cif": {"Cu": 2.7}}'}
+LOG_LINE = re.compile(r"\[\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00\] ")
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_FILES))
+@pytest.mark.parametrize("cmd, slot", SWEEP_SLOTS)
+def test_bad_file_exits_without_traceback(
+    tmp_path, monkeypatch, capsys, cu_slab, cmd, slot, bad
+):
+    structure, meta, _ = cu_slab
+    files = {
+        "ok.cif": MINIMAL_CIF.encode(),
+        "slab.cif": serialize_cif(structure).encode(),
+        "slab.meta.json": json.dumps(meta.to_json_dict()).encode(),
+        "targets.json": b'{"ok.cif": {"Cu": 1}}',
+        "groups.jsonl": GROUP_LINE.encode(),
+        "pairs.json": b"[[2.0, 1.0]]",
+    }
+    files[slot] = BAD_FILES[bad]
+    if bad == "wrong_type":
+        files[slot] = WRONG_TYPE.get(slot, files[slot])
+    for name, data in files.items():
+        if data is not None:
+            (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    argv = SWEEP_ARGV[cmd] + (["--config", "cfg.json"] if slot == "cfg.json" else [])
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (1, 2)
+    assert "Traceback" not in err
+    last = err.splitlines()[-1]
+    if code == 1:
+        assert last.startswith(f"catloop {cmd}: ")
+    else:
+        assert LOG_LINE.match(last)

@@ -1,11 +1,13 @@
-"""Golden digests of two CLI artifacts and of the parser's outcomes.
+"""Golden digests of every CLI subcommand's artifact and of the parser's outcomes.
 
 The SHA-256 digests below pin the exact bytes of `catloop search` reports
 at the criterion-7 configuration, of a `catloop validate` report over a
-seeded corpus at the criterion-6 defect rates, and of a canonical dump of
-every `parse_cif` outcome over a seeded corpus of generated and mutated CIF
-text.  A numeric refactor that moves even one bit of a distance, an energy,
-a score, a parsed coordinate or a defect changes a digest.
+seeded corpus at the criterion-6 defect rates, of `geometry --neighbors`,
+`textify`, `grpo` and `mmtg --pairs` reports over small fixed inputs, and
+of a canonical dump of every `parse_cif` outcome over a seeded corpus of
+generated and mutated CIF text.  A numeric refactor that moves even one
+bit of a distance, an energy, a score, a parsed coordinate or a defect
+changes a digest.
 
 The digests were taken with numpy 2.4.6 (Python 3.11, x86-64) and so pin
 that numpy/BLAS build as well: another build may round a product in the
@@ -22,9 +24,10 @@ import json
 import numpy as np
 import pytest
 
-from catloop.cif import parse_cif
+from catloop.cif import parse_cif, serialize_cif
 from catloop.cli import main
 from catloop.search import DefectRates, MutationGenerator, PairPotentialSurrogate
+from conftest import MINIMAL_CIF
 
 CU4O2 = {"Cu": 4, "O": 2}
 CRITERION6_RATES = {
@@ -43,7 +46,11 @@ SEARCH_DIGESTS = {
     2: "e13276679da2e9498390037975576cddc496de221b4e60bca62e4ad907396b61",
 }
 VALIDATE_DIGEST = "0c37b774f0c5edd103d8ec58769fef251cfffffc98d64f38674971c76d487f7c"
-PARSE_DIGEST = "0d89c24c8449ace5332ccc1bd523a6f17af522670dc394aea7c2a62a3dd5373e"
+PARSE_DIGEST = "6ed876538f9e9ea73d0dd5fae7c4a2c7ca7d5efe4086b6ba191a42a42dafe15d"
+GEOMETRY_DIGEST = "fffeaf1bf51b8c59b616cd66ca28a208c44ba35f6072d06ab9d8b81a2537508c"
+TEXTIFY_DIGEST = "7541275f612d00aa7ac3654aa62e6bc998e994c63274bfed5b18e0f647469490"
+GRPO_DIGEST = "fe5e1e8c49f3c4244c50ecdfb51fdec0d5caa894cf5739274278fd074ef5f419"
+MMTG_DIGEST = "e3354abaeb3b816523388ecd182cac713c938b789c2cca90325447a295b30b1e"
 
 # Parse corpus: generated files at 6, 64 and 128 sites, then seeded text
 # edits of the 6- and 64-site files.  The snippets hit every tokenizer rule
@@ -108,7 +115,7 @@ def dump_outcome(outcome) -> list:
             _hexes(st.lattice.lengths + st.lattice.angles),
             st.space_group_symbol,
             st.space_group_number,
-            [[s.label, s.element, _hexes(s.frac), s.role_tag.value] for s in st.sites],
+            [[s.label, s.element, _hexes(s.frac)] for s in st.sites],
         ],
         outcome.coords_in_window,
     ]
@@ -164,6 +171,82 @@ def validate_artifact(capsys) -> bytes:
     )
 
 
+def _write_slab(cu_slab, stem: str) -> None:
+    structure, meta, _ = cu_slab
+    with open(f"{stem}.cif", "w") as fh:
+        fh.write(serialize_cif(structure))
+    with open(f"{stem}.meta.json", "w") as fh:
+        json.dump(meta.to_json_dict(), fh, sort_keys=True)
+
+
+def geometry_artifact(capsys, cu_slab) -> bytes:
+    """Generated 6- and 24-site files, a slab, a degenerate cell and junk."""
+    gen = MutationGenerator()
+    paths = []
+    for target, seeds in ((CU4O2, range(3)), ({"Cu": 16, "O": 8}, range(1))):
+        for seed in seeds:
+            name = f"n{sum(target.values())}_{seed}.cif"
+            with open(name, "w") as fh:
+                fh.write(gen.propose(None, target, seed))
+            paths.append(name)
+    _write_slab(cu_slab, "slab")
+    with open("tiny.cif", "w") as fh:
+        fh.write(MINIMAL_CIF.replace("4.0", "0.005"))
+    with open("junk.cif", "w") as fh:
+        fh.write("junk")
+    return _run(
+        capsys, "geometry", *paths, "slab.cif", "tiny.cif", "junk.cif",
+        "missing.cif", "--neighbors", "--format", "json",
+    )
+
+
+def textify_artifact(capsys, cu_slab) -> bytes:
+    """A slab with its sidecar, a file without one, and an unparseable file."""
+    _write_slab(cu_slab, "slab")
+    _write_slab(cu_slab, "junk")  # the sidecar for the junk CIF below
+    with open("junk.cif", "w") as fh:
+        fh.write("junk")
+    with open("bare.cif", "w") as fh:
+        fh.write(MINIMAL_CIF)
+    with open("textify.json", "w") as fh:
+        json.dump({"separator": " | ", "neighbor_scale": 1.3}, fh)
+    return _run(
+        capsys, "textify", "slab.cif", "bare.cif", "junk.cif",
+        "--config", "textify.json", "--format", "json",
+    )
+
+
+def grpo_artifact(capsys) -> bytes:
+    """Three seeded groups around a malformed line and a blank line."""
+    rng = np.random.default_rng(7)
+    lines = []
+    for g in range(3):
+        members = []
+        for _ in range(4):
+            n = int(rng.integers(2, 6))
+            members.append({
+                "logp_current": (-rng.uniform(0.1, 3.0, n)).tolist(),
+                "logp_reference": (-rng.uniform(0.1, 3.0, n)).tolist(),
+                "reward": float(rng.random()),
+            })
+        lines.append(json.dumps({"prompt_id": f"g{g}", "members": members}))
+    lines[1:1] = ["{broken", ""]
+    with open("groups.jsonl", "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return _run(
+        capsys, "grpo", "groups.jsonl", "--beta", "0.05", "--format", "json"
+    )
+
+
+def mmtg_artifact(capsys) -> bytes:
+    with open("pairs.json", "w") as fh:
+        json.dump([[2.0, 1.0], [0.0, 3.0], [0.25, 0.75], [1e-3, 7.5]], fh)
+    return _run(
+        capsys, "mmtg", "3", "1", "--pairs", "pairs.json", "--gating", "0.5",
+        "--format", "json",
+    )
+
+
 @pytest.mark.parametrize("seed", sorted(SEARCH_DIGESTS))
 def test_search_report_digest(tmp_path, monkeypatch, capsys, seed):
     monkeypatch.chdir(tmp_path)
@@ -173,6 +256,26 @@ def test_search_report_digest(tmp_path, monkeypatch, capsys, seed):
 def test_validate_report_digest(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert _digest(validate_artifact(capsys)) == VALIDATE_DIGEST
+
+
+def test_geometry_report_digest(tmp_path, monkeypatch, capsys, cu_slab):
+    monkeypatch.chdir(tmp_path)
+    assert _digest(geometry_artifact(capsys, cu_slab)) == GEOMETRY_DIGEST
+
+
+def test_textify_report_digest(tmp_path, monkeypatch, capsys, cu_slab):
+    monkeypatch.chdir(tmp_path)
+    assert _digest(textify_artifact(capsys, cu_slab)) == TEXTIFY_DIGEST
+
+
+def test_grpo_report_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _digest(grpo_artifact(capsys)) == GRPO_DIGEST
+
+
+def test_mmtg_report_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _digest(mmtg_artifact(capsys)) == MMTG_DIGEST
 
 
 def test_parse_outcome_digest():
