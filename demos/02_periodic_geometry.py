@@ -48,12 +48,14 @@ print("\nsheared cell lengths/angles:",
       np.round(sheared.lattice.lengths, 3), np.round(sheared.lattice.angles, 2))
 print("Cu-Cu minimum-image distance:", round(min_image_distance(sheared, 0, 1), 6))
 
-# neighbor list: bonded iff distance <= scale * (r_i + r_j)
+# neighbor list: bonded iff distance <= scale * (r_i + r_j).  It is a
+# PairTable: one array per column, one row per directed neighbor entry.
 nl = build_neighbor_list(s, scale=1.2)
 print(f"\nneighbor entries at scale 1.2: {len(nl)}")
-for e in nl.entries[:6]:
-    print(f"  {e.i} -> {e.j} image={e.image} d={e.distance:.3f}")
+for i, j, image, d in zip(nl.i[:6], nl.j[:6], nl.image[:6].tolist(), nl.distance[:6]):
+    print(f"  {i} -> {j} image={tuple(image)} d={d:.3f}")
 
 print("\nneighbors of site 0:")
-for e in nl.neighbors_of(0):
-    print(f"  j={e.j} image={e.image} d={e.distance:.3f}")
+row = nl.i == 0
+for j, image, d in zip(nl.j[row], nl.image[row].tolist(), nl.distance[row]):
+    print(f"  j={j} image={tuple(image)} d={d:.3f}")

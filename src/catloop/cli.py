@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .cif import composition_of, parse_cif
-from .elements import is_element
+from .elements import check_composition
 from .geometry import (
     DEFAULT_NEIGHBOR_SCALE,
     DegenerateCellError,
@@ -122,27 +122,27 @@ def _configured(config: dict, name: str, default, **flags):
         raise CliError(f"bad {name} config: {exc}") from None
 
 
+def _is_number(value: object) -> bool:
+    """True for a JSON number: an int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _neighbor_scale(config: dict, override: float | None = None) -> float:
     """The neighbor cutoff scale: `override`, else the config's, else the default."""
     scale = override
     if scale is None:
         scale = config.get("neighbor_scale", DEFAULT_NEIGHBOR_SCALE)
-    number = isinstance(scale, (int, float)) and not isinstance(scale, bool)
-    if not (number and math.isfinite(scale)):
+    if not (_is_number(scale) and math.isfinite(scale)):
         raise CliError(f"bad neighbor_scale config: {scale!r} is not a finite number")
     return scale
 
 
 def _composition(mapping: object, where: str) -> dict[str, int]:
-    """A composition from outside the program: known elements, integer counts >= 0."""
-    if not isinstance(mapping, dict):
-        raise CliError(f"{where}: expected element counts, got {mapping!r}")
-    for el, count in mapping.items():
-        if not is_element(el):
-            raise CliError(f"{where}: unknown element {el!r}")
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-            raise CliError(f"{where}: count {count!r} for {el!r} is not an int >= 0")
-    return dict(mapping)
+    """`check_composition`, with a bad composition as a usage error."""
+    try:
+        return check_composition(mapping, where)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def parse_composition_arg(text: str) -> dict[str, int]:
@@ -211,15 +211,23 @@ def _manifest(
     return manifest
 
 
+def _write_out(out: str, name: str, text: str) -> None:
+    """Write `text` to the file `name` in the --out directory, creating it."""
+    path = Path(out) / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(
     artifact: dict, args: argparse.Namespace, table: Callable[[dict], str]
 ) -> None:
-    """Print per --format and, with --out, write the JSON artifact."""
+    """With --out, write the JSON artifact; then print per --format."""
     rendered = json.dumps(artifact, indent=2, sort_keys=True) + "\n"
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{args.command}_report.json").write_text(rendered)
+        _write_out(args.out, f"{args.command}_report.json", rendered)
     if args.format == "json":
         sys.stdout.write(rendered)
     else:
@@ -379,11 +387,7 @@ def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
     if not systems:
         raise _NoInput("no system could be textified")
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "systems.txt").write_text(
-            "".join(rec["text"] + "\n" for rec in systems)
-        )
+        _write_out(args.out, "systems.txt", "".join(r["text"] + "\n" for r in systems))
 
     def table(art: dict) -> str:
         return "".join(rec["text"] + "\n" for rec in art["systems"])
@@ -439,8 +443,14 @@ def cmd_mmtg(args: argparse.Namespace, config: dict) -> Outcome:
         blobs, _unreadable = _read_inputs([args.pairs])
         try:
             data = json.loads(blobs[args.pairs].decode())
-            pairs = [(float(a), float(b)) for a, b in data]
-        except (ValueError, TypeError) as exc:
+            if not isinstance(data, list):
+                raise ValueError("expected an array of [a, b] pairs")
+            for item in data:
+                pair = isinstance(item, list) and len(item) == 2
+                if not (pair and all(map(_is_number, item))):
+                    raise ValueError(f"{item!r} is not a pair of numbers")
+                pairs.append((float(item[0]), float(item[1])))
+        except (ValueError, OverflowError) as exc:  # float() of a huge int
             raise CliError(f"bad pairs file: {exc}") from None
     if args.losses:
         pairs.append((args.losses[0], args.losses[1]))
@@ -559,7 +569,11 @@ def cmd_geometry(args: argparse.Namespace, config: dict) -> Outcome:
             "n_neighbor_entries": len(nl),
         }
         if args.neighbors:
-            record["neighbors"] = nl.to_json_list()
+            columns = (nl.i, nl.j, nl.image, nl.distance)
+            record["neighbors"] = [
+                {"site_i": i, "site_j": j, "image": image, "distance": d}
+                for i, j, image, d in zip(*(c.tolist() for c in columns))
+            ]
         return record
 
     reports = [inspect(p) for p in args.paths if p in blobs]
@@ -664,13 +678,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         manifest, body, table = args.func(args, _load_config(args.config))
+        _emit({"manifest": manifest, **body}, args, table)
     except CliError as exc:
         print(f"catloop {args.command}: {exc}", file=sys.stderr)
         return 1
     except _NoInput as exc:
         _log(str(exc))
         return 2
-    _emit({"manifest": manifest, **body}, args, table)
     return 0
 
 

@@ -48,6 +48,18 @@ def is_element(symbol: str) -> bool:
     return symbol in COVALENT_RADII
 
 
+def check_composition(mapping: object, where: str) -> dict[str, int]:
+    """Known elements with integer counts >= 0, else ValueError prefixed by `where`."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where}: expected element counts, got {mapping!r}")
+    for el, count in mapping.items():
+        if not is_element(el):
+            raise ValueError(f"{where}: unknown element {el!r}")
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise ValueError(f"{where}: count {count!r} for {el!r} is not an int >= 0")
+    return dict(mapping)
+
+
 def normalize_symbol(token: str) -> str | None:
     """Extract an element symbol from a CIF type-symbol or site-label token.
 

@@ -11,13 +11,14 @@ for so far; smaller cutoffs, scalar or per pair, filter it.  The slab bound
 pair and axis, skips every image it rules out, so only images that can lie
 within the cutoff are measured.  A cell below `DEGENERATE_VOLUME`, or
 needing more than `MAX_IMAGES` offsets for a cutoff, raises
-`DegenerateCellError`.
+`DegenerateCellError`.  Pairs and neighbor lists come back as a `PairTable`,
+one array per column and one row per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -54,21 +55,36 @@ def _slab_spacings(matrix: np.ndarray) -> np.ndarray:
     return 1.0 / np.linalg.norm(inv, axis=0)
 
 
-class _PairTable(NamedTuple):
-    cutoff: float
-    i: np.ndarray  # (K,) site indices, i <= j
+@dataclass(frozen=True, eq=False)  # an array == array has no single truth value
+class PairTable:
+    """Periodic pairs as columns, one row per pair.
+
+    Row k: site i[k] sees the image of site j[k] shifted by the lattice
+    offset image[k], at distance[k].
+    """
+
+    i: np.ndarray  # (K,) site indices
     j: np.ndarray
     image: np.ndarray  # (K, 3) integer lattice offsets
     distance: np.ndarray  # (K,) angstroms
 
+    def __len__(self) -> int:
+        return len(self.distance)
 
-def _pair_table(structure: Structure, cutoff: float) -> _PairTable:
+
+_EMPTY = PairTable(
+    np.empty(0, int), np.empty(0, int), np.empty((0, 3), int), np.empty(0)
+)
+
+
+def _pair_table(structure: Structure, cutoff: float) -> PairTable:
     """Every periodic pair within `cutoff` or a larger memoized cutoff.
 
-    Ordered as in `iter_periodic_pairs`; memoized like `Lattice.matrix`.
+    Ordered as in `iter_periodic_pairs`; memoized like `Lattice.matrix`,
+    beside the cutoff it was built for.
     """
-    memo = structure.__dict__.get("_pair_table")
-    if memo is not None and cutoff <= memo.cutoff:
+    memo_cutoff, memo = structure.__dict__.get("_pair_table", (-np.inf, None))
+    if cutoff <= memo_cutoff:
         return memo
     matrix = _check_cell(structure)
     spacings = _slab_spacings(matrix)
@@ -105,8 +121,8 @@ def _pair_table(structure: Structure, cutoff: float) -> _PairTable:
         keep = dist <= cutoff
         p, k = p[keep], k[keep]
         parts.append((bi[p], bj[p], offsets[k], dist[keep]))
-    table = _PairTable(cutoff, *(np.concatenate(c) for c in zip(*parts)))
-    structure.__dict__["_pair_table"] = table
+    table = PairTable(*(np.concatenate(c) for c in zip(*parts)))
+    structure.__dict__["_pair_table"] = (cutoff, table)
     return table
 
 
@@ -136,8 +152,8 @@ def min_pair_distance(structure: Structure) -> float:
     """Smallest periodic distance over all site pairs, including self-images."""
     # Any non-empty table holds the minimum; the shortest lattice row is a
     # self-image distance, so a table at that cutoff is never empty.
-    table = structure.__dict__.get("_pair_table")
-    if table is None or not table.distance.size:
+    _, table = structure.__dict__.get("_pair_table", (None, None))
+    if table is None or not len(table):
         bound = float(np.min(np.linalg.norm(_check_cell(structure), axis=1)))
         table = _pair_table(structure, bound * (1.0 + _BOUND_SLACK))
     return float(np.min(table.distance))
@@ -150,7 +166,7 @@ def volume_per_atom(structure: Structure) -> float:
 
 def iter_periodic_pairs(
     structure: Structure, cutoff: float | np.ndarray
-) -> list[tuple[int, int, tuple[int, int, int], float]]:
+) -> PairTable:
     """All periodic pairs (i, j, image, distance) within a cutoff.
 
     `cutoff` is either a scalar or an (N, N) per-pair matrix; a pair whose
@@ -166,68 +182,32 @@ def iter_periodic_pairs(
     cut_max = float(np.max(cut))
     if cut_max <= 0.0:
         _check_cell(structure)
-        return []
+        return _EMPTY
     table = _pair_table(structure, cut_max)
     pair_cut = cut if cut.ndim == 0 else cut[table.i, table.j]
     keep = (table.distance <= pair_cut) & (pair_cut > 0.0)
-    i, j, image, dist = (column[keep].tolist() for column in table[1:])
-    return list(zip(i, j, map(tuple, image), dist))
-
-
-@dataclass(frozen=True)
-class NeighborEntry:
-    """One directed neighbor record: site i sees site j in a given image."""
-
-    i: int
-    j: int
-    image: tuple[int, int, int]
-    distance: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "site_i": self.i,
-            "site_j": self.j,
-            "image": list(self.image),
-            "distance": self.distance,
-        }
-
-
-@dataclass(frozen=True)
-class NeighborList:
-    """Directed periodic neighbor entries, sorted by (i, j, image)."""
-
-    entries: tuple[NeighborEntry, ...]
-    n_sites: int
-
-    def neighbors_of(self, i: int) -> tuple[NeighborEntry, ...]:
-        return tuple(e for e in self.entries if e.i == i)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def to_json_list(self) -> list[dict]:
-        return [e.to_json_dict() for e in self.entries]
+    return PairTable(
+        table.i[keep], table.j[keep], table.image[keep], table.distance[keep]
+    )
 
 
 def build_neighbor_list(
     structure: Structure,
     radii: Mapping[str, float] = COVALENT_RADII,
     scale: float = DEFAULT_NEIGHBOR_SCALE,
-) -> NeighborList:
-    """Neighbors within scale * (r_i + r_j) of each site, across images.
+) -> PairTable:
+    """Directed neighbors within scale * (r_i + r_j) of each site, across images.
 
-    The result is symmetric by construction: for every entry (i, j, image)
-    the mirrored entry (j, i, -image) is present too.
+    Rows are sorted by (i, j, image).  The result is symmetric by
+    construction: for every row (i, j, image) the mirrored row
+    (j, i, -image) is present too.
     """
     if scale <= 0.0:
-        return NeighborList((), len(structure.sites))
-    elems = [s.element for s in structure.sites]
-    r = np.array([radii[e] for e in elems], dtype=float)
-    cut = scale * (r[:, None] + r[None, :])
-    entries: list[NeighborEntry] = []
-    for i, j, image, dist in iter_periodic_pairs(structure, cut):
-        neg = (-image[0], -image[1], -image[2])
-        entries.append(NeighborEntry(i, j, image, dist))
-        entries.append(NeighborEntry(j, i, neg, dist))
-    entries.sort(key=lambda e: (e.i, e.j, e.image))
-    return NeighborList(tuple(entries), len(structure.sites))
+        return _EMPTY
+    r = np.array([radii[s.element] for s in structure.sites], dtype=float)
+    t = iter_periodic_pairs(structure, scale * (r[:, None] + r[None, :]))
+    i = np.concatenate((t.i, t.j))
+    j = np.concatenate((t.j, t.i))
+    image = np.concatenate((t.image, -t.image))
+    order = np.lexsort((image[:, 2], image[:, 1], image[:, 0], j, i))
+    return PairTable(i[order], j[order], image[order], np.tile(t.distance, 2)[order])

@@ -190,33 +190,26 @@ def _distance_factor(
     structure: Structure, radii: Mapping[str, float], cfg: PhysConfig
 ) -> tuple[float, list[str]]:
     """Worst-pair distance credit: 0 below hard overlap, 1 above full credit."""
-    notes: list[str] = []
     elems = [s.element for s in structure.sites]
-    r = [radii[e] for e in elems]
+    r = np.array([radii[e] for e in elems])
     # Pair cutoffs at full credit: distances above carry no penalty, so only
     # pairs inside them matter.
-    rr = np.array(r)
-    cut = cfg.full_credit_fraction * (rr[:, None] + rr[None, :])
-    factor = 1.0
-    worst: tuple[float, int, int] | None = None
-    for i, j, _image, dist in iter_periodic_pairs(structure, cut):
-        rsum = r[i] + r[j]
+    cut = cfg.full_credit_fraction * (r[:, None] + r[None, :])
+    t = iter_periodic_pairs(structure, cut)
+    if len(t):
+        rsum = r[t.i] + r[t.j]
         lo = cfg.hard_overlap_fraction * rsum
         hi = cfg.full_credit_fraction * rsum
-        if dist <= lo:
-            credit = 0.0
-        else:
-            credit = (dist - lo) / (hi - lo)
-        if credit < factor:
-            factor = credit
-            worst = (dist, i, j)
-    if worst is not None:
-        dist, i, j = worst
-        notes.append(
-            f"closest pair {elems[i]}{i}-{elems[j]}{j} at {dist:.3f} A "
-            f"scores {factor:.3f}"
-        )
-    return factor, notes
+        credit = np.where(t.distance <= lo, 0.0, (t.distance - lo) / (hi - lo))
+        # the worst pair is the first one at the smallest credit below 1
+        k = int(np.argmin(credit))
+        if credit[k] < 1.0:
+            factor, i, j = float(credit[k]), int(t.i[k]), int(t.j[k])
+            return factor, [
+                f"closest pair {elems[i]}{i}-{elems[j]}{j} at {t.distance[k]:.3f} A "
+                f"scores {factor:.3f}"
+            ]
+    return 1.0, []
 
 
 def _volume_factor(structure: Structure, cfg: PhysConfig) -> tuple[float, list[str]]:
@@ -266,7 +259,7 @@ def passes_hard_constraints(
     rr = np.array([radii[e] for e in elems])
     cut = cfg.hard_overlap_fraction * (rr[:, None] + rr[None, :])
     try:
-        return not iter_periodic_pairs(structure, cut)
+        return not len(iter_periodic_pairs(structure, cut))
     except DegenerateCellError:
         return False
 

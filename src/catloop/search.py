@@ -109,7 +109,8 @@ class PairPotentialSurrogate:
     def predict(self, structure: Structure) -> float:
         r = np.array([self.radii[s.element] for s in structure.sites])
         total = 0.0
-        for i, j, _image, dist in iter_periodic_pairs(structure, self.cutoff):
+        t = iter_periodic_pairs(structure, self.cutoff)
+        for i, j, dist in zip(t.i.tolist(), t.j.tolist(), t.distance.tolist()):
             rsum = r[i] + r[j]
             eps = self.depth_scale * rsum / 2.0
             sigma = rsum / _SIXTH_ROOT_OF_TWO

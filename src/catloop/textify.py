@@ -19,8 +19,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .cif import Structure
-from .elements import COVALENT_RADII
+from .elements import COVALENT_RADII, check_composition
 from .geometry import DEFAULT_NEIGHBOR_SCALE, build_neighbor_list
 
 DEFAULT_SEPARATOR = "</s>"
@@ -53,6 +55,7 @@ class SystemMetadata:
             raise ValueError("adsorbate and surface_top site sets must be disjoint")
         if len(self.miller_index) != 3 or self.miller_index == (0, 0, 0):
             raise ValueError("miller index must be three integers, not all zero")
+        check_composition(self.catalyst_composition, "catalyst composition")
         if not self.catalyst_composition:
             raise ValueError("catalyst composition must be non-empty")
         for el, cnt in self.catalyst_composition.items():
@@ -65,7 +68,7 @@ class SystemMetadata:
             return cls(
                 adsorbate_indices=frozenset(obj["adsorbate"]),
                 surface_top_indices=frozenset(obj["surface_top"]),
-                catalyst_composition=dict(obj["catalyst_composition"]),
+                catalyst_composition=obj["catalyst_composition"],
                 miller_index=tuple(obj["miller"]),
             )
         except KeyError as exc:
@@ -152,20 +155,14 @@ def find_interaction_atoms(
     and primary sites themselves.
     """
     _check_indices(structure, meta)
-    nl = build_neighbor_list(structure, radii=radii, scale=scale)
-    adjacency: dict[int, set[int]] = {}
-    for entry in nl.entries:
-        adjacency.setdefault(entry.i, set()).add(entry.j)
+    t = build_neighbor_list(structure, radii=radii, scale=scale)
+
+    def bonded_to(sites: set[int] | frozenset[int]) -> set[int]:
+        return set(t.j[np.isin(t.i, list(sites))].tolist())
+
     ads = meta.adsorbate_indices
-    primary = {
-        j for a in ads for j in adjacency.get(a, ()) if j not in ads
-    }
-    secondary = {
-        k
-        for p in primary
-        for k in adjacency.get(p, ())
-        if k in meta.surface_top_indices and k not in ads and k not in primary
-    }
+    primary = bonded_to(ads) - ads
+    secondary = (bonded_to(primary) & meta.surface_top_indices) - ads - primary
     return sorted(primary), sorted(secondary)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,45 @@ def make_structure(
         space_group_symbol=space_group,
         space_group_number=space_group_number,
     )
+
+
+def brute_force_pairs(structure, cutoff, box=9):
+    """Pairs within `cutoff` by a scan of the fixed {-box..box}^3 offset block.
+
+    Listed in kernel order: (i, j) row-major with i <= j, offsets in
+    lexicographic order, self pairs only at lexicographically positive
+    offsets, pairs with a cutoff <= 0 skipped.
+    """
+    n = len(structure.sites)
+    cut = np.broadcast_to(np.asarray(cutoff, dtype=float), (n, n))
+    m = structure.lattice.matrix
+    spacings = 1.0 / np.linalg.norm(np.linalg.inv(m), axis=0)
+    # an offset beyond cutoff / spacing + 1 along any axis is out of reach
+    assert np.all(np.max(cut) / spacings + 1.0 <= box)
+    grid = list(itertools.product(range(-box, box + 1), repeat=3))
+    offsets = np.array(grid, dtype=float)
+    lex_positive = np.array([off > (0, 0, 0) for off in grid])
+    frac = structure.frac_coords()
+    pairs = []
+    for i in range(n):
+        for j in range(i, n):
+            if cut[i, j] <= 0.0:
+                continue
+            dists = np.linalg.norm((frac[j] - frac[i] + offsets) @ m, axis=1)
+            keep = dists <= cut[i, j]
+            if i == j:
+                keep &= lex_positive
+            pairs.extend((i, j, grid[k], float(dists[k])) for k in np.flatnonzero(keep))
+    return pairs
+
+
+def pair_tuples(table):
+    """A `PairTable`'s rows as (i, j, image, distance) tuples, in row order."""
+    columns = (table.i.tolist(), table.j.tolist(), table.image.tolist())
+    return [
+        (i, j, tuple(image), dist)
+        for i, j, image, dist in zip(*columns, table.distance.tolist())
+    ]
 
 
 def random_lattice_params(rng: np.random.Generator):
@@ -114,6 +155,14 @@ def cu_slab():
         "configuration_part": "primary: Cu@Cu1; secondary: Cu@Cu2, Cu@Cu3",
     }
     return structure, meta, expected
+
+
+# catalyst compositions a sidecar must not pass, by what is wrong with them
+BAD_COMPOSITIONS = {
+    "unknown_element": {"Xx": 2},
+    "float_count": {"Cu": 8.5},
+    "bool_count": {"Cu": True},
+}
 
 
 MINIMAL_CIF = """\

@@ -9,7 +9,7 @@ from catloop import __version__
 from catloop.cif import parse_cif, serialize_cif
 from catloop.cli import main, parse_composition_arg
 from catloop.search import DefectRates, MutationGenerator, PairPotentialSurrogate
-from conftest import MINIMAL_CIF
+from conftest import BAD_COMPOSITIONS, MINIMAL_CIF
 
 TARGET = {"Cu": 4, "O": 2}
 
@@ -234,6 +234,20 @@ def test_textify_mixed_inputs(tmp_path, capsys, slab_files):
     assert artifact["errors"][0]["path"] == str(bare)
 
 
+@pytest.mark.parametrize(
+    "composition", BAD_COMPOSITIONS.values(), ids=list(BAD_COMPOSITIONS)
+)
+def test_textify_bad_sidecar_composition(tmp_path, capsys, slab_files, composition):
+    cif_path, _ = slab_files
+    meta_path = tmp_path / "slab.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["catalyst_composition"] = composition
+    meta_path.write_text(json.dumps(meta))
+    code, _, err = run_cli(capsys, "textify", str(cif_path))
+    assert code == 2
+    assert f"{cif_path}: catalyst composition: " in err
+
+
 def test_textify_custom_separator(tmp_path, capsys, slab_files):
     cif_path, _ = slab_files
     cfg = tmp_path / "cfg.json"
@@ -351,9 +365,14 @@ def test_mmtg_pairs_plus_positional(tmp_path, capsys):
 
 def test_mmtg_bad_pairs_file(tmp_path, capsys):
     pairs = tmp_path / "pairs.json"
-    pairs.write_text("oops")
-    code, _, _ = run_cli(capsys, "mmtg", "--pairs", str(pairs))
-    assert code == 1
+    huge = "1" + "0" * 400  # a JSON integer beyond float range
+    for text in (
+        "oops", "[[true, false]]", '[["1", "2"]]', '{"12": 0}', f"[[{huge}, 1]]"
+    ):
+        pairs.write_text(text)
+        code, _, err = run_cli(capsys, "mmtg", "--pairs", str(pairs))
+        assert code == 1, text
+        assert err.startswith("catloop mmtg: bad pairs file"), text
 
 
 @pytest.mark.parametrize("argv", [["grpo", "groups.jsonl"], ["mmtg", "1", "2"]])
@@ -538,6 +557,9 @@ def test_geometry_neighbors_flag(tmp_path, capsys):
     assert rec["n_neighbor_entries"] == 6
     assert len(rec["neighbors"]) == 6
     assert all(e["site_i"] == 0 and e["site_j"] == 0 for e in rec["neighbors"])
+    assert all(
+        set(e) == {"site_i", "site_j", "image", "distance"} for e in rec["neighbors"]
+    )
 
 
 def test_geometry_all_unparseable(tmp_path, capsys):
@@ -691,13 +713,10 @@ WRONG_TYPE = {"targets.json": b'{"ok.cif": {"Cu": 2.7}}'}
 LOG_LINE = re.compile(r"\[\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00\] ")
 
 
-@pytest.mark.parametrize("bad", sorted(BAD_FILES))
-@pytest.mark.parametrize("cmd, slot", SWEEP_SLOTS)
-def test_bad_file_exits_without_traceback(
-    tmp_path, monkeypatch, capsys, cu_slab, cmd, slot, bad
-):
+def sweep_files(cu_slab) -> dict[str, bytes]:
+    """A good input file for every slot of `SWEEP_ARGV`."""
     structure, meta, _ = cu_slab
-    files = {
+    return {
         "ok.cif": MINIMAL_CIF.encode(),
         "slab.cif": serialize_cif(structure).encode(),
         "slab.meta.json": json.dumps(meta.to_json_dict()).encode(),
@@ -705,6 +724,14 @@ def test_bad_file_exits_without_traceback(
         "groups.jsonl": GROUP_LINE.encode(),
         "pairs.json": b"[[2.0, 1.0]]",
     }
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_FILES))
+@pytest.mark.parametrize("cmd, slot", SWEEP_SLOTS)
+def test_bad_file_exits_without_traceback(
+    tmp_path, monkeypatch, capsys, cu_slab, cmd, slot, bad
+):
+    files = sweep_files(cu_slab)
     files[slot] = BAD_FILES[bad]
     if bad == "wrong_type":
         files[slot] = WRONG_TYPE.get(slot, files[slot])
@@ -721,3 +748,23 @@ def test_bad_file_exits_without_traceback(
         assert last.startswith(f"catloop {cmd}: ")
     else:
         assert LOG_LINE.match(last)
+
+
+@pytest.mark.parametrize("blocked", ["out_below_a_file", "report_is_a_directory"])
+@pytest.mark.parametrize("cmd", sorted(SWEEP_ARGV))
+def test_unwritable_out_exits_1(tmp_path, monkeypatch, capsys, cu_slab, cmd, blocked):
+    for name, data in sweep_files(cu_slab).items():
+        (tmp_path / name).write_bytes(data)
+    search_config_file(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    if blocked == "out_below_a_file":
+        (tmp_path / "afile").write_text("")
+        out = "afile/sub"
+    else:  # textify writes systems.txt first, then fails on the report
+        (tmp_path / "out" / f"{cmd}_report.json").mkdir(parents=True)
+        out = "out"
+    argv = SWEEP_ARGV[cmd] + (["--config", "search.json"] if cmd == "search" else [])
+    code, stdout, err = run_cli(capsys, *argv, "--out", out)
+    assert code == 1
+    assert err.splitlines()[-1].startswith(f"catloop {cmd}: cannot write ")
+    assert stdout == ""

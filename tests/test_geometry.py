@@ -16,7 +16,7 @@ from catloop.geometry import (
     volume_per_atom,
 )
 from catloop.elements import COVALENT_RADII
-from conftest import make_structure, random_structure
+from conftest import brute_force_pairs, make_structure, pair_tuples, random_structure
 
 
 def brute_force_min_image(structure, i, j):
@@ -44,34 +44,8 @@ def brute_force_min_image(structure, i, j):
     return best
 
 
-def brute_force_pairs(structure, cutoff, box=9):
-    """Pairs within `cutoff` by a scan of the fixed {-box..box}^3 offset block.
-
-    Listed in kernel order: (i, j) row-major with i <= j, offsets in
-    lexicographic order, self pairs only at lexicographically positive
-    offsets, pairs with a cutoff <= 0 skipped.
-    """
-    n = len(structure.sites)
-    cut = np.broadcast_to(np.asarray(cutoff, dtype=float), (n, n))
-    m = structure.lattice.matrix
-    spacings = 1.0 / np.linalg.norm(np.linalg.inv(m), axis=0)
-    # an offset beyond cutoff / spacing + 1 along any axis is out of reach
-    assert np.all(np.max(cut) / spacings + 1.0 <= box)
-    grid = list(itertools.product(range(-box, box + 1), repeat=3))
-    offsets = np.array(grid, dtype=float)
-    lex_positive = np.array([off > (0, 0, 0) for off in grid])
-    frac = structure.frac_coords()
-    pairs = []
-    for i in range(n):
-        for j in range(i, n):
-            if cut[i, j] <= 0.0:
-                continue
-            dists = np.linalg.norm((frac[j] - frac[i] + offsets) @ m, axis=1)
-            keep = dists <= cut[i, j]
-            if i == j:
-                keep &= lex_positive
-            pairs.extend((i, j, grid[k], float(dists[k])) for k in np.flatnonzero(keep))
-    return pairs
+def pairs(structure, cutoff):
+    return pair_tuples(iter_periodic_pairs(structure, cutoff))
 
 
 def test_pairs_match_brute_force_on_skewed_cells():
@@ -83,13 +57,13 @@ def test_pairs_match_brute_force_on_skewed_cells():
         per_pair[rng.random((n, n)) < 0.2] = 0.0
         for cutoff in (6.0, float(rng.uniform(1.0, 5.0)), per_pair):
             fresh = dataclasses.replace(s)  # same fields, no memoized table
-            assert iter_periodic_pairs(fresh, cutoff) == brute_force_pairs(s, cutoff)
+            assert pairs(fresh, cutoff) == brute_force_pairs(s, cutoff)
 
 
 def test_pair_exactly_at_cutoff_is_kept():
     # the slab bound equals the cutoff here; rounding must not prune the image
     s = make_structure(["Cu", "O"], [(0, 0, 0), (0.25, 0, 0)], lengths=(8, 8, 8))
-    got = iter_periodic_pairs(s, 2.0)
+    got = pairs(s, 2.0)
     assert got == [(0, 1, (0, 0, 0), 2.0)]
     assert got == brute_force_pairs(s, 2.0)
 
@@ -103,7 +77,7 @@ def test_pruning_on_strongly_skewed_cell():
     r = np.array([COVALENT_RADII[el] for el in species])
     for cutoff in (4.0, 6.0, 0.75 * (r[:, None] + r[None, :])):
         fresh = dataclasses.replace(s)  # same fields, no memoized table
-        assert iter_periodic_pairs(fresh, cutoff) == brute_force_pairs(s, cutoff)
+        assert pairs(fresh, cutoff) == brute_force_pairs(s, cutoff)
 
 
 def test_cutoff_spanning_several_cells():
@@ -112,7 +86,7 @@ def test_cutoff_spanning_several_cells():
         ["Cu", "O"], [(0.1, 0.2, 0.3), (0.6, 0.55, 0.9)],
         lengths=(2.6, 2.6, 2.6), angles=(80, 95, 100),
     )
-    got = iter_periodic_pairs(s, 6.0)
+    got = pairs(s, 6.0)
     assert got == brute_force_pairs(s, 6.0)
     images = [image for i, j, image, _ in got if (i, j) == (0, 1)]
     assert all(len({image[k] for image in images}) >= 4 for k in range(3))
@@ -126,7 +100,7 @@ def test_pruning_on_64_site_structure():
     )
     r = np.array([COVALENT_RADII[el] for el in species])
     cutoff = 0.75 * (r[:, None] + r[None, :])
-    got = iter_periodic_pairs(s, cutoff)
+    got = pairs(s, cutoff)
     assert got and got == brute_force_pairs(s, cutoff)
 
 
@@ -135,10 +109,10 @@ def test_zero_pair_cutoff_skips_coincident_atoms():
         ["Cu", "Cu", "O"], [(0.3, 0.3, 0.3), (0.3, 0.3, 0.3), (0.6, 0.5, 0.4)]
     )
     # a scalar query first leaves the coincident pair (d = 0) in the memo
-    assert (0, 1, (0, 0, 0), 0.0) in iter_periodic_pairs(s, 3.0)
+    assert (0, 1, (0, 0, 0), 0.0) in pairs(s, 3.0)
     cut = np.full((3, 3), 2.5)
     cut[0, 1] = 0.0
-    got = iter_periodic_pairs(s, cut)
+    got = pairs(s, cut)
     assert all((i, j) != (0, 1) for i, j, _, _ in got)
     assert got == brute_force_pairs(s, cut)
 
@@ -151,8 +125,8 @@ def test_memoized_queries_equal_fresh_structures():
         rsum = r[:, None] + r[None, :]
         for cutoff in (6.0, 0.5 * rsum, 0.75 * rsum):
             fresh = dataclasses.replace(s)  # same fields, no memoized table
-            want = iter_periodic_pairs(fresh, cutoff)
-            assert iter_periodic_pairs(s, cutoff) == want
+            want = pairs(fresh, cutoff)
+            assert pairs(s, cutoff) == want
             assert want == brute_force_pairs(s, cutoff)
 
 
@@ -267,11 +241,10 @@ def test_neighbor_list_simple_dimer():
     s = make_structure(["Cu", "Cu"], [(0, 0, 0), (0.125, 0, 0)], lengths=(20, 20, 20))
     nl = build_neighbor_list(s)
     assert len(nl) == 2
-    (e1, e2) = nl.entries
-    assert (e1.i, e1.j) == (0, 1)
-    assert (e2.i, e2.j) == (1, 0)
-    assert e1.image == (0, 0, 0)
-    assert e1.distance == pytest.approx(2.5)
+    (e1, e2) = pair_tuples(nl)
+    assert e1[:3] == (0, 1, (0, 0, 0))
+    assert e2[:3] == (1, 0, (0, 0, 0))
+    assert e1[3] == pytest.approx(2.5)
 
 
 def test_neighbor_list_symmetry_and_cutoffs():
@@ -279,15 +252,15 @@ def test_neighbor_list_symmetry_and_cutoffs():
     scale = 1.2
     for _ in range(25):
         s = random_structure(rng, max_sites=6)
-        nl = build_neighbor_list(s, scale=scale)
-        entries = {(e.i, e.j, e.image) for e in nl.entries}
-        assert len(entries) == len(nl.entries)  # no duplicates
-        for e in nl.entries:
-            mirror = (e.j, e.i, (-e.image[0], -e.image[1], -e.image[2]))
+        rows = pair_tuples(build_neighbor_list(s, scale=scale))
+        entries = {(i, j, image) for i, j, image, _ in rows}
+        assert len(entries) == len(rows)  # no duplicates
+        for i, j, image, dist in rows:
+            mirror = (j, i, (-image[0], -image[1], -image[2]))
             assert mirror in entries
-            r_i = COVALENT_RADII[s.sites[e.i].element]
-            r_j = COVALENT_RADII[s.sites[e.j].element]
-            assert e.distance <= scale * (r_i + r_j) + 1e-12
+            r_i = COVALENT_RADII[s.sites[i].element]
+            r_j = COVALENT_RADII[s.sites[j].element]
+            assert dist <= scale * (r_i + r_j) + 1e-12
 
 
 def test_neighbor_list_counts_match_brute(minimal_cif=None):
@@ -317,10 +290,9 @@ def test_neighbor_list_counts_match_brute(minimal_cif=None):
 def test_neighbor_list_self_images():
     # one atom in a tight cell is its own neighbor through the boundary
     s = make_structure(["Cu"], [(0, 0, 0)], lengths=(2.8, 20.0, 20.0))
-    nl = build_neighbor_list(s)
-    images = {e.image for e in nl.entries}
-    assert images == {(1, 0, 0), (-1, 0, 0)}
-    assert all(e.i == 0 and e.j == 0 for e in nl.entries)
+    rows = pair_tuples(build_neighbor_list(s))
+    assert {image for _, _, image, _ in rows} == {(1, 0, 0), (-1, 0, 0)}
+    assert all(i == 0 and j == 0 for i, j, _, _ in rows)
 
 
 def test_neighbor_scale_limit():
@@ -329,27 +301,28 @@ def test_neighbor_scale_limit():
     assert len(build_neighbor_list(s, scale=0.0)) == 0
 
 
-def test_neighbor_list_sorted_and_json():
+def test_neighbor_list_sorted():
     s = make_structure(
         ["Cu", "Cu", "Cu"],
         [(0, 0, 0), (0.15, 0, 0), (0.3, 0, 0)],
         lengths=(16, 16, 16),
     )
-    nl = build_neighbor_list(s)
-    keys = [(e.i, e.j, e.image) for e in nl.entries]
-    assert keys == sorted(keys)
-    rec = nl.to_json_list()[0]
-    assert set(rec) == {"site_i", "site_j", "image", "distance"}
-    assert nl.neighbors_of(1) == tuple(e for e in nl.entries if e.i == 1)
+    rows = pair_tuples(build_neighbor_list(s))
+    assert rows == sorted(rows)
+    # the same rows as the oracle's pairs plus their mirrors, bit for bit
+    r = np.array([COVALENT_RADII[site.element] for site in s.sites])
+    half = brute_force_pairs(s, 1.2 * (r[:, None] + r[None, :]))
+    mirrored = [(j, i, tuple(-v for v in image), d) for i, j, image, d in half]
+    assert rows == sorted(half + mirrored)
 
 
 def test_iter_periodic_pairs_canonical():
     s = make_structure(["Cu", "Cu"], [(0, 0, 0), (0.5, 0.5, 0.5)], lengths=(3, 3, 3))
-    pairs = iter_periodic_pairs(s, 4.0)
-    for i, j, image, dist in pairs:
+    got = pairs(s, 4.0)
+    for i, j, image, dist in got:
         assert i <= j
         if i == j:
             first_nonzero = next(v for v in image if v != 0)
             assert first_nonzero > 0
         assert dist <= 4.0
-    assert len(pairs) == len({(i, j, img) for i, j, img, _ in pairs})
+    assert len(got) == len({(i, j, img) for i, j, img, _ in got})

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from catloop import reward
 from catloop.cif import parse_cif, serialize_cif
+from catloop.elements import COVALENT_RADII
 from catloop.reward import (
     DEFAULT_PHYS,
     DEFAULT_WEIGHTS,
@@ -19,7 +21,13 @@ from catloop.reward import (
     score_valid,
     validity_checklist,
 )
-from conftest import MINIMAL_CIF, make_structure, random_structure
+from conftest import (
+    MINIMAL_CIF,
+    brute_force_pairs,
+    make_structure,
+    random_lattice_params,
+    random_structure,
+)
 
 
 def big_cell_cif(site_rows, cell=8.0, space_group_line="_symmetry_space_group_name_H-M 'P 1'\n"):
@@ -163,6 +171,89 @@ def test_score_physical_degenerate_cell():
     s = make_structure(["Cu", "Cu"], [(0, 0, 0), (0.5, 0.5, 0.5)], lengths=(0.005, 0.005, 0.005))
     assert score_physical(s) == 0.0
     assert not passes_hard_constraints(s)
+
+
+def reference_physics(structure, cfg=DEFAULT_PHYS):
+    """The per-pair loop of the distance credit over `brute_force_pairs`.
+
+    Returns the physics score, the closest-pair notes, and the credits of
+    the pairs tied at the worst credit below 1.
+    """
+    elems = [s.element for s in structure.sites]
+    r = [COVALENT_RADII[e] for e in elems]
+    rr = np.array(r)
+    cut = cfg.full_credit_fraction * (rr[:, None] + rr[None, :])
+    factor = 1.0
+    worst = None
+    credits = []
+    for i, j, _image, dist in brute_force_pairs(structure, cut):
+        rsum = r[i] + r[j]
+        lo = cfg.hard_overlap_fraction * rsum
+        hi = cfg.full_credit_fraction * rsum
+        if dist <= lo:
+            credit = 0.0
+        else:
+            credit = (dist - lo) / (hi - lo)
+        credits.append(credit)
+        if credit < factor:
+            factor = credit
+            worst = (dist, i, j)
+    notes = []
+    if worst is not None:
+        dist, i, j = worst
+        notes.append(
+            f"closest pair {elems[i]}{i}-{elems[j]}{j} at {dist:.3f} A "
+            f"scores {factor:.3f}"
+        )
+    v_factor, _ = reward._volume_factor(structure, cfg)
+    return factor * v_factor, notes, [c for c in credits if c == factor < 1.0]
+
+
+def grid_structure(rng):
+    """Sites on a 1/8 grid, so equal displacements give bit-equal distances.
+
+    Half the cells are doubled along one axis: every pair then has a
+    translated twin at the same distance, so the worst credit is tied.  Half
+    of the rest get a coincident pair.
+    """
+    n = int(rng.integers(2, 7))
+    species = list(rng.choice(["Cu", "O", "H"], size=n))
+    coords = rng.integers(0, 8, size=(n, 3)) / 8.0
+    lengths, angles = random_lattice_params(rng)
+    if rng.random() < 0.5:
+        axis = int(rng.integers(3))
+        coords[:, axis] /= 2.0
+        twin = coords.copy()
+        twin[:, axis] += 0.5
+        coords, species = np.vstack([coords, twin]), species * 2
+        lengths = tuple(2.0 * v if a == axis else v for a, v in enumerate(lengths))
+    elif rng.random() < 0.5:
+        coords[-1] = coords[0]
+    return make_structure(species, coords, lengths=lengths, angles=angles)
+
+
+def test_physics_score_matches_reference_loop():
+    rng = np.random.default_rng(41)
+    seen = dict.fromkeys(
+        ("coincident", "zero_credit", "tied_zero", "tied_positive"), 0
+    )
+    for k in range(240):
+        s = random_structure(rng, max_sites=6) if k % 3 == 0 else grid_structure(rng)
+        want_score, want_notes, tied = reference_physics(s)
+        score, notes = reward._assess_physical(s)
+        closest = [note for note in notes if note.startswith("closest pair")]
+        assert (score, closest) == (want_score, want_notes)
+        assert score_physical(s) == want_score
+        frac = s.frac_coords()
+        seen["coincident"] += any(
+            np.array_equal(frac[a], frac[b])
+            for a in range(len(frac)) for b in range(a)
+        )
+        seen["zero_credit"] += bool(tied) and tied[0] == 0.0
+        seen["tied_zero"] += len(tied) > 1 and tied[0] == 0.0
+        seen["tied_positive"] += len(tied) > 1 and tied[0] > 0.0
+    # the corpus holds the cases the first-minimum rule must get right
+    assert all(count >= 10 for count in seen.values()), seen
 
 
 def test_phys_config_validation():

@@ -10,7 +10,7 @@ from catloop.textify import (
     reduced_formula,
     to_system_text,
 )
-from conftest import make_structure
+from conftest import BAD_COMPOSITIONS, make_structure
 
 
 def test_hill_sorted():
@@ -41,6 +41,14 @@ def test_metadata_validation():
         SystemMetadata(frozenset({0}), frozenset(), {}, (1, 1, 1))
     with pytest.raises(ValueError, match="positive"):
         SystemMetadata(frozenset({0}), frozenset(), {"Cu": 0}, (1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "composition", BAD_COMPOSITIONS.values(), ids=list(BAD_COMPOSITIONS)
+)
+def test_metadata_rejects_bad_composition(composition):
+    with pytest.raises(ValueError, match="catalyst composition"):
+        SystemMetadata(frozenset({0}), frozenset(), composition, (1, 1, 1))
 
 
 def test_metadata_json_round_trip():
