@@ -412,7 +412,7 @@ def cmd_grpo(args: argparse.Namespace, config: dict) -> Outcome:
             line = raw.decode("utf-8")
             if not line.strip():
                 continue
-            group = group_from_json_line(line, default_epsilon=cfg.epsilon)
+            group = group_from_json_line(line)
         except ValueError as exc:
             errors.append({"line": lineno, "error": str(exc)})
             _log(f"grpo line {lineno}: {exc}")
@@ -498,11 +498,12 @@ def cmd_search(args: argparse.Namespace, config: dict) -> Outcome:
         rates = DefectRates(**gen_section.pop("defect_rates", {}))
         generator = MutationGenerator(defect_rates=rates, **gen_section)
         predictor = PairPotentialSurrogate(**config.get("predictor", {}))
+        for name, component in (("generator", generator), ("predictor", predictor)):
+            missing = sorted(set(cfg.target_composition) - set(component.radii))
+            if missing:
+                raise ValueError(f"{name} radii lack {', '.join(missing)}")
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad generator/predictor config: {exc}") from None
-    missing = sorted(set(cfg.target_composition) - set(generator.radii))
-    if missing:
-        raise CliError(f"bad generator config: radii lack {', '.join(missing)}")
     weights = _configured(config, "weights", DEFAULT_WEIGHTS)
     phys = _configured(config, "phys", DEFAULT_PHYS)
 

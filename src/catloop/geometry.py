@@ -18,7 +18,6 @@ one array per column and one row per pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -192,9 +191,7 @@ def iter_periodic_pairs(
 
 
 def build_neighbor_list(
-    structure: Structure,
-    radii: Mapping[str, float] = COVALENT_RADII,
-    scale: float = DEFAULT_NEIGHBOR_SCALE,
+    structure: Structure, scale: float = DEFAULT_NEIGHBOR_SCALE
 ) -> PairTable:
     """Directed neighbors within scale * (r_i + r_j) of each site, across images.
 
@@ -204,7 +201,7 @@ def build_neighbor_list(
     """
     if scale <= 0.0:
         return _EMPTY
-    r = np.array([radii[s.element] for s in structure.sites], dtype=float)
+    r = np.array([COVALENT_RADII[s.element] for s in structure.sites], dtype=float)
     t = iter_periodic_pairs(structure, scale * (r[:, None] + r[None, :]))
     i = np.concatenate((t.i, t.j))
     j = np.concatenate((t.j, t.i))

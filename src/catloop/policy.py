@@ -73,20 +73,25 @@ class GroupMember:
             raise ValueError(f"reward must be finite, got {self.reward!r}")
 
 
+DEFAULT_EPSILON = 1e-8  # z-score denominator epsilon
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError("epsilon must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class CandidateGroup:
-    """K >= 2 sampled sequences for one prompt, plus the z-score epsilon."""
+    """K >= 2 sampled sequences for one prompt."""
 
     prompt_id: str
     members: tuple[GroupMember, ...]
-    epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(self.members))
         if len(self.members) < 2:
             raise ValueError("a group needs at least two members")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError("epsilon must be finite and >= 0")
 
     def rewards(self) -> np.ndarray:
         return np.array([m.reward for m in self.members], dtype=float)
@@ -94,16 +99,15 @@ class CandidateGroup:
 
 @dataclass(frozen=True)
 class GrpoConfig:
-    """KL coefficient and the default epsilon applied when building groups."""
+    """KL coefficient and the z-score epsilon of the group loss."""
 
     beta: float = 0.1
-    epsilon: float = 1e-8
+    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError("beta must be finite and >= 0")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError("epsilon must be finite and >= 0")
+        _check_epsilon(self.epsilon)
 
 
 def normalized_logprob(seq: SequenceLogProbs, which: str = "current") -> float:
@@ -128,7 +132,7 @@ def kl_estimate(seq: SequenceLogProbs) -> float:
 
 
 def group_advantages(
-    group: CandidateGroup, epsilon: float | None = None
+    group: CandidateGroup, epsilon: float = DEFAULT_EPSILON
 ) -> np.ndarray:
     """Reward z-scores within the group: (r_k - mean) / (pop_std + epsilon).
 
@@ -136,11 +140,11 @@ def group_advantages(
     numerator is zero for every member, so advantages are all zero whenever
     epsilon > 0 (and defined as zero even at epsilon == 0).
     """
-    eps = group.epsilon if epsilon is None else epsilon
+    _check_epsilon(epsilon)
     r = group.rewards()
     mu = float(np.mean(r))
     sigma = float(np.sqrt(np.mean((r - mu) ** 2)))
-    denom = sigma + eps
+    denom = sigma + epsilon
     if denom == 0.0:
         return np.zeros(len(r))
     return (r - mu) / denom
@@ -205,20 +209,27 @@ def mmtg_loss(
 # group records on disk
 
 
-def group_from_json_dict(obj: dict, default_epsilon: float = 1e-8) -> CandidateGroup:
+def group_from_json_dict(obj: dict) -> CandidateGroup:
     """Build a group from one decoded JSON record.
 
     Expected shape:
 
         {"prompt_id": str,
-         "epsilon": float (optional),
          "members": [{"tokens": [int, ...],
                       "logp_current": [float, ...],
                       "logp_reference": [float, ...],
                       "reward": float}, ...]}
+
+    The z-score epsilon is not part of a group: `GrpoConfig.epsilon` (the
+    ``--epsilon`` flag) sets it, so a record with an "epsilon" key is an
+    error.
     """
     if not isinstance(obj, dict):
         raise ValueError("group record must be a JSON object")
+    if "epsilon" in obj:
+        raise ValueError(
+            "group record key 'epsilon' is not supported; set it with --epsilon"
+        )
     try:
         prompt_id = str(obj["prompt_id"])
         raw_members = obj["members"]
@@ -242,20 +253,16 @@ def group_from_json_dict(obj: dict, default_epsilon: float = 1e-8) -> CandidateG
         except (TypeError, ValueError) as exc:
             raise ValueError(f"member {k}: {exc}") from None
         members.append(member)
-    epsilon = float(obj.get("epsilon", default_epsilon))
-    try:
-        return CandidateGroup(prompt_id, tuple(members), epsilon)
-    except ValueError as exc:
-        raise ValueError(str(exc)) from None
+    return CandidateGroup(prompt_id, tuple(members))
 
 
-def group_from_json_line(line: str, default_epsilon: float = 1e-8) -> CandidateGroup:
+def group_from_json_line(line: str) -> CandidateGroup:
     """Parse one JSONL line into a group; raises ValueError on bad records."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
-    return group_from_json_dict(obj, default_epsilon)
+    return group_from_json_dict(obj)
 
 
 def group_report(group: CandidateGroup, cfg: GrpoConfig = GrpoConfig()) -> dict:

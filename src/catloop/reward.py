@@ -187,11 +187,11 @@ def score_composition(target: CompositionVector, actual: CompositionVector) -> f
 
 
 def _distance_factor(
-    structure: Structure, radii: Mapping[str, float], cfg: PhysConfig
+    structure: Structure, cfg: PhysConfig
 ) -> tuple[float, list[str]]:
     """Worst-pair distance credit: 0 below hard overlap, 1 above full credit."""
     elems = [s.element for s in structure.sites]
-    r = np.array([radii[e] for e in elems])
+    r = np.array([COVALENT_RADII[e] for e in elems])
     # Pair cutoffs at full credit: distances above carry no penalty, so only
     # pairs inside them matter.
     cut = cfg.full_credit_fraction * (r[:, None] + r[None, :])
@@ -228,35 +228,27 @@ def _volume_factor(structure: Structure, cfg: PhysConfig) -> tuple[float, list[s
 
 
 def _assess_physical(
-    structure: Structure,
-    radii: Mapping[str, float] = COVALENT_RADII,
-    cfg: PhysConfig = DEFAULT_PHYS,
+    structure: Structure, cfg: PhysConfig = DEFAULT_PHYS
 ) -> tuple[float, list[str]]:
     try:
-        d_factor, d_notes = _distance_factor(structure, radii, cfg)
+        d_factor, d_notes = _distance_factor(structure, cfg)
         v_factor, v_notes = _volume_factor(structure, cfg)
     except DegenerateCellError as exc:
         return 0.0, [f"degenerate cell: {exc}"]
     return d_factor * v_factor, d_notes + v_notes
 
 
-def score_physical(
-    structure: Structure,
-    radii: Mapping[str, float] = COVALENT_RADII,
-    cfg: PhysConfig = DEFAULT_PHYS,
-) -> float:
+def score_physical(structure: Structure, cfg: PhysConfig = DEFAULT_PHYS) -> float:
     """Distance factor times volume factor, each in [0, 1]."""
-    return _assess_physical(structure, radii, cfg)[0]
+    return _assess_physical(structure, cfg)[0]
 
 
 def passes_hard_constraints(
-    structure: Structure,
-    radii: Mapping[str, float] = COVALENT_RADII,
-    cfg: PhysConfig = DEFAULT_PHYS,
+    structure: Structure, cfg: PhysConfig = DEFAULT_PHYS
 ) -> bool:
     """True when no pair sits at or below the hard-overlap distance."""
     elems = [s.element for s in structure.sites]
-    rr = np.array([radii[e] for e in elems])
+    rr = np.array([COVALENT_RADII[e] for e in elems])
     cut = cfg.hard_overlap_fraction * (rr[:, None] + rr[None, :])
     try:
         return not len(iter_periodic_pairs(structure, cut))
@@ -269,7 +261,6 @@ def pvcp_from_outcome(
     target: CompositionVector,
     weights: RewardWeights = DEFAULT_WEIGHTS,
     phys: PhysConfig = DEFAULT_PHYS,
-    radii: Mapping[str, float] = COVALENT_RADII,
 ) -> RewardBreakdown:
     """Score an already-parsed candidate (see `pvcp`)."""
     diagnostics: list[str] = []
@@ -305,7 +296,7 @@ def pvcp_from_outcome(
         diagnostics.append(
             f"composition {composition_of(structure)} vs target {dict(target)}"
         )
-    s_phys, phys_notes = _assess_physical(structure, radii, phys)
+    s_phys, phys_notes = _assess_physical(structure, phys)
     if s_phys < 1.0:
         flags.add(FailureMode.PHYSICS_VIOLATION)
         diagnostics.extend(phys_notes)
@@ -332,10 +323,9 @@ def pvcp(
     target: CompositionVector,
     weights: RewardWeights = DEFAULT_WEIGHTS,
     phys: PhysConfig = DEFAULT_PHYS,
-    radii: Mapping[str, float] = COVALENT_RADII,
 ) -> RewardBreakdown:
     """Parse candidate CIF text and score it against a target composition."""
-    return pvcp_from_outcome(parse_cif(text), target, weights, phys, radii)
+    return pvcp_from_outcome(parse_cif(text), target, weights, phys)
 
 
 def corpus_failure_rates(breakdowns: Iterable[RewardBreakdown]) -> dict[str, float]:

@@ -25,7 +25,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, runtime_checkable
+from typing import Iterable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -89,6 +89,24 @@ def energy_reward(e_pred: float, e_target: float, lambda_energy: float) -> float
 # desk-scale surrogates
 
 
+def _finite_number(value: object) -> bool:
+    """True for a finite real number that is not a bool."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _check_radii(radii: object) -> None:
+    """Raise ValueError unless `radii` maps known elements to positive numbers."""
+    if not isinstance(radii, Mapping) or not all(
+        el in COVALENT_RADII and _finite_number(r) and r > 0.0
+        for el, r in radii.items()
+    ):
+        raise ValueError("radii must map element symbols to finite positive numbers")
+
+
 @dataclass
 class PairPotentialSurrogate:
     """12-6 pair potential parameterized by covalent radii.
@@ -105,6 +123,13 @@ class PairPotentialSurrogate:
     depth_scale: float = 0.4  # eV per angstrom of radius sum
     cutoff: float = 6.0  # angstroms
     bond_cap: float = 1e3  # eV
+
+    def __post_init__(self) -> None:
+        _check_radii(self.radii)
+        for name in ("depth_scale", "cutoff", "bond_cap"):
+            value = getattr(self, name)
+            if not (_finite_number(value) and value > 0.0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
     def predict(self, structure: Structure) -> float:
         r = np.array([self.radii[s.element] for s in structure.sites])
@@ -173,24 +198,14 @@ class MutationGenerator:
     def __post_init__(self) -> None:
         for name in ("coord_jitter", "lattice_jitter", "spacing_floor", "spacing_cap"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if not _finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         # a cell-length factor 1 +- lattice_jitter must stay positive
         if not (self.coord_jitter >= 0.0 and 0.0 <= self.lattice_jitter < 1.0):
             raise ValueError("need coord_jitter >= 0 and 0 <= lattice_jitter < 1")
         if not 0.0 < self.spacing_floor <= self.spacing_cap:
             raise ValueError("need 0 < spacing_floor <= spacing_cap")
-        if not isinstance(self.radii, Mapping) or not all(
-            el in COVALENT_RADII
-            and isinstance(r, numbers.Real)
-            and not isinstance(r, bool)
-            and math.isfinite(r)
-            and r > 0.0
-            for el, r in self.radii.items()
-        ):
-            raise ValueError(
-                "radii must map element symbols to finite positive numbers"
-            )
+        _check_radii(self.radii)
 
     def propose(
         self,
@@ -469,7 +484,6 @@ def combined_reward(
     cfg: SearchConfig,
     weights: RewardWeights = DEFAULT_WEIGHTS,
     phys: PhysConfig = DEFAULT_PHYS,
-    radii: Mapping[str, float] = COVALENT_RADII,
 ) -> tuple[float, CombinedBreakdown]:
     """Score candidate text against the target energy and composition.
 
@@ -491,42 +505,21 @@ def combined_reward(
         except Exception as exc:  # predictor contract: failures score zero
             diagnostics.append(f"predictor failed: {exc}")
             energy = None
-    breakdown = pvcp_from_outcome(
-        outcome, cfg.target_composition, weights, phys, radii
-    )
-    if not outcome.ok:
-        combined = CombinedBreakdown(
-            score=0.0,
-            energy=None,
-            energy_reward=0.0,
-            pvcp=breakdown,
-            hard_pass=False,
-            parsed=False,
-            diagnostics=("parse failure",),
-        )
-        return 0.0, combined
-    hard_pass = passes_hard_constraints(structure, radii, phys)
-    if energy is None:
-        combined = CombinedBreakdown(
-            score=0.0,
-            energy=None,
-            energy_reward=0.0,
-            pvcp=breakdown,
-            hard_pass=hard_pass,
-            parsed=True,
-            diagnostics=tuple(diagnostics),
-            structure=structure,
-        )
-        return 0.0, combined
-    e_rew = energy_reward(energy, cfg.target_energy, cfg.lambda_energy)
-    score = cfg.energy_weight * e_rew + cfg.pvcp_weight * breakdown.total
+    else:
+        diagnostics.append("parse failure")
+    breakdown = pvcp_from_outcome(outcome, cfg.target_composition, weights, phys)
+    hard_pass = outcome.ok and passes_hard_constraints(structure, phys)
+    score = e_rew = 0.0
+    if energy is not None:
+        e_rew = energy_reward(energy, cfg.target_energy, cfg.lambda_energy)
+        score = cfg.energy_weight * e_rew + cfg.pvcp_weight * breakdown.total
     combined = CombinedBreakdown(
         score=score,
         energy=energy,
         energy_reward=e_rew,
         pvcp=breakdown,
         hard_pass=hard_pass,
-        parsed=True,
+        parsed=outcome.ok,
         diagnostics=tuple(diagnostics),
         structure=structure,
     )
@@ -667,28 +660,47 @@ class SearchReport:
         }
 
 
-def _evaluate(
-    text: str,
+def _best_abs_delta(deltas: Iterable[float | None]) -> float | None:
+    """The smallest |E_pred - E_target| in `deltas`; None entries are skipped."""
+    return min((d for d in deltas if d is not None), default=None)
+
+
+def _generation(
+    generator: CandidateGenerator,
     predictor: EnergyPredictor,
     cfg: SearchConfig,
+    rng: np.random.Generator,
+    exemplar: Structure | None,
+    n: int,
+    iteration: int,
     weights: RewardWeights,
     phys: PhysConfig,
-    radii: Mapping[str, float],
-    iteration: int,
-) -> tuple[CombinedBreakdown, PoolEntry | None]:
-    score, br = combined_reward(text, predictor, cfg, weights, phys, radii)
-    if not (br.parsed and br.hard_pass and br.energy is not None):
-        return br, None
-    assert br.structure is not None
-    entry = PoolEntry(
-        structure=br.structure,
-        cif_text=text,
-        score=score,
-        energy=br.energy,
-        pvcp_total=br.pvcp.total,
-        iteration=iteration,
-    )
-    return br, entry
+) -> tuple[list[float], list[PoolEntry]]:
+    """Propose and score `n` candidates, each from a seed drawn from `rng`.
+
+    Returns every candidate's score and, in seed order, a `PoolEntry` for
+    each candidate that passes the hard constraints and has an energy.  No
+    pool is read or changed here.
+    """
+    scores: list[float] = []
+    entries: list[PoolEntry] = []
+    for _ in range(n):
+        seed = int(rng.integers(2**32))
+        text = generator.propose(exemplar, cfg.target_composition, seed)
+        score, br = combined_reward(text, predictor, cfg, weights, phys)
+        scores.append(score)
+        if br.hard_pass and br.energy is not None:
+            entries.append(
+                PoolEntry(
+                    structure=br.structure,
+                    cif_text=text,
+                    score=score,
+                    energy=br.energy,
+                    pvcp_total=br.pvcp.total,
+                    iteration=iteration,
+                )
+            )
+    return scores, entries
 
 
 def initialize_pool(
@@ -698,7 +710,6 @@ def initialize_pool(
     rng: np.random.Generator,
     weights: RewardWeights = DEFAULT_WEIGHTS,
     phys: PhysConfig = DEFAULT_PHYS,
-    radii: Mapping[str, float] = COVALENT_RADII,
 ) -> tuple[ExemplarPool, dict]:
     """Fill the pool with the best hard-passing unconditioned candidates.
 
@@ -708,23 +719,15 @@ def initialize_pool(
     otherwise.  Returns the pool plus bookkeeping stats.
     """
     passing: list[PoolEntry] = []
-    generated = 0
     rounds = 0
-    best_delta: float | None = None
     while len(passing) < cfg.pool_capacity and rounds < cfg.init_rounds:
         rounds += 1
-        for _ in range(cfg.init_candidates):
-            seed = int(rng.integers(2**32))
-            text = generator.propose(None, cfg.target_composition, seed)
-            generated += 1
-            _, entry = _evaluate(
-                text, predictor, cfg, weights, phys, radii, iteration=0
-            )
-            if entry is not None:
-                passing.append(entry)
-                delta = abs(entry.energy - cfg.target_energy)
-                if best_delta is None or delta < best_delta:
-                    best_delta = delta
+        _, entries = _generation(
+            generator, predictor, cfg, rng, None, cfg.init_candidates, 0,
+            weights, phys,
+        )
+        passing += entries
+    generated = rounds * cfg.init_candidates
     if len(passing) < cfg.pool_capacity:
         raise PoolInitializationError(
             f"only {len(passing)} of {cfg.pool_capacity} required candidates "
@@ -738,7 +741,9 @@ def initialize_pool(
         "generated": generated,
         "passed": len(passing),
         "rounds": rounds,
-        "best_abs_delta": best_delta,
+        "best_abs_delta": _best_abs_delta(
+            abs(e.energy - cfg.target_energy) for e in passing
+        ),
     }
     return pool, stats
 
@@ -752,39 +757,31 @@ def refine_step(
     iteration: int,
     weights: RewardWeights = DEFAULT_WEIGHTS,
     phys: PhysConfig = DEFAULT_PHYS,
-    radii: Mapping[str, float] = COVALENT_RADII,
 ) -> IterationLog:
     """One refinement iteration; mutates the pool in place.
 
     Samples an exemplar uniformly, scores `cfg.candidates_per_iteration`
-    conditioned candidates, and admits them sequentially under the
-    strict-improvement rule.
+    conditioned candidates, then admits the eligible ones in seed order
+    under the strict-improvement rule.  Admitting after scoring the whole
+    generation equals admitting each candidate as soon as it is scored:
+    neither `propose` nor `combined_reward` reads the pool, and every seed
+    is drawn from `rng` before admission and independently of it.
     """
     exemplar = pool.sample(rng)
-    scores: list[float] = []
-    admitted = 0
-    best_delta: float | None = None
-    for _ in range(cfg.candidates_per_iteration):
-        seed = int(rng.integers(2**32))
-        text = generator.propose(exemplar.structure, cfg.target_composition, seed)
-        br, entry = _evaluate(
-            text, predictor, cfg, weights, phys, radii, iteration=iteration
-        )
-        scores.append(br.score)
-        if entry is None:
-            continue
-        delta = abs(entry.energy - cfg.target_energy)
-        if best_delta is None or delta < best_delta:
-            best_delta = delta
-        if pool.try_replace(entry):
-            admitted += 1
+    scores, entries = _generation(
+        generator, predictor, cfg, rng, exemplar.structure,
+        cfg.candidates_per_iteration, iteration, weights, phys,
+    )
+    admitted = sum(pool.try_replace(e) for e in entries)
     return IterationLog(
         iteration=iteration,
         exemplar_score=exemplar.score,
         exemplar_iteration=exemplar.iteration,
         candidate_scores=tuple(scores),
         admitted=admitted,
-        best_abs_delta=best_delta,
+        best_abs_delta=_best_abs_delta(
+            abs(e.energy - cfg.target_energy) for e in entries
+        ),
         pool_min=pool.min_score,
         pool_max=pool.max_score,
     )
@@ -796,7 +793,6 @@ def run_search(
     cfg: SearchConfig,
     weights: RewardWeights = DEFAULT_WEIGHTS,
     phys: PhysConfig = DEFAULT_PHYS,
-    radii: Mapping[str, float] = COVALENT_RADII,
 ) -> SearchReport:
     """Run initialization plus `cfg.iterations` refinement iterations.
 
@@ -805,18 +801,14 @@ def run_search(
     predicted within `cfg.success_tolerance` eV of the target energy.
     """
     rng = np.random.default_rng(cfg.seed)
-    pool, stats = initialize_pool(generator, predictor, cfg, rng, weights, phys, radii)
-    best_delta = stats["best_abs_delta"]
-    logs: list[IterationLog] = []
-    for it in range(1, cfg.iterations + 1):
-        log = refine_step(
-            pool, generator, predictor, cfg, rng, it, weights, phys, radii
-        )
-        logs.append(log)
-        if log.best_abs_delta is not None and (
-            best_delta is None or log.best_abs_delta < best_delta
-        ):
-            best_delta = log.best_abs_delta
+    pool, stats = initialize_pool(generator, predictor, cfg, rng, weights, phys)
+    logs = [
+        refine_step(pool, generator, predictor, cfg, rng, it, weights, phys)
+        for it in range(1, cfg.iterations + 1)
+    ]
+    best_delta = _best_abs_delta(
+        [stats["best_abs_delta"], *(log.best_abs_delta for log in logs)]
+    )
     success = bool(best_delta is not None and best_delta <= cfg.success_tolerance)
     return SearchReport(
         config=cfg,

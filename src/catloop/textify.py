@@ -22,10 +22,19 @@ from typing import Mapping
 import numpy as np
 
 from .cif import Structure
-from .elements import COVALENT_RADII, check_composition
+from .elements import check_composition
 from .geometry import DEFAULT_NEIGHBOR_SCALE, build_neighbor_list
 
 DEFAULT_SEPARATOR = "</s>"
+
+
+def _integers(values: object, what: str) -> tuple[int, ...]:
+    """`values` as a tuple of ints; a bool, float or string is a ValueError."""
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -38,16 +47,11 @@ class SystemMetadata:
     miller_index: tuple[int, int, int]
 
     def __post_init__(self) -> None:
+        for name in ("adsorbate_indices", "surface_top_indices"):
+            indices = _integers(getattr(self, name), "site indices")
+            object.__setattr__(self, name, frozenset(indices))
         object.__setattr__(
-            self, "adsorbate_indices", frozenset(int(i) for i in self.adsorbate_indices)
-        )
-        object.__setattr__(
-            self,
-            "surface_top_indices",
-            frozenset(int(i) for i in self.surface_top_indices),
-        )
-        object.__setattr__(
-            self, "miller_index", tuple(int(v) for v in self.miller_index)
+            self, "miller_index", _integers(self.miller_index, "miller index")
         )
         if any(i < 0 for i in self.adsorbate_indices | self.surface_top_indices):
             raise ValueError("site indices must be non-negative")
@@ -66,10 +70,10 @@ class SystemMetadata:
     def from_json_dict(cls, obj: dict) -> "SystemMetadata":
         try:
             return cls(
-                adsorbate_indices=frozenset(obj["adsorbate"]),
-                surface_top_indices=frozenset(obj["surface_top"]),
+                adsorbate_indices=obj["adsorbate"],
+                surface_top_indices=obj["surface_top"],
                 catalyst_composition=obj["catalyst_composition"],
-                miller_index=tuple(obj["miller"]),
+                miller_index=obj["miller"],
             )
         except KeyError as exc:
             raise ValueError(f"metadata missing key {exc.args[0]!r}") from None
@@ -145,7 +149,6 @@ def _check_indices(structure: Structure, meta: SystemMetadata) -> None:
 def find_interaction_atoms(
     structure: Structure,
     meta: SystemMetadata,
-    radii: Mapping[str, float] = COVALENT_RADII,
     scale: float = DEFAULT_NEIGHBOR_SCALE,
 ) -> tuple[list[int], list[int]]:
     """Primary and secondary interaction sites, each sorted ascending.
@@ -155,7 +158,7 @@ def find_interaction_atoms(
     and primary sites themselves.
     """
     _check_indices(structure, meta)
-    t = build_neighbor_list(structure, radii=radii, scale=scale)
+    t = build_neighbor_list(structure, scale)
 
     def bonded_to(sites: set[int] | frozenset[int]) -> set[int]:
         return set(t.j[np.isin(t.i, list(sites))].tolist())
@@ -169,7 +172,6 @@ def find_interaction_atoms(
 def to_system_text(
     structure: Structure,
     meta: SystemMetadata,
-    radii: Mapping[str, float] = COVALENT_RADII,
     scale: float = DEFAULT_NEIGHBOR_SCALE,
     separator: str = DEFAULT_SEPARATOR,
 ) -> SystemText:
@@ -183,7 +185,7 @@ def to_system_text(
     h, k, l = meta.miller_index
     surface_part = f"{reduced_formula(meta.catalyst_composition)} ({h} {k} {l})"
 
-    primary, secondary = find_interaction_atoms(structure, meta, radii, scale)
+    primary, secondary = find_interaction_atoms(structure, meta, scale)
     if not primary:
         configuration_part = "no direct contact"
     else:

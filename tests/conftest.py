@@ -164,6 +164,17 @@ BAD_COMPOSITIONS = {
     "bool_count": {"Cu": True},
 }
 
+# (sidecar key, value) pairs a sidecar must not pass: indices and Miller
+# indices are JSON integers, never coerced from strings, bools or floats
+BAD_SIDECAR_INTEGERS = {
+    "adsorbate_string": ("adsorbate", ["8"]),
+    "adsorbate_bool": ("adsorbate", [True]),
+    "adsorbate_float": ("adsorbate", [8.9]),
+    "surface_top_float": ("surface_top", [0, 1.0]),
+    "miller_float": ("miller", [1.7, 0, 0]),
+    "miller_string": ("miller", ["1", 0, 0]),
+}
+
 
 MINIMAL_CIF = """\
 data_test

@@ -146,9 +146,9 @@ def test_criterion_2_policy_math():
     with _criterion(2, "group-relative policy math", 60.0) as c:
         shared = SequenceLogProbs((0,), (-1.0,), (-1.0,))
 
-        def group(rewards, eps=1e-8):
+        def group(rewards):
             return CandidateGroup(
-                "g", tuple(GroupMember(shared, float(r)) for r in rewards), eps
+                "g", tuple(GroupMember(shared, float(r)) for r in rewards)
             )
 
         rng = np.random.default_rng(7)
@@ -159,7 +159,7 @@ def test_criterion_2_policy_math():
             resid = abs(float(np.mean(group_advantages(group(rewards)))))
             worst = max(worst, resid)
             assert resid <= 1e-9
-        adv = group_advantages(group([0.2, 0.5, 0.8], eps=0.0))
+        adv = group_advantages(group([0.2, 0.5, 0.8]), epsilon=0.0)
         assert abs(adv[0] + 1.2247448713915892) <= 1e-5
         assert abs(adv[1]) <= 1e-9
         assert abs(adv[2] - 1.2247448713915892) <= 1e-5
@@ -183,7 +183,6 @@ def test_criterion_2_policy_math():
                     )
                     for toks, r in zip(token_seqs, rewards)
                 ),
-                epsilon=0.0,
             )
 
         def loss(theta):
@@ -192,7 +191,7 @@ def test_criterion_2_policy_math():
         theta0 = np.array([0.3, -0.1, 0.2])
         p = np.exp(theta0 - np.max(theta0))
         p /= p.sum()
-        adv0 = group_advantages(toy_group(theta0))
+        adv0 = group_advantages(toy_group(theta0), epsilon=0.0)
         analytic = np.zeros(3)
         for a_k, toks in zip(adv0, token_seqs):
             counts = np.bincount(np.array(toks), minlength=3) / len(toks)

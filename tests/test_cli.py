@@ -9,7 +9,7 @@ from catloop import __version__
 from catloop.cif import parse_cif, serialize_cif
 from catloop.cli import main, parse_composition_arg
 from catloop.search import DefectRates, MutationGenerator, PairPotentialSurrogate
-from conftest import BAD_COMPOSITIONS, MINIMAL_CIF
+from conftest import BAD_COMPOSITIONS, BAD_SIDECAR_INTEGERS, MINIMAL_CIF
 
 TARGET = {"Cu": 4, "O": 2}
 
@@ -248,6 +248,20 @@ def test_textify_bad_sidecar_composition(tmp_path, capsys, slab_files, compositi
     assert f"{cif_path}: catalyst composition: " in err
 
 
+@pytest.mark.parametrize(
+    "key, value", BAD_SIDECAR_INTEGERS.values(), ids=list(BAD_SIDECAR_INTEGERS)
+)
+def test_textify_non_integer_sidecar_index(tmp_path, capsys, slab_files, key, value):
+    cif_path, _ = slab_files
+    meta_path = tmp_path / "slab.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    code, _, err = run_cli(capsys, "textify", str(cif_path))
+    assert code == 2
+    assert f"{cif_path}: " in err and "must be integers" in err
+
+
 def test_textify_custom_separator(tmp_path, capsys, slab_files):
     cif_path, _ = slab_files
     cfg = tmp_path / "cfg.json"
@@ -289,6 +303,18 @@ def test_grpo_jsonl(tmp_path, capsys):
     assert artifact["groups"][0]["loss"] == pytest.approx(-0.75, abs=1e-12)
     assert artifact["groups"][0]["advantages"] == pytest.approx([1.0, -1.0])
     assert artifact["errors"] == [{"line": 2, "error": artifact["errors"][0]["error"]}]
+
+
+def test_grpo_epsilon_key_is_a_line_error(tmp_path, capsys):
+    with_epsilon = json.dumps({**json.loads(GROUP_LINE), "epsilon": 0.5})
+    groups = tmp_path / "groups.jsonl"
+    groups.write_text(GROUP_LINE + "\n" + with_epsilon + "\n")
+    code, out, _ = run_cli(capsys, "grpo", str(groups), "--format", "json")
+    assert code == 0
+    artifact = json.loads(out)
+    assert len(artifact["groups"]) == 1
+    assert artifact["errors"][0]["line"] == 2
+    assert "--epsilon" in artifact["errors"][0]["error"]
 
 
 def test_grpo_all_bad_lines(tmp_path, capsys):
@@ -494,6 +520,18 @@ def test_search_unknown_element(tmp_path, capsys):
         ("search", {"target_composition": {"Cu": 2.7, "O": 2}}),
         ("search", {"target_composition": {"Cu": True, "O": 2}}),
         ("search", {"target_composition": {"Cu": -4, "O": 2}}),
+        ("predictor", {"cutoff": 0}),
+        ("predictor", {"cutoff": -3}),
+        ("predictor", {"cutoff": float("inf")}),
+        ("predictor", {"cutoff": "6"}),
+        ("predictor", {"cutoff": True}),
+        ("predictor", {"depth_scale": 0}),
+        ("predictor", {"depth_scale": -0.4}),
+        ("predictor", {"bond_cap": 0}),
+        ("predictor", {"radii": None}),
+        ("predictor", {"radii": {"Cu": 1.32}}),
+        ("predictor", {"radii": {"Cu": -1.32, "O": 0.66}}),
+        ("predictor", {"radii": {"Cu": True, "O": 0.66}}),
     ],
 )
 def test_search_bad_config_values_exit_1(tmp_path, capsys, section, values):

@@ -1,7 +1,9 @@
 """Golden digests of every CLI subcommand's artifact and of the parser's outcomes.
 
 The SHA-256 digests below pin the exact bytes of `catloop search` reports
-at the criterion-7 configuration, of a `catloop validate` report over a
+at the criterion-7 configuration and, with a small loop, at the criterion-6
+defect rates (so init and refine candidates are rejected for parse, hard
+check and composition), of a `catloop validate` report over a
 seeded corpus at the criterion-6 defect rates, of `geometry --neighbors`,
 `textify`, `grpo` and `mmtg --pairs` reports over small fixed inputs, and
 of a canonical dump of every `parse_cif` outcome over a seeded corpus of
@@ -45,6 +47,7 @@ SEARCH_DIGESTS = {
     1: "21a4626f04eb080d744b620f60bd9d75cdf5a0e7416da596cdc89cb9d9da7ff1",
     2: "e13276679da2e9498390037975576cddc496de221b4e60bca62e4ad907396b61",
 }
+DEFECT_SEARCH_DIGEST = "6d55adea70ec2a31dd83cf66585ebee1927023480c3dad9889e22b230097560c"
 VALIDATE_DIGEST = "0c37b774f0c5edd103d8ec58769fef251cfffffc98d64f38674971c76d487f7c"
 PARSE_DIGEST = "6ed876538f9e9ea73d0dd5fae7c4a2c7ca7d5efe4086b6ba191a42a42dafe15d"
 GEOMETRY_DIGEST = "fffeaf1bf51b8c59b616cd66ca28a208c44ba35f6072d06ab9d8b81a2537508c"
@@ -132,7 +135,11 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def search_artifact(capsys, seed: int) -> bytes:
+def search_artifact(capsys, seed: int, search: dict | None = None, **sections) -> bytes:
+    """A search report at the criterion-7 configuration.
+
+    `search` updates the loop's keys and `sections` adds config sections.
+    """
     probe = parse_cif(MutationGenerator().propose(None, CU4O2, 999)).structure
     config = {
         "search": {
@@ -142,7 +149,9 @@ def search_artifact(capsys, seed: int) -> bytes:
             "candidates_per_iteration": 16,
             "pool_capacity": 8,
             "success_tolerance": 0.1,
-        }
+            **(search or {}),
+        },
+        **sections,
     }
     with open("search.json", "w") as fh:
         json.dump(config, fh, sort_keys=True)
@@ -251,6 +260,18 @@ def mmtg_artifact(capsys) -> bytes:
 def test_search_report_digest(tmp_path, monkeypatch, capsys, seed):
     monkeypatch.chdir(tmp_path)
     assert _digest(search_artifact(capsys, seed)) == SEARCH_DIGESTS[seed]
+
+
+def test_defect_rate_search_report_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # eight candidates per init round, so the pool needs a second round
+    artifact = search_artifact(
+        capsys,
+        4,
+        search={"init_candidates": 8},
+        generator={"defect_rates": CRITERION6_RATES},
+    )
+    assert _digest(artifact) == DEFECT_SEARCH_DIGEST
 
 
 def test_validate_report_digest(tmp_path, monkeypatch, capsys):

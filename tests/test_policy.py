@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from catloop.policy import (
+    DEFAULT_EPSILON,
     CandidateGroup,
     GroupMember,
     GrpoConfig,
@@ -33,9 +34,9 @@ def seq(cur, ref=None, tokens=None):
     return SequenceLogProbs(tokens=toks, logp_current=cur, logp_reference=ref)
 
 
-def group_of(rewards, epsilon=1e-8):
+def group_of(rewards):
     members = tuple(GroupMember(seq([-1.0, -1.0]), r) for r in rewards)
-    return CandidateGroup("p", members, epsilon)
+    return CandidateGroup("p", members)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +44,7 @@ def group_of(rewards, epsilon=1e-8):
 
 
 def test_advantages_frozen_example():
-    adv = group_advantages(group_of([0.2, 0.8, 0.5], epsilon=0.0))
+    adv = group_advantages(group_of([0.2, 0.8, 0.5]), epsilon=0.0)
     assert adv == pytest.approx([-SQRT_1_5, SQRT_1_5, 0.0], abs=1e-12)
 
 
@@ -59,23 +60,23 @@ def test_advantages_equal_rewards_are_zero():
     # 0.5 is exactly representable, so the deviations are literally zero
     assert np.all(group_advantages(group_of([0.5, 0.5, 0.5])) == 0.0)
     # even with epsilon exactly zero the degenerate case is defined as zero
-    assert np.all(group_advantages(group_of([0.5, 0.5], epsilon=0.0)) == 0.0)
+    assert np.all(group_advantages(group_of([0.5, 0.5]), epsilon=0.0) == 0.0)
     # rewards like 0.4 leave ~1e-17 rounding residue in the mean; near-zero only
     assert np.all(np.abs(group_advantages(group_of([0.4, 0.4, 0.4]))) <= 1e-8)
 
 
 def test_advantages_epsilon_shrinks_magnitude():
-    g0 = group_of([0.0, 1.0], epsilon=0.0)
-    g1 = group_of([0.0, 1.0], epsilon=0.5)
-    a0 = group_advantages(g0)
-    a1 = group_advantages(g1)
+    g = group_of([0.0, 1.0])
+    a0 = group_advantages(g, epsilon=0.0)
+    a1 = group_advantages(g, epsilon=0.5)
     assert abs(a1[1]) < abs(a0[1])
     assert a0[1] == pytest.approx(1.0)  # (1 - 0.5) / 0.5
     assert a1[1] == pytest.approx(0.5)  # (1 - 0.5) / (0.5 + 0.5)
 
 
 def test_advantages_override_epsilon():
-    g = group_of([0.0, 1.0], epsilon=0.0)
+    g = group_of([0.0, 1.0])
+    assert group_advantages(g)[1] == 0.5 / (0.5 + DEFAULT_EPSILON)
     assert group_advantages(g, epsilon=0.5)[1] == pytest.approx(0.5)
 
 
@@ -110,7 +111,7 @@ def two_member_group(beta_matters=False):
     ref1 = (-1.0, -1.0) if beta_matters else (-0.5, -0.5)
     m1 = GroupMember(seq([-0.5, -0.5], ref=ref1), reward=1.0)
     m2 = GroupMember(seq([-2.0, -2.0]), reward=0.0)
-    return CandidateGroup("p", (m1, m2), epsilon=0.0)
+    return CandidateGroup("p", (m1, m2))
 
 
 def test_grpo_loss_frozen_example():
@@ -129,15 +130,17 @@ def test_grpo_loss_beta_term():
 
 
 def test_grpo_loss_uses_group_epsilon_only_via_config():
-    g = group_of([0.0, 1.0], epsilon=123.0)  # large group epsilon
+    g = group_of([0.0, 1.0])
     total, _ = grpo_loss(g, GrpoConfig(beta=0.0, epsilon=0.0))
-    # config epsilon wins inside the loss
     assert total == pytest.approx(-np.mean([-1.0 * -1.0, 1.0 * -1.0]), abs=1e-12)
+    # a large config epsilon shrinks the advantages, and so the loss
+    damped, _ = grpo_loss(g, GrpoConfig(beta=0.0, epsilon=123.0))
+    assert damped == pytest.approx(total / 123.5, abs=1e-12)
 
 
 def test_equal_rewards_loss_is_pure_kl():
     m = GroupMember(seq([-1.0], ref=[-2.0]), reward=0.5)
-    g = CandidateGroup("p", (m, m), epsilon=1e-8)
+    g = CandidateGroup("p", (m, m))
     total, per = grpo_loss(g, GrpoConfig(beta=0.2))
     assert per == pytest.approx([0.2, 0.2], abs=1e-12)
     assert total == pytest.approx(0.2, abs=1e-12)
@@ -165,7 +168,9 @@ def test_member_and_group_validation():
     with pytest.raises(ValueError):
         CandidateGroup("p", (GroupMember(seq([-1.0]), 1.0),))
     with pytest.raises(ValueError):
-        group_of([0.0, 1.0], epsilon=-1e-9)
+        group_advantages(group_of([0.0, 1.0]), epsilon=-1e-9)
+    with pytest.raises(ValueError):
+        group_advantages(group_of([0.0, 1.0]), epsilon=float("inf"))
     with pytest.raises(ValueError):
         GrpoConfig(beta=-0.1)
     with pytest.raises(ValueError):
@@ -245,7 +250,7 @@ def toy_group(theta):
         GroupMember(sequences_from_token_counts(theta, THETA_REF, toks), r)
         for toks, r in zip(TOKEN_SEQS, REWARDS)
     )
-    return CandidateGroup("toy", members, epsilon=0.0)
+    return CandidateGroup("toy", members)
 
 
 def toy_loss(theta):
@@ -257,7 +262,7 @@ def analytic_gradient(theta):
     # mean_k [-A_k * l_k + beta * (l_k - l_k_ref)] with A independent of theta
     p = np.exp(theta - np.max(theta))
     p /= p.sum()
-    adv = group_advantages(toy_group(theta))
+    adv = group_advantages(toy_group(theta), epsilon=0.0)
     grad = np.zeros(VOCAB)
     for a_k, toks in zip(adv, TOKEN_SEQS):
         counts = np.bincount(np.array(toks), minlength=VOCAB) / T
@@ -292,7 +297,7 @@ def test_gradient_descent_reduces_loss():
 # JSON records
 
 
-def record(epsilon=None):
+def record():
     obj = {
         "prompt_id": "g1",
         "members": [
@@ -309,15 +314,12 @@ def record(epsilon=None):
             },
         ],
     }
-    if epsilon is not None:
-        obj["epsilon"] = epsilon
     return obj
 
 
 def test_group_from_json_dict():
-    g = group_from_json_dict(record(epsilon=0.0))
+    g = group_from_json_dict(record())
     assert g.prompt_id == "g1"
-    assert g.epsilon == 0.0
     assert g.members[0].logprobs.tokens == (3, 7)
     # tokens fall back to positional indices when omitted
     assert g.members[1].logprobs.tokens == (0, 1)
@@ -325,14 +327,15 @@ def test_group_from_json_dict():
     assert total == pytest.approx(-0.75, abs=1e-12)
 
 
-def test_group_from_json_dict_default_epsilon():
-    assert group_from_json_dict(record()).epsilon == 1e-8
-    assert group_from_json_dict(record(), default_epsilon=0.5).epsilon == 0.5
-    assert group_from_json_dict(record(epsilon=0.25)).epsilon == 0.25
+def test_group_from_json_dict_rejects_epsilon():
+    # the z-score epsilon has one source, GrpoConfig.epsilon (--epsilon)
+    for epsilon in (0.0, 0.25, None):
+        with pytest.raises(ValueError, match="--epsilon"):
+            group_from_json_dict({**record(), "epsilon": epsilon})
 
 
 def test_group_from_json_line_round_trip():
-    g = group_from_json_line(json.dumps(record(epsilon=0.0)))
+    g = group_from_json_line(json.dumps(record()))
     assert len(g.members) == 2
 
 

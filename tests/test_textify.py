@@ -10,7 +10,7 @@ from catloop.textify import (
     reduced_formula,
     to_system_text,
 )
-from conftest import BAD_COMPOSITIONS, make_structure
+from conftest import BAD_COMPOSITIONS, BAD_SIDECAR_INTEGERS, make_structure
 
 
 def test_hill_sorted():
@@ -49,6 +49,16 @@ def test_metadata_validation():
 def test_metadata_rejects_bad_composition(composition):
     with pytest.raises(ValueError, match="catalyst composition"):
         SystemMetadata(frozenset({0}), frozenset(), composition, (1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "key, value", BAD_SIDECAR_INTEGERS.values(), ids=list(BAD_SIDECAR_INTEGERS)
+)
+def test_metadata_rejects_non_integer_indices(cu_slab, key, value):
+    obj = cu_slab[1].to_json_dict()
+    obj[key] = value
+    with pytest.raises(ValueError, match="must be integers"):
+        SystemMetadata.from_json_dict(obj)
 
 
 def test_metadata_json_round_trip():
