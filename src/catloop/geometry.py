@@ -3,21 +3,33 @@
 All routines treat the cell as fully periodic and work for arbitrary (also
 strongly skewed) cells.  Distances are in angstroms.
 
-Every distance comes from one kernel, `_pair_table`, which finds all
-upper-triangle site pairs within a cutoff over the lattice offsets that can
-reach it and memoizes the table on the structure at the largest cutoff asked
-for so far; smaller cutoffs, scalar or per pair, filter it.  The slab bound
-(`_slab_spacings`) sizes the offset grid once per structure and then, per
-pair and axis, skips every image it rules out, so only images that can lie
-within the cutoff are measured.  A cell below `DEGENERATE_VOLUME`, or
-needing more than `MAX_IMAGES` offsets for a cutoff, raises
-`DegenerateCellError`.  Pairs and neighbor lists come back as a `PairTable`,
-one array per column and one row per pair.
+Every distance comes from one kernel, `_build_tables`, reached through
+`_pair_table`.  It finds all upper-triangle site pairs within a cutoff over
+the lattice offsets that can reach it and memoizes the table on the
+structure at the largest cutoff asked for so far; smaller cutoffs, scalar
+or per pair, filter it.  The slab bound (`_slab_spacings`) sizes the offset
+grid and then, per pair and axis, skips every image it rules out, so only
+images that can lie within the cutoff are measured.  A cell below
+`DEGENERATE_VOLUME`, or needing more than `MAX_IMAGES` offsets for a
+cutoff, raises `DegenerateCellError`.  Pairs and neighbor lists come back
+as a `PairTable`, one array per column and one row per pair.
+
+The kernel builds several tables in one pass: structures with the same site
+count and offset reach are stacked along a leading axis, so each cell
+matrix and slab bound broadcasts over its own pairs.  A structure asked
+about alone is a batch of one.  Inside `shared_pair_pass`, which the search
+opens around each generation, the first miss of a member builds that
+cutoff for every member without a table, so a generation shares one pass
+instead of building one table per candidate.  Every table is bit-identical
+to the one the structure would build alone.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -27,7 +39,7 @@ from .elements import COVALENT_RADII
 DEGENERATE_VOLUME = 1e-6  # cubic angstroms
 DEFAULT_NEIGHBOR_SCALE = 1.2
 MAX_IMAGES = 100_000  # lattice offsets one enumeration may lay out
-_BLOCK_ROWS = 1 << 16  # cells of one block's (pairs x images) mask
+_BLOCK_ROWS = 1 << 16  # cells of one block's (structures x pairs x images) mask
 _BOUND_SLACK = 1e-9  # keeps a bound's own image despite rounding
 
 
@@ -35,12 +47,13 @@ class DegenerateCellError(ValueError):
     """Raised when a cell is too small for distance work."""
 
 
+_SMALL_CELL = f"cell volume below {DEGENERATE_VOLUME} cubic angstroms"
+
+
 def _check_cell(structure: Structure) -> np.ndarray:
     matrix = structure.lattice.matrix
     if abs(float(np.linalg.det(matrix))) < DEGENERATE_VOLUME:
-        raise DegenerateCellError(
-            f"cell volume below {DEGENERATE_VOLUME} cubic angstroms"
-        )
+        raise DegenerateCellError(_SMALL_CELL)
     return matrix
 
 
@@ -50,8 +63,8 @@ def _slab_spacings(matrix: np.ndarray) -> np.ndarray:
     A displacement with fractional component f_k along axis k has cartesian
     length >= |f_k| * spacing_k, which is what bounds the image search.
     """
-    inv = np.linalg.inv(matrix)
-    return 1.0 / np.linalg.norm(inv, axis=0)
+    inv = np.linalg.inv(matrix)  # (3, 3) or stacked (B, 3, 3)
+    return 1.0 / np.sqrt((inv * inv).sum(axis=-2))
 
 
 @dataclass(frozen=True, eq=False)  # an array == array has no single truth value
@@ -80,49 +93,156 @@ def _pair_table(structure: Structure, cutoff: float) -> PairTable:
     """Every periodic pair within `cutoff` or a larger memoized cutoff.
 
     Ordered as in `iter_periodic_pairs`; memoized like `Lattice.matrix`,
-    beside the cutoff it was built for.
+    beside the cutoff it was built for.  Inside `shared_pair_pass`, a miss
+    also builds this cutoff for every member of the group that has no table
+    yet, in the same pass.
     """
     memo_cutoff, memo = structure.__dict__.get("_pair_table", (-np.inf, None))
     if cutoff <= memo_cutoff:
         return memo
-    matrix = _check_cell(structure)
-    spacings = _slab_spacings(matrix)
+    siblings = [
+        s for s in structure.__dict__.get("_pair_group", ())
+        if s is not structure and "_pair_table" not in s.__dict__
+    ]
+    _build_tables([structure, *siblings], cutoff)
+    return structure.__dict__["_pair_table"][1]
+
+
+@contextmanager
+def shared_pair_pass(structures: Iterable[Structure]) -> Iterator[None]:
+    """Group `structures` so that their pair tables are built together.
+
+    Inside the scope, the first `_pair_table` miss of a member builds that
+    cutoff for every member without a table, one stacked pass per site
+    count.  The grouping is removed on exit, also on an exception, so no
+    structure keeps its siblings alive.
+    """
+    group = tuple(structures)
+    for s in group:
+        s.__dict__["_pair_group"] = group
+    try:
+        yield
+    finally:
+        for s in group:
+            s.__dict__.pop("_pair_group", None)
+
+
+def _build_tables(structures: list[Structure], cutoff: float) -> None:
+    """Build and memoize the `cutoff` tables of `structures`.
+
+    The first structure asked: a degenerate cell or a cutoff over the image
+    budget raises for it.  Any other structure with a degenerate cell, or
+    whose offset reach differs from the first one's, is skipped and builds
+    (or raises) on its own call.  The rest share one offset grid.
+    """
+    matrices = np.array([s.lattice.matrix for s in structures])
+    degenerate = (np.abs(np.linalg.det(matrices)) < DEGENERATE_VOLUME).tolist()
+    if degenerate[0]:
+        raise DegenerateCellError(_SMALL_CELL)
+    if any(degenerate):  # a singular matrix would fail `_slab_spacings`
+        structures = [s for s, bad in zip(structures, degenerate) if not bad]
+        matrices = matrices[np.logical_not(degenerate)]
+    spacings = _slab_spacings(matrices)
     reach = np.ceil(cutoff / spacings + 0.5)
-    n_images = float(np.prod(2.0 * reach + 1.0))
+    reaches = reach.tolist()
+    a, b, c = reaches[0]
+    n_images = (2.0 * a + 1.0) * (2.0 * b + 1.0) * (2.0 * c + 1.0)
     if not n_images <= MAX_IMAGES:  # also catches a NaN cutoff
         raise DegenerateCellError(
             f"{n_images:.4g} lattice images within {cutoff:.4g} A (limit {MAX_IMAGES})"
         )
-    reach = reach.astype(int)
-    offsets = np.indices(2 * reach + 1).reshape(3, -1).T - reach
-    axes = [np.arange(-r, r + 1) for r in reach]
-    g = len(offsets)
-    # a pair or image whose fractional displacement exceeds this on any axis
-    # lies beyond the cutoff (`_slab_spacings`), so it is never measured
+    # a pair or image whose fractional displacement exceeds `bound` on any
+    # axis lies beyond the cutoff (`_slab_spacings`), so it is never measured
     bound = cutoff / spacings * (1.0 + _BOUND_SLACK)
-    frac = structure.frac_coords()
-    pi, pj = np.triu_indices(len(frac))
-    step = max(1, _BLOCK_ROWS // g)
-    parts = []
-    for start in range(0, len(pi), step):
-        bi, bj = pi[start : start + step], pj[start : start + step]
-        delta = frac[bj] - frac[bi]
-        near = np.all(np.abs(delta - np.round(delta)) <= bound, axis=1)
-        bi, bj, delta = bi[near], bj[near], delta[near]
-        ax = [np.abs(d[:, None] + a) <= b for d, a, b in zip(delta.T, axes, bound)]
-        hit = ax[0][:, :, None, None] & ax[1][:, None, :, None]
-        hit = (hit & ax[2][:, None, None, :]).reshape(len(bi), g)
-        hit[bi == bj, : g // 2 + 1] = False  # the zero offset sits at g // 2
-        p, k = np.nonzero(hit)
-        # (delta + offset) @ matrix, not delta @ M + offset @ M: the two round
-        # differently, and a distance must not depend on the cutoff asked for.
-        dist = np.linalg.norm((delta[p] + offsets[k]) @ matrix, axis=1)
-        keep = dist <= cutoff
-        p, k = p[keep], k[keep]
-        parts.append((bi[p], bj[p], offsets[k], dist[keep]))
-    table = PairTable(*(np.concatenate(c) for c in zip(*parts)))
-    structure.__dict__["_pair_table"] = (cutoff, table)
-    return table
+    by_sites: dict[int, list[int]] = {}
+    for k, s in enumerate(structures):
+        if reaches[k] == reaches[0]:
+            by_sites.setdefault(len(s.sites), []).append(k)
+    for ks in by_sites.values():
+        rows = slice(None) if len(ks) == len(structures) else ks  # a view if all
+        _stacked_pass(
+            [structures[k] for k in ks], matrices[rows], bound[rows],
+            (int(a), int(b), int(c)), cutoff,
+        )
+
+
+@lru_cache(maxsize=8)  # at most 8 x 2.4 MB at the image budget; a few KB in practice
+def _offset_grid(
+    reach: tuple[int, int, int],
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Lattice offsets within `reach` in lexicographic order, and each axis's range.
+
+    Shared by every caller, so both come back read-only.
+    """
+    r = np.array(reach)
+    offsets = np.indices(2 * r + 1).reshape(3, -1).T - r
+    axes = tuple(np.arange(-k, k + 1) for k in reach)
+    for a in (offsets, *axes):
+        a.setflags(write=False)
+    return offsets, axes
+
+
+def _stacked_pass(
+    structures: list[Structure],
+    matrices: np.ndarray,
+    bound: np.ndarray,
+    reach: tuple[int, int, int],
+    cutoff: float,
+) -> None:
+    """Memoize the `cutoff` tables of same-size structures, stacked.
+
+    `matrices` (B, 3, 3) and `bound` (B, 3) hold each structure's cell and
+    slab bound; the offset grid of `reach` serves them all.  The masks are
+    laid out (structures, pairs, images), and a block of them holds at most
+    `_BLOCK_ROWS` cells over the whole batch.  Only the images a structure
+    keeps are measured, with one product per structure and block.
+    """
+    n = len(structures[0].sites)
+    frac = np.array(
+        [site.frac for s in structures for site in s.sites], dtype=float
+    ).reshape(len(structures), n, 3)
+    offsets, axes = _offset_grid(reach)
+    g = len(offsets)
+    sites = np.arange(n)
+    pi, pj = np.nonzero(np.less_equal.outer(sites, sites))  # np.triu_indices(n)
+    chunk = max(1, _BLOCK_ROWS // (g * len(pi)))
+    parts: list[list] = [[] for _ in structures]
+    for lo in range(0, len(structures), chunk):
+        rows = slice(lo, lo + chunk)
+        fr, mats, bnd = frac[rows], matrices[rows], bound[rows]
+        bs = len(fr)
+        bnd_axes = bnd.T[:, :, None, None]  # per axis, broadcast as (bs, 1, 1)
+        step = max(1, _BLOCK_ROWS // (g * bs))
+        for start in range(0, len(pi), step):
+            bi, bj = pi[start : start + step], pj[start : start + step]
+            delta = fr[:, bj] - fr[:, bi]
+            # a pair that no member sees within its bound on every axis has
+            # no image to measure (three ANDs beat np.all over a length-3 axis)
+            within = np.abs(delta - np.rint(delta)) <= bnd[:, None]
+            near = (within[..., 0] & within[..., 1] & within[..., 2]).any(axis=0)
+            bi, bj, delta = bi[near], bj[near], delta[:, near]
+            ax = [
+                np.abs(d[..., None] + a) <= lim
+                for d, a, lim in zip(delta.transpose(2, 0, 1), axes, bnd_axes)
+            ]
+            hit = ax[0][..., :, None, None] & ax[1][..., None, :, None]
+            hit = (hit & ax[2][..., None, None, :]).reshape(bs, len(bi), g)
+            hit[:, bi == bj, : g // 2 + 1] = False  # the zero offset sits at g // 2
+            for b in range(bs):
+                p, k = np.nonzero(hit[b])
+                # (delta + offset) @ matrix, not delta @ M + offset @ M: the two
+                # round differently, and a distance must not depend on the
+                # cutoff asked for.  The product is a 2D one per structure, as
+                # alone: BLAS fuses multiply-adds that numpy's own `*` and `+`
+                # do not, so no element-wise form matches it bit for bit.
+                cart = (delta[b, p] + offsets[k]) @ mats[b]
+                dist = np.sqrt((cart * cart).sum(axis=1))  # np.linalg.norm's sum
+                keep = dist <= cutoff
+                p, k = p[keep], k[keep]
+                parts[lo + b].append((bi[p], bj[p], offsets[k], dist[keep]))
+    for s, part in zip(structures, parts):
+        table = PairTable(*(np.concatenate(c) for c in zip(*part)))
+        s.__dict__["_pair_table"] = (cutoff, table)
 
 
 def min_image_distance(structure: Structure, i: int, j: int) -> float:

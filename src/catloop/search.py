@@ -29,9 +29,9 @@ from typing import Iterable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
-from .cif import AtomSite, Lattice, Structure, parse_cif, serialize_cif
+from .cif import AtomSite, Lattice, ParseOutcome, Structure, parse_cif, serialize_cif
 from .elements import COVALENT_RADII
-from .geometry import iter_periodic_pairs
+from .geometry import iter_periodic_pairs, shared_pair_pass
 from .reward import (
     DEFAULT_PHYS,
     DEFAULT_WEIGHTS,
@@ -133,18 +133,20 @@ class PairPotentialSurrogate:
 
     def predict(self, structure: Structure) -> float:
         r = np.array([self.radii[s.element] for s in structure.sites])
-        total = 0.0
         t = iter_periodic_pairs(structure, self.cutoff)
-        for i, j, dist in zip(t.i.tolist(), t.j.tolist(), t.distance.tolist()):
-            rsum = r[i] + r[j]
-            eps = self.depth_scale * rsum / 2.0
-            sigma = rsum / _SIXTH_ROOT_OF_TWO
-            if dist < 1e-9:
-                total += self.bond_cap
-                continue
-            x6 = (sigma / dist) ** 6
-            total += min(self.bond_cap, 4.0 * eps * (x6 * x6 - x6))
-        return total
+        if not len(t):
+            return 0.0
+        rsum = r[t.i] + r[t.j]
+        eps = self.depth_scale * rsum / 2.0
+        sigma = rsum / _SIXTH_ROOT_OF_TWO
+        coincident = t.distance < 1e-9
+        x = sigma / np.where(coincident, 1.0, t.distance)
+        # libm pow per term: numpy's own powers round differently
+        x6 = np.array([math.pow(v, 6.0) for v in x.tolist()])
+        terms = np.minimum(self.bond_cap, 4.0 * eps * (x6 * x6 - x6))
+        terms[coincident] = self.bond_cap
+        # cumsum adds in row order, as a running total would; np.sum does not
+        return float(np.cumsum(terms)[-1])
 
 
 @dataclass(frozen=True)
@@ -457,9 +459,20 @@ class SearchConfig:
             raise ValueError("success_tolerance must be positive")
         if not isinstance(self.target_composition, Mapping):
             raise TypeError("target_composition must map elements to counts")
+        counts = {}
         for el, cnt in self.target_composition.items():
-            if int(cnt) < 0:
+            if el not in COVALENT_RADII:
+                raise ValueError(f"unknown element {el!r} in target_composition")
+            try:
+                count = operator.index(cnt)  # numpy integers pass, 2.5 and "4" do not
+            except TypeError:
+                count = None
+            if count is None or isinstance(cnt, bool):  # operator.index(True) is 1
+                raise TypeError(f"target count for {el!r} must be an integer, got {cnt!r}")
+            if count < 0:
                 raise ValueError(f"negative target count for {el!r}")
+            counts[el] = count
+        object.__setattr__(self, "target_composition", counts)
 
     def to_json_dict(self) -> dict:
         return {
@@ -491,7 +504,17 @@ def combined_reward(
     also scores the candidate 0, with the exception recorded as a
     diagnostic rather than propagated.
     """
-    outcome = parse_cif(candidate_text)
+    return _score_outcome(parse_cif(candidate_text), predictor, cfg, weights, phys)
+
+
+def _score_outcome(
+    outcome: ParseOutcome,
+    predictor: EnergyPredictor,
+    cfg: SearchConfig,
+    weights: RewardWeights,
+    phys: PhysConfig,
+) -> tuple[float, CombinedBreakdown]:
+    """`combined_reward` of an already-parsed candidate."""
     structure = outcome.structure
     diagnostics: list[str] = []
     energy = None
@@ -680,26 +703,32 @@ def _generation(
 
     Returns every candidate's score and, in seed order, a `PoolEntry` for
     each candidate that passes the hard constraints and has an energy.  No
-    pool is read or changed here.
+    pool is read or changed here.  The whole generation is parsed first
+    and scored inside one `shared_pair_pass`, so the first pair-table miss
+    builds that cutoff for every parsed candidate at once.
     """
+    texts = [
+        generator.propose(exemplar, cfg.target_composition, int(rng.integers(2**32)))
+        for _ in range(n)
+    ]
+    outcomes = [parse_cif(text) for text in texts]
     scores: list[float] = []
     entries: list[PoolEntry] = []
-    for _ in range(n):
-        seed = int(rng.integers(2**32))
-        text = generator.propose(exemplar, cfg.target_composition, seed)
-        score, br = combined_reward(text, predictor, cfg, weights, phys)
-        scores.append(score)
-        if br.hard_pass and br.energy is not None:
-            entries.append(
-                PoolEntry(
-                    structure=br.structure,
-                    cif_text=text,
-                    score=score,
-                    energy=br.energy,
-                    pvcp_total=br.pvcp.total,
-                    iteration=iteration,
+    with shared_pair_pass(o.structure for o in outcomes if o.ok):
+        for text, outcome in zip(texts, outcomes):
+            score, br = _score_outcome(outcome, predictor, cfg, weights, phys)
+            scores.append(score)
+            if br.hard_pass and br.energy is not None:
+                entries.append(
+                    PoolEntry(
+                        structure=br.structure,
+                        cif_text=text,
+                        score=score,
+                        energy=br.energy,
+                        pvcp_total=br.pvcp.total,
+                        iteration=iteration,
+                    )
                 )
-            )
     return scores, entries
 
 

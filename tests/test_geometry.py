@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from catloop import geometry
 from catloop.cif import Lattice
 from catloop.geometry import (
     DegenerateCellError,
@@ -13,6 +14,7 @@ from catloop.geometry import (
     iter_periodic_pairs,
     min_image_distance,
     min_pair_distance,
+    shared_pair_pass,
     volume_per_atom,
 )
 from catloop.elements import COVALENT_RADII
@@ -128,6 +130,99 @@ def test_memoized_queries_equal_fresh_structures():
             want = pairs(fresh, cutoff)
             assert pairs(s, cutoff) == want
             assert want == brute_force_pairs(s, cutoff)
+
+
+def batch_members(rng):
+    """Structures for one shared pass: mixed sizes, cells and reaches.
+
+    At 6 A the 5.2-5.8 A and 4.2 A cells have offset reach (2, 2, 2), the
+    12.5-14 A cells (1, 1, 1) and the 25-degree cell (4, 4, 2); two cells
+    are degenerate and one needs more than MAX_IMAGES images.
+    """
+    out = []
+    for n, span in ((3, (5.2, 5.8)), (1, (5.2, 5.8)), (5, (5.2, 5.8)),
+                    (3, (12.5, 14.0)), (2, (12.5, 14.0)), (3, (5.2, 5.8))):
+        species = [["Cu", "O", "Pt"][k] for k in rng.integers(0, 3, size=n)]
+        out.append(make_structure(species, rng.random((n, 3)),
+                                  lengths=rng.uniform(*span, size=3)))
+    out += [
+        make_structure(  # skewed, a coincident pair and a pair 1e-12 A apart
+            ["Cu", "Cu", "O", "O"],
+            [(0.3, 0.3, 0.3), (0.3, 0.3, 0.3), (0.6, 0.5, 0.4), (0.6, 0.5, 0.4 + 1e-12)],
+            lengths=(7.0, 7.5, 8.0), angles=(80, 95, 60),
+        ),
+        make_structure(["Pt", "O", "Cu"], rng.random((3, 3)),
+                       lengths=(6.0, 6.5, 7.0), angles=(78, 96, 25)),
+        make_structure(["Cu"], [(0, 0, 0)], lengths=(0.005,) * 3),
+        # valid parameters whose matrix underflows to singular: inverting it
+        # with the batch would raise LinAlgError
+        make_structure(["O"], [(0, 0, 0)], lengths=(1.0, 1.0, 5e-324),
+                       angles=(30, 30, 30)),
+        make_structure(["Cu", "O"], [(0, 0, 0), (0.5, 0.5, 0.5)], lengths=(0.2,) * 3),
+        # a wider slab bound than the first member's, with a pair that only
+        # this member's own bound keeps
+        make_structure(["Cu", "O"], [(0, 0, 0), (0.4, 0, 0)], lengths=(4.2,) * 3),
+        make_structure(["O", "Cu", "Cu"], rng.random((3, 3)), lengths=(5.5, 5.6, 5.4)),
+    ]
+    return out
+
+
+def offset_reach(structure, cutoff):
+    """The offset reach the kernel lays out, or None for a degenerate cell."""
+    m = structure.lattice.matrix
+    if abs(np.linalg.det(m)) < 1e-6:
+        return None
+    spacings = 1.0 / np.linalg.norm(np.linalg.inv(m), axis=0)
+    return tuple(np.ceil(cutoff / spacings + 0.5))
+
+
+def table_or_error(structure, cutoff):
+    try:
+        return geometry._pair_table(structure, cutoff)
+    except DegenerateCellError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("block_rows", [None, 64])
+@pytest.mark.parametrize("cutoff", [6.0, 2.0])
+def test_shared_pass_tables_equal_tables_built_alone(monkeypatch, cutoff, block_rows):
+    members = batch_members(np.random.default_rng(43))
+    alone = [table_or_error(dataclasses.replace(s), cutoff) for s in members]
+    errors = {err.split()[1] for err in alone if isinstance(err, str)}
+    assert errors == ({"volume", "lattice"} if cutoff == 6.0 else {"volume"})
+    if block_rows is not None:  # many chunks and blocks over the batch
+        monkeypatch.setattr(geometry, "_BLOCK_ROWS", block_rows)
+    group = [dataclasses.replace(s) for s in members]  # no memoized tables
+    reaches = [offset_reach(s, cutoff) for s in group]
+    assert len(set(reaches)) >= 3
+    with shared_pair_pass(group):
+        first = table_or_error(group[0], cutoff)
+        # one pass built every member with the first one's reach, of any size
+        assert ["_pair_table" in s.__dict__ for s in group] == [
+            r == reaches[0] for r in reaches
+        ]
+        got = [first] + [table_or_error(s, cutoff) for s in group[1:]]
+    for want, have in zip(alone, got):
+        if isinstance(want, str):  # the same error as alone, on its own call
+            assert have == want
+            continue
+        assert len(have) == len(want)
+        for col in ("i", "j", "image"):
+            assert np.array_equal(getattr(have, col), getattr(want, col))
+        assert have.distance.tobytes() == want.distance.tobytes()
+    assert not any("_pair_group" in s.__dict__ for s in group)
+
+
+def test_shared_pass_ungroups_on_exception():
+    rng = np.random.default_rng(47)
+    group = batch_members(rng)
+    degenerate = next(s for s in group if s.lattice.volume < 1e-6)
+    with pytest.raises(DegenerateCellError):
+        with shared_pair_pass(group):
+            first = pairs(group[0], 6.0)
+            iter_periodic_pairs(degenerate, 6.0)
+    assert not any("_pair_group" in s.__dict__ for s in group)
+    assert first == pairs(dataclasses.replace(group[0]), 6.0)
 
 
 def test_min_image_beyond_shortest_lattice_vector():

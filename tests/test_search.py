@@ -9,7 +9,7 @@ import pytest
 
 from catloop import geometry
 from catloop.cif import parse_cif, serialize_cif
-from catloop.geometry import min_pair_distance, volume_per_atom
+from catloop.geometry import iter_periodic_pairs, min_pair_distance, volume_per_atom
 from catloop.reward import FailureMode, passes_hard_constraints, pvcp
 from catloop.search import (
     CandidateGenerator,
@@ -27,7 +27,7 @@ from catloop.search import (
     refine_step,
     run_search,
 )
-from conftest import MINIMAL_CIF, make_structure
+from conftest import MINIMAL_CIF, make_structure, random_structure
 
 
 class FixedPredictor:
@@ -116,6 +116,46 @@ def test_surrogate_deterministic():
     surr = PairPotentialSurrogate()
     s = cu_dimer(2.9)
     assert surr.predict(s) == surr.predict(s)
+
+
+def loop_predict(surr, structure):
+    """The 12-6 sum as a running total over the pair table, one row at a time."""
+    r = np.array([surr.radii[s.element] for s in structure.sites])
+    total = 0.0
+    t = iter_periodic_pairs(structure, surr.cutoff)
+    for i, j, dist in zip(t.i.tolist(), t.j.tolist(), t.distance.tolist()):
+        rsum = r[i] + r[j]
+        eps = surr.depth_scale * rsum / 2.0
+        sigma = rsum / 2.0 ** (1.0 / 6.0)
+        if dist < 1e-9:
+            total += surr.bond_cap
+            continue
+        x6 = (sigma / dist) ** 6
+        total += min(surr.bond_cap, 4.0 * eps * (x6 * x6 - x6))
+    return total
+
+
+def test_surrogate_equals_running_total():
+    rng = np.random.default_rng(53)
+    structures = [random_structure(rng, max_sites=12) for _ in range(40)]
+    structures.append(make_structure(  # coincident; 1e-12 and 1e-9 (fractional) apart
+        ["Cu", "Cu", "O", "O", "Pt", "Pt"],
+        [(0.3, 0.3, 0.3), (0.3, 0.3, 0.3), (0.6, 0.5, 0.4),
+         (0.6, 0.5, 0.4 + 1e-12), (0.1, 0.8, 0.2), (0.1, 0.8, 0.2 + 1e-9)],
+        lengths=(5.0, 6.0, 7.0), angles=(80, 100, 70),
+    ))
+    surrogates = (
+        PairPotentialSurrogate(),
+        PairPotentialSurrogate(depth_scale=1.7, cutoff=4.5, bond_cap=0.25),
+    )
+    for s in structures:
+        for surr in surrogates:
+            assert surr.predict(s) == loop_predict(surr, s)
+    # a cell whose 6 A table is empty: 0.0 as a Python float
+    empty = cu_dimer(7.0)
+    assert not len(iter_periodic_pairs(empty, 6.0))
+    energy = PairPotentialSurrogate().predict(empty)
+    assert type(energy) is float and energy == 0.0
 
 
 def test_surrogate_satisfies_protocol():
@@ -408,9 +448,26 @@ def test_search_config_validation():
         base_config(pool_capacity=2.5)
     with pytest.raises(TypeError):
         base_config(target_composition=["Cu"])
-    cfg = base_config(seed=np.int64(3), iterations=np.int32(2))
+    cfg = base_config(seed=np.int64(3), iterations=np.int32(2),
+                      target_composition={"Cu": np.int64(4), "O": 2})
     assert type(cfg.seed) is int and type(cfg.iterations) is int  # JSON-safe
+    assert type(cfg.target_composition["Cu"]) is int
     json.dumps(cfg.to_json_dict())
+
+
+@pytest.mark.parametrize(
+    "composition, error",
+    [
+        ({"Cu": 2.5}, TypeError),
+        ({"Cu": "4"}, TypeError),
+        ({"Xx": 2}, ValueError),
+        ({"Cu": True, "O": 1}, TypeError),
+        ({"Cu": -1}, ValueError),
+    ],
+)
+def test_search_config_rejects_bad_target_counts(composition, error):
+    with pytest.raises(error):
+        base_config(target_composition=composition)
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +602,27 @@ def test_initialize_pool_failing_predictor_raises():
         initialize_pool(
             MutationGenerator(), FailingPredictor(), cfg, np.random.default_rng(0)
         )
+
+
+def test_refine_step_builds_one_shared_pass(monkeypatch):
+    # the 16 candidates share one kernel run at the surrogate's 6 A, and no
+    # structure keeps its generation's grouping afterwards
+    cfg = base_config(target_composition={"Cu": 4, "O": 2}, pool_capacity=4,
+                      init_candidates=8, candidates_per_iteration=16)
+    rng = np.random.default_rng(2)
+    gen, pred = MutationGenerator(), PairPotentialSurrogate()
+    pool, _ = initialize_pool(gen, pred, cfg, rng)
+    build = geometry._build_tables
+    calls = []
+    monkeypatch.setattr(
+        geometry, "_build_tables",
+        lambda structures, cutoff: calls.append((len(structures), cutoff))
+        or build(structures, cutoff),
+    )
+    log = refine_step(pool, gen, pred, cfg, rng, 1)
+    assert calls == [(16, 6.0)]
+    assert len(log.candidate_scores) == 16 and min(log.candidate_scores) > 0.0
+    assert not any("_pair_group" in e.structure.__dict__ for e in pool.entries)
 
 
 def test_refine_step_properties():
