@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .cif import composition_of, parse_cif
+from .cif import ParseOutcome, composition_of, parse_cif
 from .elements import check_composition
 from .geometry import (
     DEFAULT_NEIGHBOR_SCALE,
@@ -52,6 +52,7 @@ from .reward import (
     DEFAULT_PHYS,
     DEFAULT_WEIGHTS,
     RewardBreakdown,
+    _score_in_chunks,
     corpus_failure_rates,
     pvcp_from_outcome,
 )
@@ -277,6 +278,8 @@ def cmd_validate(args: argparse.Namespace, config: dict) -> Outcome:
         for name, comp in table.items():
             where = f"bad targets file entry {name!r}"
             per_file_targets[name] = _composition(comp, where)
+            if not per_file_targets[name]:
+                raise CliError(f"{where}: empty composition")
     uniform_target = parse_composition_arg(args.target) if args.target else None
 
     cfg_snapshot = {
@@ -289,11 +292,11 @@ def cmd_validate(args: argparse.Namespace, config: dict) -> Outcome:
 
     paths = [p for p in args.paths if p in blobs and p != args.targets_file]
 
-    def score_one(path: str) -> tuple[dict, RewardBreakdown]:
-        outcome = parse_cif(blobs[path])
-        target = per_file_targets.get(path) or per_file_targets.get(Path(path).name)
-        if target is None:
-            target = uniform_target
+    def score_one(k: int, outcome: ParseOutcome) -> tuple[dict, RewardBreakdown]:
+        path = paths[k]
+        target = per_file_targets.get(
+            path, per_file_targets.get(Path(path).name, uniform_target)
+        )
         if target is None:
             # default: score the file against its own composition
             target = composition_of(outcome.structure) if outcome.ok else {}
@@ -307,7 +310,7 @@ def cmd_validate(args: argparse.Namespace, config: dict) -> Outcome:
         }
         return record, breakdown
 
-    scored = [score_one(p) for p in paths]
+    scored = _score_in_chunks([blobs[p] for p in paths], score_one)
     body = {
         "files": [record for record, _ in scored],
         "unreadable": unreadable,

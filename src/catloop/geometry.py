@@ -17,11 +17,12 @@ as a `PairTable`, one array per column and one row per pair.
 The kernel builds several tables in one pass: structures with the same site
 count and offset reach are stacked along a leading axis, so each cell
 matrix and slab bound broadcasts over its own pairs.  A structure asked
-about alone is a batch of one.  Inside `shared_pair_pass`, which the search
-opens around each generation, the first miss of a member builds that
-cutoff for every member without a table, so a generation shares one pass
-instead of building one table per candidate.  Every table is bit-identical
-to the one the structure would build alone.
+about alone is a batch of one.  Inside `shared_pair_pass`, the first miss of
+a member builds that cutoff for every member without a table.  The search
+(per generation) and `catloop validate` (per chunk of 64 files) score
+through `reward._score_in_chunks`, which opens one such pass per chunk, so
+a chunk shares one pass instead of building one table per candidate.
+Every table is bit-identical to the one the structure would build alone.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -33,11 +33,18 @@ from .cif import (
     parse_cif,
 )
 from .elements import COVALENT_RADII
-from .geometry import DegenerateCellError, iter_periodic_pairs, volume_per_atom
+from .geometry import (
+    DegenerateCellError,
+    iter_periodic_pairs,
+    shared_pair_pass,
+    volume_per_atom,
+)
 
 CompositionVector = Mapping[str, int]
+_R = TypeVar("_R")
 
 N_VALIDITY_CHECKS = 6
+_SCORE_CHUNK = 64  # parsed candidates, with their pair tables, alive at once
 
 
 class FailureMode(str, Enum):
@@ -326,6 +333,26 @@ def pvcp(
 ) -> RewardBreakdown:
     """Parse candidate CIF text and score it against a target composition."""
     return pvcp_from_outcome(parse_cif(text), target, weights, phys)
+
+
+def _score_in_chunks(
+    texts: Sequence[str | bytes], score: Callable[[int, ParseOutcome], _R]
+) -> list[_R]:
+    """`score(k, parse_cif(texts[k]))` for every k, in order.
+
+    The texts are parsed `_SCORE_CHUNK` at a time, and each chunk is scored
+    inside one `shared_pair_pass`, so the first pair-table miss of a chunk
+    builds that cutoff for every parsed member at once.  A chunk's
+    structures are released before the next chunk is parsed, unless
+    `score` keeps them.
+    """
+    results: list[_R] = []
+    for lo in range(0, len(texts), _SCORE_CHUNK):
+        outcomes = [parse_cif(t) for t in texts[lo : lo + _SCORE_CHUNK]]
+        with shared_pair_pass(o.structure for o in outcomes if o.ok):
+            results.extend(score(k, o) for k, o in enumerate(outcomes, lo))
+        del outcomes  # one chunk of structures alive at a time, not two
+    return results
 
 
 def corpus_failure_rates(breakdowns: Iterable[RewardBreakdown]) -> dict[str, float]:

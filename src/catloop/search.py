@@ -31,7 +31,7 @@ import numpy as np
 
 from .cif import AtomSite, Lattice, ParseOutcome, Structure, parse_cif, serialize_cif
 from .elements import COVALENT_RADII
-from .geometry import iter_periodic_pairs, shared_pair_pass
+from .geometry import iter_periodic_pairs
 from .reward import (
     DEFAULT_PHYS,
     DEFAULT_WEIGHTS,
@@ -39,6 +39,7 @@ from .reward import (
     PhysConfig,
     RewardBreakdown,
     RewardWeights,
+    _score_in_chunks,
     passes_hard_constraints,
     pvcp_from_outcome,
 )
@@ -703,32 +704,33 @@ def _generation(
 
     Returns every candidate's score and, in seed order, a `PoolEntry` for
     each candidate that passes the hard constraints and has an energy.  No
-    pool is read or changed here.  The whole generation is parsed first
-    and scored inside one `shared_pair_pass`, so the first pair-table miss
+    pool is read or changed here.  The candidates are parsed and scored in
+    shared pair passes (`_score_in_chunks`); a generation of up to
+    `reward._SCORE_CHUNK` candidates is one chunk, so the first pair-table miss
     builds that cutoff for every parsed candidate at once.
     """
     texts = [
         generator.propose(exemplar, cfg.target_composition, int(rng.integers(2**32)))
         for _ in range(n)
     ]
-    outcomes = [parse_cif(text) for text in texts]
-    scores: list[float] = []
     entries: list[PoolEntry] = []
-    with shared_pair_pass(o.structure for o in outcomes if o.ok):
-        for text, outcome in zip(texts, outcomes):
-            score, br = _score_outcome(outcome, predictor, cfg, weights, phys)
-            scores.append(score)
-            if br.hard_pass and br.energy is not None:
-                entries.append(
-                    PoolEntry(
-                        structure=br.structure,
-                        cif_text=text,
-                        score=score,
-                        energy=br.energy,
-                        pvcp_total=br.pvcp.total,
-                        iteration=iteration,
-                    )
+
+    def score_one(k: int, outcome: ParseOutcome) -> float:
+        score, br = _score_outcome(outcome, predictor, cfg, weights, phys)
+        if br.hard_pass and br.energy is not None:
+            entries.append(
+                PoolEntry(
+                    structure=br.structure,
+                    cif_text=texts[k],
+                    score=score,
+                    energy=br.energy,
+                    pvcp_total=br.pvcp.total,
+                    iteration=iteration,
                 )
+            )
+        return score
+
+    scores = _score_in_chunks(texts, score_one)
     return scores, entries
 
 

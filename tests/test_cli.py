@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from catloop import __version__
+from catloop import __version__, geometry
 from catloop.cif import parse_cif, serialize_cif
 from catloop.cli import main, parse_composition_arg
 from catloop.search import DefectRates, MutationGenerator, PairPotentialSurrogate
@@ -129,6 +129,92 @@ def test_validate_bad_targets_file(tmp_path, capsys):
         )
         assert code == 1, content
         assert "targets file" in err
+
+
+@pytest.mark.parametrize(
+    "table, extra",
+    [
+        ({"sub/a.cif": {}, "a.cif": {"Cu": 4, "O": 2}}, ()),
+        ({"sub/a.cif": {}}, ("--target", "Cu:1")),
+        ({"a.cif": {}}, ()),
+    ],
+)
+def test_validate_empty_target_entry_is_rejected(
+    tmp_path, monkeypatch, capsys, table, extra
+):
+    # an empty entry is neither "missing" nor a target to score against
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for name in ("a.cif", "sub/a.cif"):
+        (tmp_path / name).write_text(MINIMAL_CIF)
+    (tmp_path / "targets.json").write_text(json.dumps(table))
+    code, out, err = run_cli(
+        capsys, "validate", "a.cif", "sub/a.cif", "--targets-file", "targets.json",
+        *extra,
+    )
+    assert code == 1 and not out
+    assert "bad targets file entry" in err and "empty composition" in err
+
+
+def _validate_files(capsys, *argv) -> list[dict]:
+    code, out, _ = run_cli(capsys, "validate", *argv, "--format", "json")
+    assert code == 0
+    return json.loads(out)["files"]
+
+
+def test_validate_chunked_equals_each_file_alone(tmp_path, capsys):
+    """Records of a corpus that spans several scoring chunks, as if alone."""
+    gen = MutationGenerator(
+        defect_rates=DefectRates(
+            syntax=0.10, missing_field=0.15, composition=0.20, overlap=0.25
+        )
+    )
+    texts = [gen.propose(None, TARGET, seed) for seed in range(150)]
+    for k, seed in ((1, 0), (63, 1), (64, 2), (100, 3)):
+        texts[k] = gen.propose(None, {"Cu": 43, "O": 21}, seed)
+    degenerate = MINIMAL_CIF.replace("4.0", "0.005")
+    over_budget = MINIMAL_CIF  # 1.2e5 images at the 1.98 A Cu-Cu credit cutoff
+    for axis, length in (("a", "0.02"), ("b", "0.02"), ("c", "3000")):
+        over_budget = over_budget.replace(
+            f"_cell_length_{axis} 4.0", f"_cell_length_{axis} {length}"
+        )
+    # chunks hold 64 files: specials open a chunk or sit inside one
+    texts[0] = texts[30] = degenerate
+    texts[62] = "junk"
+    texts[65] = texts[128] = over_budget
+    paths = []
+    for k, text in enumerate(texts):
+        p = tmp_path / f"f{k}.cif"
+        p.write_text(text)
+        paths.append(str(p))
+    paths.append(paths[64])  # one path listed twice, in two chunks
+    argv = ("--target", "Cu:4,O:2")
+    together = _validate_files(capsys, *paths, *argv)
+    alone = [_validate_files(capsys, p, *argv)[0] for p in paths]
+    assert len(together) == len(alone) == 151
+    for rec, solo in zip(together, alone):
+        assert rec == solo
+    notes = [d for rec in together for d in rec["reward"]["diagnostics"]]
+    assert any("cell volume below" in d for d in notes)
+    assert any("lattice images within" in d for d in notes)
+    assert sum(not rec["ok"] for rec in together) > 1
+
+
+@pytest.mark.parametrize("n, passes", [(64, 1), (130, 3)])
+def test_validate_builds_one_pair_pass_per_chunk(
+    tmp_path, monkeypatch, capsys, n, passes
+):
+    paths = write_clean_corpus(tmp_path, n=n)
+    build = geometry._build_tables
+    calls = []
+    monkeypatch.setattr(
+        geometry, "_build_tables",
+        lambda structures, cutoff: calls.append(len(structures))
+        or build(structures, cutoff),
+    )
+    files = _validate_files(capsys, *paths)
+    assert len(files) == n and all(f["reward"]["total"] == 1.0 for f in files)
+    assert len(calls) == passes and sum(calls) == n
 
 
 def test_validate_unreadable_mixed(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Multi-term reward: sub-scores, weights, flags, and worked examples."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from catloop.reward import (
     corpus_failure_rates,
     passes_hard_constraints,
     pvcp,
+    pvcp_from_outcome,
     score_composition,
     score_parse,
     score_physical,
@@ -399,3 +403,35 @@ def test_corpus_failure_rates():
     assert rates["PV"] == pytest.approx(100.0 / 3.0)
     assert rates["CM"] == pytest.approx(100.0 / 3.0)  # minimal_cif has 1 Cu, not 2
     assert corpus_failure_rates([]) == {"PF": 0.0, "VF": 0.0, "CM": 0.0, "PV": 0.0}
+
+
+def test_score_in_chunks_releases_each_chunk():
+    """A chunk's structures die once the next chunk is scored; none stays grouped."""
+    chunk = reward._SCORE_CHUNK
+    rng = np.random.default_rng(5)
+    texts = [serialize_cif(random_structure(rng)) for _ in range(2 * chunk + 2)]
+    texts[3] = "junk"
+    first: list[weakref.ref] = []
+    grouped: list[bool] = []
+
+    def score(k, outcome):
+        if k == chunk:
+            # refcounting alone must free them: no cycle through the grouping
+            assert first and all(ref() is None for ref in first)
+        pvcp_from_outcome(outcome, {})
+        if k < chunk:
+            if outcome.ok:
+                first.append(weakref.ref(outcome.structure))
+            return None
+        grouped.append("_pair_group" in outcome.structure.__dict__)
+        return outcome.structure
+
+    gc.disable()
+    try:
+        results = reward._score_in_chunks(texts, score)
+    finally:
+        gc.enable()
+    assert len(results) == len(texts) and all(grouped)
+    kept = results[chunk:]
+    assert not any("_pair_group" in s.__dict__ for s in kept)
+    assert all("_pair_table" in s.__dict__ for s in kept)
