@@ -34,7 +34,10 @@ O2 O 0.5 0.5 0.5
 
 out = parse_cif(GOOD)
 print("parsed ok:", out.ok)
-print("sites:", [(s.label, s.element, s.frac) for s in out.structure.sites][:3], "...")
+# a structure keeps its sites as columns: labels, elements, and one
+# read-only (N, 3) array of fractional coordinates
+s = out.structure
+print("sites:", list(zip(s.labels, s.elements, s.frac.tolist()))[:3], "...")
 
 # every candidate is graded against a target composition
 br = pvcp(GOOD, {"Cu": 4, "O": 2})

@@ -6,7 +6,6 @@ Periodic distances and neighbor lists
 import numpy as np
 
 from catloop import (
-    AtomSite,
     Lattice,
     Structure,
     build_neighbor_list,
@@ -19,10 +18,9 @@ from catloop import (
 lat = Lattice(a=3.3, b=3.3, c=3.3, alpha=90, beta=90, gamma=90)
 s = Structure(
     lattice=lat,
-    sites=(
-        AtomSite("Na1", "Na", (0.0, 0.0, 0.0)),
-        AtomSite("Cl1", "Cl", (0.5, 0.5, 0.5)),
-    ),
+    labels=("Na1", "Cl1"),
+    elements=("Na", "Cl"),
+    frac=[(0.0, 0.0, 0.0), (0.5, 0.5, 0.5)],
     space_group_symbol="P 1",
 )
 
@@ -38,10 +36,9 @@ print("shortest distance overall:", min_pair_distance(s))
 m = np.array([[5.0, 0.0, 0.0], [4.9, 0.8, 0.0], [0.0, 0.0, 9.0]])
 sheared = Structure(
     lattice=Lattice.from_matrix(m),
-    sites=(
-        AtomSite("Cu1", "Cu", (0.0, 0.0, 0.0)),
-        AtomSite("Cu2", "Cu", (0.5, 0.5, 0.0)),
-    ),
+    labels=("Cu1", "Cu2"),
+    elements=("Cu", "Cu"),
+    frac=[(0.0, 0.0, 0.0), (0.5, 0.5, 0.0)],
     space_group_symbol="P 1",
 )
 print("\nsheared cell lengths/angles:",

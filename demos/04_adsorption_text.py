@@ -7,8 +7,9 @@ which form the top surface layer) becomes a three-part string: adsorbate,
 surface, and the bonded contact map.
 """
 
+from dataclasses import replace
+
 from catloop import (
-    AtomSite,
     Lattice,
     Structure,
     SystemMetadata,
@@ -19,16 +20,14 @@ from catloop import (
 # Cu(100)-style 2x2 slab, H sitting on top of the corner atom
 a, c = 5.1, 12.0
 top, sub, h = 6.0 / c, 4.2 / c, 7.4 / c
-sites = []
-for k, (x, y) in enumerate([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)]):
-    sites.append(AtomSite(f"Cu{k+1}", "Cu", (x, y, top)))
-for k, (x, y) in enumerate([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)]):
-    sites.append(AtomSite(f"Cu{k+5}", "Cu", (x, y, sub)))
-sites.append(AtomSite("H1", "H", (0.0, 0.0, h)))
-
+corners = [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)]
 slab = Structure(
     lattice=Lattice(a, a, c, 90, 90, 90),
-    sites=tuple(sites),
+    labels=tuple(f"Cu{k}" for k in range(1, 9)) + ("H1",),
+    elements=("Cu",) * 8 + ("H",),
+    frac=[(x, y, top) for x, y in corners]
+    + [(x, y, sub) for x, y in corners]
+    + [(0.0, 0.0, h)],
     space_group_symbol="P 1",
 )
 
@@ -40,8 +39,8 @@ meta = SystemMetadata(
 )
 
 primary, secondary = find_interaction_atoms(slab, meta)
-print("primary interaction sites:  ", [slab.sites[i].label for i in primary])
-print("secondary interaction sites:", [slab.sites[i].label for i in secondary])
+print("primary interaction sites:  ", [slab.labels[i] for i in primary])
+print("secondary interaction sites:", [slab.labels[i] for i in secondary])
 
 text = to_system_text(slab, meta)
 print("\nadsorbate part:    ", text.adsorbate_part)
@@ -51,10 +50,8 @@ print("\njoined:")
 print(text.joined)
 
 # lift the H far above the surface: no bonds, so no contact map
-lifted = Structure(
-    lattice=slab.lattice,
-    sites=slab.sites[:8] + (AtomSite("H1", "H", (0.0, 0.0, 0.9)),),
-    space_group_symbol="P 1",
-)
+frac = slab.frac.copy()
+frac[8] = (0.0, 0.0, 0.9)
+lifted = replace(slab, frac=frac)
 print("\nwith the adsorbate lifted away:")
 print(to_system_text(lifted, meta).configuration_part)

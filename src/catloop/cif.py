@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -217,62 +218,62 @@ class Lattice:
         )
 
 
-def wrap_fractional(value: float) -> float:
-    """Wrap a fractional coordinate into the canonical [0, 1) window."""
-    w = value % 1.0
-    if w >= 1.0 or w < 0.0:  # guard the x % 1.0 == 1.0 rounding corner
-        w = 0.0
-    return w
+def wrap_fractional(value: float | np.ndarray) -> float | np.ndarray:
+    """Wrap fractional coordinates, a number or an array, into [0, 1)."""
+    w = np.mod(value, 1.0)
+    # guard the x mod 1.0 == 1.0 rounding corner
+    w = np.where((w >= 1.0) | (w < 0.0), 0.0, w)
+    return w if w.ndim else float(w)
 
 
-@dataclass(frozen=True)
-class AtomSite:
-    """One atom: label, element symbol, fractional coordinates in [0, 1)."""
-
-    label: str
-    element: str
-    frac: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        if self.element not in COVALENT_RADII:
-            raise ValueError(f"unknown element symbol {self.element!r}")
-        if not self.label:
-            raise ValueError("site label must be non-empty")
-        if len(self.frac) != 3 or not all(map(math.isfinite, self.frac)):
-            raise ValueError("fractional coordinates must be three finite numbers")
-        object.__setattr__(self, "frac", tuple(map(wrap_fractional, self.frac)))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Structure:
-    """A crystal: lattice, at least one site, optional space-group identity."""
+    """A crystal: lattice, at least one site, optional space-group identity.
+
+    Sites are columns: `labels[k]`, `elements[k]` and row `frac[k]`, a
+    read-only (N, 3) array of fractional coordinates wrapped into [0, 1).
+    Compare structures with `structures_close`: an array field has no
+    single truth value under `==`, so equality is identity.
+    """
 
     lattice: Lattice
-    sites: tuple[AtomSite, ...]
+    labels: tuple[str, ...]
+    elements: tuple[str, ...]
+    frac: np.ndarray
     space_group_symbol: str | None = None
     space_group_number: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sites", tuple(self.sites))
-        if not self.sites:
+        labels, elements = tuple(self.labels), tuple(self.elements)
+        # a copy: the caller's array must not change a memoized pair table
+        frac = np.array(self.frac, dtype=float)
+        if not labels:
             raise ValueError("structure must contain at least one site")
+        if len(elements) != len(labels) or frac.shape != (len(labels), 3):
+            raise ValueError("labels, elements and frac need the same number of sites")
+        for element in elements:
+            if element not in COVALENT_RADII:
+                raise ValueError(f"unknown element symbol {element!r}")
+        if not all(labels):
+            raise ValueError("site label must be non-empty")
+        if not np.isfinite(frac).all():
+            raise ValueError("fractional coordinates must be finite numbers")
+        frac = wrap_fractional(frac)
+        frac.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "frac", frac)
         n = self.space_group_number
         if n is not None and not (1 <= n <= 230):
             raise ValueError(f"space group number {n} outside 1..230")
 
-    def frac_coords(self) -> np.ndarray:
-        """Fractional coordinates as an (N, 3) array."""
-        return np.array([s.frac for s in self.sites], dtype=float)
-
     def __len__(self) -> int:
-        return len(self.sites)
+        return len(self.labels)
 
 
 def composition_of(structure: Structure) -> dict[str, int]:
     """Element -> count for the structure, keys sorted alphabetically."""
-    counts: dict[str, int] = {}
-    for site in structure.sites:
-        counts[site.element] = counts.get(site.element, 0) + 1
+    counts = Counter(structure.elements)
     return {el: counts[el] for el in sorted(counts)}
 
 
@@ -592,8 +593,8 @@ def _parse_space_group(
 
 def _parse_sites(
     document: CifDocument, defects: list[Defect]
-) -> tuple[list[AtomSite] | None, bool]:
-    """Return (sites or None, coords_in_window)."""
+) -> tuple[tuple[list[str], list[str], list[tuple]] | None, bool]:
+    """Return (columns labels, elements, frac, or None; coords_in_window)."""
     loop = find_atom_site_loop(document)
     if loop is None:
         defects.append(Defect(DefectCode.EMPTY_SITES, "no atom site loop", 0))
@@ -621,7 +622,7 @@ def _parse_sites(
         return None, True
 
     # one pass per column: convert the coordinates, resolve each distinct
-    # symbol once; then one pass per row for defects, labels and sites
+    # symbol once; then one pass per row for defects and labels
     columns = dict(zip(loop.columns, zip(*loop.rows)))
     raw_xyz = [columns[col] for col in fract_cols]
     xyz = [list(map(parse_number, raws)) for raws in raw_xyz]
@@ -636,7 +637,7 @@ def _parse_sites(
             elements = [el or symbol[tok] for el, tok in zip(elements, column)]
     sources = labels or columns["_atom_site_type_symbol"]
 
-    sites: list[AtomSite] = []
+    site_labels: list[str] = []
     fatal = False
     element_counts: dict[str, int] = {}
     seen_labels: set[str] = set()
@@ -678,8 +679,10 @@ def _parse_sites(
                 )
             )
         seen_labels.add(label)
-        sites.append(AtomSite(label, element, (x, y, z)))
-    return (None if fatal else sites), coords_in_window
+        site_labels.append(label)
+    if fatal:
+        return None, coords_in_window
+    return (site_labels, elements, list(zip(*xyz))), coords_in_window
 
 
 def parse_cif(
@@ -705,15 +708,15 @@ def parse_cif(
 
     lattice = _parse_lattice(document, defects)
     symbol, number = _parse_space_group(document, defects)
-    sites, coords_in_window = _parse_sites(document, defects)
+    columns, coords_in_window = _parse_sites(document, defects)
 
     structure: Structure | None = None
-    if lattice is not None and sites is not None and not any(
+    if lattice is not None and columns is not None and not any(
         d.fatal for d in defects
     ):
         structure = Structure(
-            lattice=lattice,
-            sites=tuple(sites),
+            lattice,
+            *columns,
             space_group_symbol=symbol,
             space_group_number=number,
         )
@@ -725,10 +728,23 @@ def parse_cif(
 
 
 def _quote(value: str) -> str:
-    if value == "" or any(ch in value for ch in " \t'\"#"):
-        quote = '"' if "'" in value else "'"
-        return f"{quote}{value}{quote}"
-    return value
+    """`value` as text that `_tokenize` reads back as that one value.
+
+    A value stays bare when `_TOKEN_RE` reads it whole as a bare token and
+    it cannot open a text field at the start of a line.  Otherwise it is
+    quoted with a quote it lacks; one holding both quote kinds, or a line
+    break, becomes a text field on lines of its own.
+    """
+    if value.splitlines() == [value]:  # non-empty and on one line
+        m = _TOKEN_RE.match(value)
+        if m is not None and m[3] == value and value[0] != ";":
+            return value
+        for quote in "'\"":
+            if quote not in value:
+                return f"{quote}{value}{quote}"
+    elif not value:
+        return "''"
+    return f"\n;{value}\n;\n"
 
 
 def _format_block_name(structure: Structure) -> str:
@@ -757,18 +773,19 @@ def serialize_cif(structure: Structure, block_name: str | None = None) -> str:
         lines.append(f"_symmetry_Int_Tables_number {structure.space_group_number}")
     lines.append("loop_")
     lines.extend(SITE_TAGS)
-    for site in structure.sites:
-        x, y, z = site.frac
-        lines.append(
-            f"{_quote(site.label)} {site.element} {x:.9f} {y:.9f} {z:.9f}"
-        )
+    for label, element, (x, y, z) in zip(
+        structure.labels, structure.elements, structure.frac.tolist()
+    ):
+        lines.append(f"{_quote(label)} {element} {x:.9f} {y:.9f} {z:.9f}")
     return "\n".join(lines) + "\n"
 
 
-def frac_circle_distance(u: float, v: float) -> float:
-    """Distance between two fractional coordinates on the unit circle."""
-    d = abs(u - v) % 1.0
-    return min(d, 1.0 - d)
+def frac_circle_distance(
+    u: float | np.ndarray, v: float | np.ndarray
+) -> float | np.ndarray:
+    """Distance between fractional coordinates on the unit circle, elementwise."""
+    d = np.abs(np.subtract(u, v)) % 1.0
+    return np.minimum(d, 1.0 - d)
 
 
 def structures_close(
@@ -780,7 +797,7 @@ def structures_close(
     coordinates modulo 1.  Space-group fields are ignored by coordinate
     comparison but symbol/number must match exactly.
     """
-    if len(s1.sites) != len(s2.sites):
+    if s1.labels != s2.labels or s1.elements != s2.elements:
         return False
     if s1.space_group_symbol != s2.space_group_symbol:
         return False
@@ -791,10 +808,4 @@ def structures_close(
     ):
         if abs(p - q) > tol:
             return False
-    for a, b in zip(s1.sites, s2.sites):
-        if a.label != b.label or a.element != b.element:
-            return False
-        for u, v in zip(a.frac, b.frac):
-            if frac_circle_distance(u, v) > tol:
-                return False
-    return True
+    return bool(np.all(frac_circle_distance(s1.frac, s2.frac) <= tol))

@@ -566,7 +566,7 @@ def cmd_geometry(args: argparse.Namespace, config: dict) -> Outcome:
         record = {
             "path": path,
             "ok": True,
-            "n_sites": len(s.sites),
+            "n_sites": len(s),
             "volume": s.lattice.volume,
             "volume_per_atom": volume_per_atom(s),
             "min_pair_distance": min_dist,

@@ -51,6 +51,11 @@ class DegenerateCellError(ValueError):
 _SMALL_CELL = f"cell volume below {DEGENERATE_VOLUME} cubic angstroms"
 
 
+def _covalent_radii(structure: Structure) -> np.ndarray:
+    """Each site's covalent radius, in site order."""
+    return np.array([COVALENT_RADII[e] for e in structure.elements])
+
+
 def _check_cell(structure: Structure) -> np.ndarray:
     matrix = structure.lattice.matrix
     if abs(float(np.linalg.det(matrix))) < DEGENERATE_VOLUME:
@@ -158,7 +163,7 @@ def _build_tables(structures: list[Structure], cutoff: float) -> None:
     by_sites: dict[int, list[int]] = {}
     for k, s in enumerate(structures):
         if reaches[k] == reaches[0]:
-            by_sites.setdefault(len(s.sites), []).append(k)
+            by_sites.setdefault(len(s), []).append(k)
     for ks in by_sites.values():
         rows = slice(None) if len(ks) == len(structures) else ks  # a view if all
         _stacked_pass(
@@ -198,13 +203,10 @@ def _stacked_pass(
     `_BLOCK_ROWS` cells over the whole batch.  Only the images a structure
     keeps are measured, with one product per structure and block.
     """
-    n = len(structures[0].sites)
-    frac = np.array(
-        [site.frac for s in structures for site in s.sites], dtype=float
-    ).reshape(len(structures), n, 3)
+    frac = np.stack([s.frac for s in structures])
     offsets, axes = _offset_grid(reach)
     g = len(offsets)
-    sites = np.arange(n)
+    sites = np.arange(frac.shape[1])
     pi, pj = np.nonzero(np.less_equal.outer(sites, sites))  # np.triu_indices(n)
     chunk = max(1, _BLOCK_ROWS // (g * len(pi)))
     parts: list[list] = [[] for _ in structures]
@@ -254,13 +256,13 @@ def min_image_distance(structure: Structure, i: int, j: int) -> float:
     long, thin cell that can lie beyond the shortest lattice row.
     """
     matrix = _check_cell(structure)
-    n = len(structure.sites)
+    n = len(structure)
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"site index out of range for {n} sites")
     if i == j:
         bound = float(np.min(np.linalg.norm(matrix, axis=1)))
     else:
-        delta = np.subtract(structure.sites[j].frac, structure.sites[i].frac)
+        delta = structure.frac[j] - structure.frac[i]
         delta -= np.round(delta)
         bound = float(np.linalg.norm(delta @ matrix))
     table = _pair_table(structure, bound * (1.0 + _BOUND_SLACK))
@@ -281,7 +283,7 @@ def min_pair_distance(structure: Structure) -> float:
 
 def volume_per_atom(structure: Structure) -> float:
     """Cell volume divided by the number of sites, in cubic angstroms."""
-    return structure.lattice.volume / len(structure.sites)
+    return structure.lattice.volume / len(structure)
 
 
 def iter_periodic_pairs(
@@ -295,7 +297,7 @@ def iter_periodic_pairs(
     row-major (i, j) order with images in lexicographic order.  The
     zero-offset self pair is never included.
     """
-    n = len(structure.sites)
+    n = len(structure)
     cut = np.asarray(cutoff, dtype=float)
     if cut.ndim != 0 and cut.shape != (n, n):
         raise ValueError(f"cutoff matrix must be ({n}, {n})")
@@ -322,7 +324,7 @@ def build_neighbor_list(
     """
     if scale <= 0.0:
         return _EMPTY
-    r = np.array([COVALENT_RADII[s.element] for s in structure.sites], dtype=float)
+    r = _covalent_radii(structure)
     t = iter_periodic_pairs(structure, scale * (r[:, None] + r[None, :]))
     i = np.concatenate((t.i, t.j))
     j = np.concatenate((t.j, t.i))

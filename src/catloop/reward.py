@@ -32,9 +32,9 @@ from .cif import (
     find_atom_site_loop,
     parse_cif,
 )
-from .elements import COVALENT_RADII
 from .geometry import (
     DegenerateCellError,
+    _covalent_radii,
     iter_periodic_pairs,
     shared_pair_pass,
     volume_per_atom,
@@ -197,8 +197,7 @@ def _distance_factor(
     structure: Structure, cfg: PhysConfig
 ) -> tuple[float, list[str]]:
     """Worst-pair distance credit: 0 below hard overlap, 1 above full credit."""
-    elems = [s.element for s in structure.sites]
-    r = np.array([COVALENT_RADII[e] for e in elems])
+    r = _covalent_radii(structure)
     # Pair cutoffs at full credit: distances above carry no penalty, so only
     # pairs inside them matter.
     cut = cfg.full_credit_fraction * (r[:, None] + r[None, :])
@@ -212,6 +211,7 @@ def _distance_factor(
         k = int(np.argmin(credit))
         if credit[k] < 1.0:
             factor, i, j = float(credit[k]), int(t.i[k]), int(t.j[k])
+            elems = structure.elements
             return factor, [
                 f"closest pair {elems[i]}{i}-{elems[j]}{j} at {t.distance[k]:.3f} A "
                 f"scores {factor:.3f}"
@@ -254,9 +254,8 @@ def passes_hard_constraints(
     structure: Structure, cfg: PhysConfig = DEFAULT_PHYS
 ) -> bool:
     """True when no pair sits at or below the hard-overlap distance."""
-    elems = [s.element for s in structure.sites]
-    rr = np.array([COVALENT_RADII[e] for e in elems])
-    cut = cfg.hard_overlap_fraction * (rr[:, None] + rr[None, :])
+    r = _covalent_radii(structure)
+    cut = cfg.hard_overlap_fraction * (r[:, None] + r[None, :])
     try:
         return not len(iter_periodic_pairs(structure, cut))
     except DegenerateCellError:

@@ -24,12 +24,12 @@ import bisect
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
-from .cif import AtomSite, Lattice, ParseOutcome, Structure, parse_cif, serialize_cif
+from .cif import Lattice, ParseOutcome, Structure, parse_cif, serialize_cif
 from .elements import COVALENT_RADII
 from .geometry import iter_periodic_pairs
 from .reward import (
@@ -133,7 +133,7 @@ class PairPotentialSurrogate:
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
     def predict(self, structure: Structure) -> float:
-        r = np.array([self.radii[s.element] for s in structure.sites])
+        r = np.array([self.radii[e] for e in structure.elements])
         t = iter_periodic_pairs(structure, self.cutoff)
         if not len(t):
             return 0.0
@@ -224,7 +224,7 @@ class MutationGenerator:
         injected = self.injected_defects(rng_seed, target)
         if "composition" in injected:
             structure = _corrupt_composition(structure)
-        if "overlap" in injected and len(structure.sites) >= 2:
+        if "overlap" in injected and len(structure) >= 2:
             structure = _corrupt_overlap(structure)
         text = serialize_cif(structure)
         if "missing_field" in injected:
@@ -301,7 +301,7 @@ class MutationGenerator:
             beta=90.0,
             gamma=90.0,
         )
-        sites = []
+        labels, frac = [], []
         counts: dict[str, int] = {}
         for el, cell in zip(symbols, chosen):
             idx = (
@@ -311,47 +311,31 @@ class MutationGenerator:
             )
             # jitter of at most 0.05 * spacing per cartesian axis keeps
             # distinct grid cells at least 0.9 * spacing apart
-            frac = tuple(
-                (idx[k] + 0.5 + rng.uniform(-0.05, 0.05)) / dims[k] for k in range(3)
+            frac.append(
+                [(idx[k] + 0.5 + rng.uniform(-0.05, 0.05)) / dims[k] for k in range(3)]
             )
             counts[el] = counts.get(el, 0) + 1
-            sites.append(AtomSite(f"{el}{counts[el]}", el, frac))
+            labels.append(f"{el}{counts[el]}")
         return Structure(
             lattice=lattice,
-            sites=tuple(sites),
+            labels=tuple(labels),
+            elements=tuple(symbols),
+            frac=frac,
             space_group_symbol="P 1",
             space_group_number=1,
         )
 
     def _mutate(self, exemplar: Structure, rng: np.random.Generator) -> Structure:
         amp = self.coord_jitter * rng.random()
-        n = len(exemplar.sites)
+        n = len(exemplar)
         shifts = rng.uniform(-amp, amp, size=(n, 3))
         lat_amp = self.lattice_jitter * rng.random()
         factors = 1.0 + rng.uniform(-lat_amp, lat_amp, size=3)
         lat = exemplar.lattice
-        lattice = Lattice(
-            a=lat.a * factors[0],
-            b=lat.b * factors[1],
-            c=lat.c * factors[2],
-            alpha=lat.alpha,
-            beta=lat.beta,
-            gamma=lat.gamma,
+        lattice = replace(
+            lat, a=lat.a * factors[0], b=lat.b * factors[1], c=lat.c * factors[2]
         )
-        sites = tuple(
-            AtomSite(
-                site.label,
-                site.element,
-                tuple(site.frac[k] + shifts[i, k] for k in range(3)),
-            )
-            for i, site in enumerate(exemplar.sites)
-        )
-        return Structure(
-            lattice=lattice,
-            sites=sites,
-            space_group_symbol=exemplar.space_group_symbol,
-            space_group_number=exemplar.space_group_number,
-        )
+        return replace(exemplar, lattice=lattice, frac=exemplar.frac + shifts)
 
 
 def _corrupt_composition(structure: Structure) -> Structure:
@@ -361,31 +345,21 @@ def _corrupt_composition(structure: Structure) -> Structure:
     spacings the unconditioned builder uses, the swap cannot push any pair
     below the distance-credit thresholds; only the composition changes.
     """
-    present = {s.element for s in structure.sites}
+    present = structure.elements
     sub = next((el for el in ("He", "Ne", "Ar", "Kr") if el not in present), "He")
-    first = structure.sites[0]
-    labels = {s.label for s in structure.sites}
-    label = f"{sub}1" if f"{sub}1" not in labels else f"{sub}sub1"
-    swapped = AtomSite(label, sub, first.frac)
-    return Structure(
-        lattice=structure.lattice,
-        sites=(swapped,) + structure.sites[1:],
-        space_group_symbol=structure.space_group_symbol,
-        space_group_number=structure.space_group_number,
+    label = f"{sub}1" if f"{sub}1" not in structure.labels else f"{sub}sub1"
+    return replace(
+        structure,
+        labels=(label,) + structure.labels[1:],
+        elements=(sub,) + structure.elements[1:],
     )
 
 
 def _corrupt_overlap(structure: Structure) -> Structure:
     """Move the second site onto the first: a guaranteed hard overlap."""
-    first = structure.sites[0]
-    second = structure.sites[1]
-    moved = AtomSite(second.label, second.element, first.frac)
-    return Structure(
-        lattice=structure.lattice,
-        sites=(first, moved) + structure.sites[2:],
-        space_group_symbol=structure.space_group_symbol,
-        space_group_number=structure.space_group_number,
-    )
+    frac = structure.frac.copy()
+    frac[1] = frac[0]
+    return replace(structure, frac=frac)
 
 
 # ---------------------------------------------------------------------------

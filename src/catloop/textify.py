@@ -138,7 +138,7 @@ def reduced_formula(composition: Mapping[str, int]) -> str:
 
 
 def _check_indices(structure: Structure, meta: SystemMetadata) -> None:
-    n = len(structure.sites)
+    n = len(structure)
     for i in meta.adsorbate_indices | meta.surface_top_indices:
         if i >= n:
             raise ValueError(f"site index {i} out of range for {n} sites")
@@ -178,7 +178,7 @@ def to_system_text(
     """Deterministic three-part text for one adsorption system."""
     _check_indices(structure, meta)
     ads_symbols = hill_sorted(
-        [structure.sites[i].element for i in sorted(meta.adsorbate_indices)]
+        [structure.elements[i] for i in sorted(meta.adsorbate_indices)]
     )
     adsorbate_part = " ".join(ads_symbols)
 
@@ -189,7 +189,7 @@ def to_system_text(
     if not primary:
         configuration_part = "no direct contact"
     else:
-        fmt = lambda i: f"{structure.sites[i].element}@{structure.sites[i].label}"
+        fmt = lambda i: f"{structure.elements[i]}@{structure.labels[i]}"
         prim = ", ".join(sorted(fmt(i) for i in primary))
         if secondary:
             sec = ", ".join(sorted(fmt(i) for i in secondary))

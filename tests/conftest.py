@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from catloop.cif import AtomSite, Lattice, Structure
+from catloop.cif import Lattice, Structure
 from catloop.elements import SYMBOLS
 from catloop.textify import SystemMetadata
 
@@ -33,13 +33,15 @@ def make_structure(
     """Compact structure builder used across the tests."""
     lattice = Lattice(*lengths, *angles)
     counts: dict[str, int] = {}
-    sites = []
-    for el, xyz in zip(species, coords):
+    labels = []
+    for el in species:
         counts[el] = counts.get(el, 0) + 1
-        sites.append(AtomSite(label=f"{el}{counts[el]}", element=el, frac=tuple(xyz)))
+        labels.append(f"{el}{counts[el]}")
     return Structure(
         lattice=lattice,
-        sites=tuple(sites),
+        labels=tuple(labels),
+        elements=tuple(species),
+        frac=coords,
         space_group_symbol=space_group,
         space_group_number=space_group_number,
     )
@@ -52,7 +54,7 @@ def brute_force_pairs(structure, cutoff, box=9):
     lexicographic order, self pairs only at lexicographically positive
     offsets, pairs with a cutoff <= 0 skipped.
     """
-    n = len(structure.sites)
+    n = len(structure)
     cut = np.broadcast_to(np.asarray(cutoff, dtype=float), (n, n))
     m = structure.lattice.matrix
     spacings = 1.0 / np.linalg.norm(np.linalg.inv(m), axis=0)
@@ -61,7 +63,7 @@ def brute_force_pairs(structure, cutoff, box=9):
     grid = list(itertools.product(range(-box, box + 1), repeat=3))
     offsets = np.array(grid, dtype=float)
     lex_positive = np.array([off > (0, 0, 0) for off in grid])
-    frac = structure.frac_coords()
+    frac = structure.frac
     pairs = []
     for i in range(n):
         for j in range(i, n):

@@ -253,7 +253,7 @@ def _oracle_min_image(structure, i, j):
     m = structure.lattice.matrix
     inv = np.linalg.inv(m)
     d_min = float(np.min(1.0 / np.linalg.norm(inv, axis=0)))
-    frac = structure.frac_coords()
+    frac = structure.frac
     delta = frac[j] - frac[i]
     delta -= np.round(delta)
     if i == j:
@@ -276,7 +276,7 @@ def test_criterion_4_geometry_oracle():
         worst = 0.0
         for _ in range(500):
             s = random_structure(rng, max_sites=8)
-            n = len(s.sites)
+            n = len(s)
             best = np.inf
             for i, j in itertools.combinations_with_replacement(range(n), 2):
                 got = min_image_distance(s, i, j)

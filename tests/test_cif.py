@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from catloop.cif import (
-    AtomSite,
     DefectCode,
     FATAL_DEFECTS,
     Lattice,
@@ -39,9 +38,9 @@ def test_minimal_parse(minimal_cif):
     assert s.lattice.lengths == (4.0, 4.0, 4.0)
     assert s.lattice.angles == (90.0, 90.0, 90.0)
     assert s.space_group_symbol == "P 1"
-    assert len(s.sites) == 1
-    assert s.sites[0].element == "Cu"
-    assert s.sites[0].label == "Cu1"
+    assert len(s) == 1
+    assert s.elements == ("Cu",)
+    assert s.labels == ("Cu1",)
     assert out.coords_in_window
 
 
@@ -73,7 +72,7 @@ def test_parse_number_forms():
 def test_coordinates_wrapped(minimal_cif):
     out = parse_cif(edit(minimal_cif, "Cu1 Cu 0.0 0.0 0.0", "Cu1 Cu -0.25 1.25 0.5"))
     assert out.ok
-    assert out.structure.sites[0].frac == (0.75, 0.25, 0.5)
+    assert out.structure.frac[0].tolist() == [0.75, 0.25, 0.5]
     assert out.coords_in_window  # -0.25 and 1.25 are inside [-0.5, 1.5)
 
 
@@ -81,7 +80,7 @@ def test_out_of_window_coordinates_flagged(minimal_cif):
     out = parse_cif(edit(minimal_cif, "Cu1 Cu 0.0 0.0 0.0", "Cu1 Cu 1.7 0.0 0.0"))
     assert out.ok  # still parses; wrapping is lossy but defined
     assert not out.coords_in_window
-    assert out.structure.sites[0].frac[0] == pytest.approx(0.7)
+    assert out.structure.frac[0, 0] == pytest.approx(0.7)
 
 
 def test_case_insensitive_tags(minimal_cif):
@@ -135,7 +134,7 @@ def test_label_column_optional(minimal_cif):
     )
     out = parse_cif(text)
     assert out.ok
-    assert out.structure.sites[0].label == "Cu1"  # auto-generated
+    assert out.structure.labels[0] == "Cu1"  # auto-generated
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +208,7 @@ def test_duplicate_label_nonfatal(minimal_cif):
     )
     assert out.has(DefectCode.DUPLICATE_LABEL)
     assert out.ok
-    assert len(out.structure.sites) == 2
+    assert len(out.structure) == 2
 
 
 def test_defect_line_numbers(minimal_cif):
@@ -286,15 +285,45 @@ def test_cubic_matrix_orientation():
     assert np.allclose(m, np.diag([4.0, 4.0, 4.0]), atol=1e-12)
 
 
+CUBIC = Lattice(4.0, 4.0, 4.0, 90.0, 90.0, 90.0)
+
+
+def one_site(label="Cu1", element="Cu", frac=((0, 0, 0),), **kwargs):
+    return Structure(CUBIC, (label,), (element,), frac, **kwargs)
+
+
 def test_atom_site_validation():
+    with pytest.raises(ValueError, match="unknown element"):
+        one_site(label="Q1", element="Qq")
+    with pytest.raises(ValueError, match="label"):
+        one_site(label="")
+    with pytest.raises(ValueError, match="finite"):
+        one_site(frac=((0, math.inf, 0),))
+    s = one_site(frac=((-0.25, 1.25, 0.5),))
+    assert s.frac.tolist() == [[0.75, 0.25, 0.5]]
+
+
+@pytest.mark.parametrize(
+    "labels, elements, frac",
+    [
+        (("Cu1", "Cu2"), ("Cu",), ((0, 0, 0), (0.5, 0.5, 0.5))),
+        (("Cu1",), ("Cu", "Cu"), ((0, 0, 0),)),
+        (("Cu1",), ("Cu",), ((0, 0, 0), (0.5, 0.5, 0.5))),
+        (("Cu1",), ("Cu",), (0, 0, 0)),
+    ],
+)
+def test_structure_columns_must_match(labels, elements, frac):
+    with pytest.raises(ValueError, match="same number of sites"):
+        Structure(CUBIC, labels, elements, frac)
+
+
+def test_structure_frac_is_a_read_only_copy():
+    frac = np.array([[0.1, 0.2, 0.3]])
+    s = one_site(frac=frac)
+    frac[0, 0] = 0.9
+    assert s.frac.tolist() == [[0.1, 0.2, 0.3]]
     with pytest.raises(ValueError):
-        AtomSite(label="Q1", element="Qq", frac=(0, 0, 0))
-    with pytest.raises(ValueError):
-        AtomSite(label="", element="Cu", frac=(0, 0, 0))
-    with pytest.raises(ValueError):
-        AtomSite(label="Cu1", element="Cu", frac=(0, math.inf, 0))
-    site = AtomSite(label="Cu1", element="Cu", frac=(-0.25, 1.25, 0.5))
-    assert site.frac == (0.75, 0.25, 0.5)
+        s.frac[0, 0] = 0.5
 
 
 def test_wrap_fractional_corner():
@@ -304,16 +333,19 @@ def test_wrap_fractional_corner():
     assert 0.0 <= wrap_fractional(-0.3) < 1.0
 
 
+def test_wrap_fractional_array_matches_scalar():
+    corners = [1.0, -1e-17, -0.0, 0.0, 2.5, -2.5, math.nextafter(1.0, 0.0), -0.3]
+    wrapped = wrap_fractional(np.array(corners))
+    assert [float(w).hex() for w in wrapped] == [
+        wrap_fractional(c).hex() for c in corners
+    ]
+
+
 def test_structure_validation():
-    lat = Lattice(4.0, 4.0, 4.0, 90.0, 90.0, 90.0)
     with pytest.raises(ValueError):
-        Structure(lattice=lat, sites=())
+        Structure(CUBIC, (), (), np.empty((0, 3)))
     with pytest.raises(ValueError):
-        Structure(
-            lattice=lat,
-            sites=(AtomSite("Cu1", "Cu", (0, 0, 0)),),
-            space_group_number=231,
-        )
+        one_site(space_group_number=231)
 
 
 def test_composition_of():
@@ -355,15 +387,35 @@ def test_serialize_block_name_from_composition():
 
 
 def test_serialize_quotes_awkward_labels():
-    site = AtomSite(label="Cu 1", element="Cu", frac=(0, 0, 0))
-    s = Structure(
-        lattice=Lattice(4, 4, 4, 90, 90, 90),
-        sites=(site,),
-        space_group_symbol="P 1",
-    )
+    s = one_site(label="Cu 1", space_group_symbol="P 1")
     out = parse_cif(serialize_cif(s))
     assert out.ok and out.defects == ()
-    assert out.structure.sites[0].label == "Cu 1"
+    assert out.structure.labels == ("Cu 1",)
+
+
+@pytest.mark.parametrize(
+    "label, symbol",
+    [
+        ("'loop_'", "'P 1'"),
+        ("'_x'", "'P 1'"),
+        ("'data_y'", "'P 1'"),
+        ("';x'", "'P 1'"),
+        ("'#x'", "'P 1'"),
+        ("\n;a'b\"c\n;\n", "'P 1'"),
+        ("Cu1", "'_p1'"),
+        ("Cu1", "\n;P'1\"\n;\n"),
+    ],
+    ids=["loop", "tag", "data", "semicolon", "hash", "both-quotes",
+         "tag-symbol", "both-quotes-symbol"],
+)
+def test_serialized_values_re_parse(minimal_cif, label, symbol):
+    text = edit(minimal_cif, "Cu1 Cu", f"{label} Cu")
+    text = edit(text, "H-M 'P 1'", f"H-M {symbol}")
+    s = parse_cif(text).structure
+    assert s is not None
+    out = parse_cif(serialize_cif(s))
+    assert out.ok and out.defects == ()
+    assert structures_close(s, out.structure)
 
 
 def test_round_trip_random_structures():

@@ -30,7 +30,7 @@ def brute_force_min_image(structure, i, j):
     m = structure.lattice.matrix
     inv = np.linalg.inv(m)
     d_min = float(np.min(1.0 / np.linalg.norm(inv, axis=0)))
-    frac = structure.frac_coords()
+    frac = structure.frac
     delta = frac[j] - frac[i]
     delta -= np.round(delta)
     start = float(np.linalg.norm(delta @ m))
@@ -54,7 +54,7 @@ def test_pairs_match_brute_force_on_skewed_cells():
     rng = np.random.default_rng(23)
     for _ in range(15):
         s = random_structure(rng, max_sites=6)
-        n = len(s.sites)
+        n = len(s)
         per_pair = rng.uniform(0.0, 5.0, size=(n, n))
         per_pair[rng.random((n, n)) < 0.2] = 0.0
         for cutoff in (6.0, float(rng.uniform(1.0, 5.0)), per_pair):
@@ -123,7 +123,7 @@ def test_memoized_queries_equal_fresh_structures():
     rng = np.random.default_rng(29)
     for _ in range(10):
         s = random_structure(rng, max_sites=6)
-        r = np.array([COVALENT_RADII[site.element] for site in s.sites])
+        r = np.array([COVALENT_RADII[e] for e in s.elements])
         rsum = r[:, None] + r[None, :]
         for cutoff in (6.0, 0.5 * rsum, 0.75 * rsum):
             fresh = dataclasses.replace(s)  # same fields, no memoized table
@@ -285,7 +285,7 @@ def test_min_image_matches_oracle_random():
     rng = np.random.default_rng(11)
     for _ in range(60):
         s = random_structure(rng, max_sites=5)
-        n = len(s.sites)
+        n = len(s)
         got = {(i, j): min_image_distance(s, i, j) for i in range(n) for j in range(n)}
         # the kernel's own arithmetic gives bit-equal minima, in either order
         best: dict[tuple[int, int], float] = {}
@@ -353,8 +353,8 @@ def test_neighbor_list_symmetry_and_cutoffs():
         for i, j, image, dist in rows:
             mirror = (j, i, (-image[0], -image[1], -image[2]))
             assert mirror in entries
-            r_i = COVALENT_RADII[s.sites[i].element]
-            r_j = COVALENT_RADII[s.sites[j].element]
+            r_i = COVALENT_RADII[s.elements[i]]
+            r_j = COVALENT_RADII[s.elements[j]]
             assert dist <= scale * (r_i + r_j) + 1e-12
 
 
@@ -364,14 +364,14 @@ def test_neighbor_list_counts_match_brute(minimal_cif=None):
         s = random_structure(rng, max_sites=4)
         nl = build_neighbor_list(s)
         # brute force count: scan a generous offset block per ordered pair
-        n = len(s.sites)
-        frac = s.frac_coords()
+        n = len(s)
+        frac = s.frac
         m = s.lattice.matrix
         count = 0
         for i in range(n):
-            r_i = COVALENT_RADII[s.sites[i].element]
+            r_i = COVALENT_RADII[s.elements[i]]
             for j in range(n):
-                r_j = COVALENT_RADII[s.sites[j].element]
+                r_j = COVALENT_RADII[s.elements[j]]
                 cut = 1.2 * (r_i + r_j)
                 for off in itertools.product(range(-4, 5), repeat=3):
                     if i == j and off == (0, 0, 0):
@@ -405,7 +405,7 @@ def test_neighbor_list_sorted():
     rows = pair_tuples(build_neighbor_list(s))
     assert rows == sorted(rows)
     # the same rows as the oracle's pairs plus their mirrors, bit for bit
-    r = np.array([COVALENT_RADII[site.element] for site in s.sites])
+    r = np.array([COVALENT_RADII[e] for e in s.elements])
     half = brute_force_pairs(s, 1.2 * (r[:, None] + r[None, :]))
     mirrored = [(j, i, tuple(-v for v in image), d) for i, j, image, d in half]
     assert rows == sorted(half + mirrored)

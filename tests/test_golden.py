@@ -118,7 +118,10 @@ def dump_outcome(outcome) -> list:
             _hexes(st.lattice.lengths + st.lattice.angles),
             st.space_group_symbol,
             st.space_group_number,
-            [[s.label, s.element, _hexes(s.frac)] for s in st.sites],
+            [
+                [label, element, _hexes(xyz)]
+                for label, element, xyz in zip(st.labels, st.elements, st.frac.tolist())
+            ],
         ],
         outcome.coords_in_window,
     ]

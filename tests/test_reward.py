@@ -183,7 +183,7 @@ def reference_physics(structure, cfg=DEFAULT_PHYS):
     Returns the physics score, the closest-pair notes, and the credits of
     the pairs tied at the worst credit below 1.
     """
-    elems = [s.element for s in structure.sites]
+    elems = structure.elements
     r = [COVALENT_RADII[e] for e in elems]
     rr = np.array(r)
     cut = cfg.full_credit_fraction * (rr[:, None] + rr[None, :])
@@ -248,7 +248,7 @@ def test_physics_score_matches_reference_loop():
         closest = [note for note in notes if note.startswith("closest pair")]
         assert (score, closest) == (want_score, want_notes)
         assert score_physical(s) == want_score
-        frac = s.frac_coords()
+        frac = s.frac
         seen["coincident"] += any(
             np.array_equal(frac[a], frac[b])
             for a in range(len(frac)) for b in range(a)

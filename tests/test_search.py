@@ -120,7 +120,7 @@ def test_surrogate_deterministic():
 
 def loop_predict(surr, structure):
     """The 12-6 sum as a running total over the pair table, one row at a time."""
-    r = np.array([surr.radii[s.element] for s in structure.sites])
+    r = np.array([surr.radii[e] for e in structure.elements])
     total = 0.0
     t = iter_periodic_pairs(structure, surr.cutoff)
     for i, j, dist in zip(t.i.tolist(), t.j.tolist(), t.distance.tolist()):
@@ -244,12 +244,9 @@ def test_conditioned_stays_near_exemplar():
     for seed in range(10):
         out = parse_cif(gen.propose(ex, {"Cu": 4, "O": 2}, seed))
         mut = out.structure
-        assert len(mut.sites) == len(ex.sites)
-        for old, new in zip(ex.sites, mut.sites):
-            assert new.label == old.label
-            assert new.element == old.element
-            for k in range(3):
-                assert frac_circle_distance(old.frac[k], new.frac[k]) <= 0.05 + 1e-9
+        assert mut.labels == ex.labels
+        assert mut.elements == ex.elements
+        assert np.all(frac_circle_distance(ex.frac, mut.frac) <= 0.05 + 1e-9)
         for dim in ("a", "b", "c"):
             old_len = getattr(ex.lattice, dim)
             new_len = getattr(mut.lattice, dim)
