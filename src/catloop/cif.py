@@ -226,6 +226,16 @@ def wrap_fractional(value: float | np.ndarray) -> float | np.ndarray:
     return w if w.ndim else float(w)
 
 
+def _check_writable(values: tuple[str, ...], what: str) -> None:
+    """Raise ValueError unless each value reads back as `_quote` writes it."""
+    joined = "".join(values)
+    if joined.splitlines() == [joined] and not ("'" in joined and '"' in joined):
+        return  # bare or quoted tokens only, never a text field
+    for value in values:
+        if [t[0] for t in _tokenize(_quote(value).splitlines(), [])[0]] != [value]:
+            raise ValueError(f"{what} {value!r} does not survive a CIF text field")
+
+
 @dataclass(frozen=True, eq=False)
 class Structure:
     """A crystal: lattice, at least one site, optional space-group identity.
@@ -233,7 +243,8 @@ class Structure:
     Sites are columns: `labels[k]`, `elements[k]` and row `frac[k]`, a
     read-only (N, 3) array of fractional coordinates wrapped into [0, 1).
     Compare structures with `structures_close`: an array field has no
-    single truth value under `==`, so equality is identity.
+    single truth value under `==`, so equality is identity.  Labels and the
+    space-group symbol are what `serialize_cif` writes back unchanged.
     """
 
     lattice: Lattice
@@ -256,6 +267,10 @@ class Structure:
                 raise ValueError(f"unknown element symbol {element!r}")
         if not all(labels):
             raise ValueError("site label must be non-empty")
+        sg = self.space_group_symbol
+        if sg is not None and (sg != sg.strip() or sg in ("", *_PLACEHOLDERS)):
+            raise ValueError(f"space group symbol {sg!r} is empty, padded or '?'/'.'")
+        _check_writable(labels if sg is None else (*labels, sg), "label or space group")
         if not np.isfinite(frac).all():
             raise ValueError("fractional coordinates must be finite numbers")
         frac = wrap_fractional(frac)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -33,7 +32,7 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .cif import ParseOutcome, composition_of, parse_cif
-from .elements import check_composition
+from .elements import check_composition, finite_number
 from .geometry import (
     DEFAULT_NEIGHBOR_SCALE,
     DegenerateCellError,
@@ -123,17 +122,12 @@ def _configured(config: dict, name: str, default, **flags):
         raise CliError(f"bad {name} config: {exc}") from None
 
 
-def _is_number(value: object) -> bool:
-    """True for a JSON number: an int or float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _neighbor_scale(config: dict, override: float | None = None) -> float:
     """The neighbor cutoff scale: `override`, else the config's, else the default."""
     scale = override
     if scale is None:
         scale = config.get("neighbor_scale", DEFAULT_NEIGHBOR_SCALE)
-    if not (_is_number(scale) and math.isfinite(scale)):
+    if not finite_number(scale):
         raise CliError(f"bad neighbor_scale config: {scale!r} is not a finite number")
     return scale
 
@@ -450,8 +444,8 @@ def cmd_mmtg(args: argparse.Namespace, config: dict) -> Outcome:
                 raise ValueError("expected an array of [a, b] pairs")
             for item in data:
                 pair = isinstance(item, list) and len(item) == 2
-                if not (pair and all(map(_is_number, item))):
-                    raise ValueError(f"{item!r} is not a pair of numbers")
+                if not (pair and all(map(finite_number, item))):
+                    raise ValueError(f"{item!r} is not a pair of finite numbers")
                 pairs.append((float(item[0]), float(item[1])))
         except (ValueError, OverflowError) as exc:  # float() of a huge int
             raise CliError(f"bad pairs file: {exc}") from None
@@ -500,13 +494,9 @@ def cmd_search(args: argparse.Namespace, config: dict) -> Outcome:
     try:
         rates = DefectRates(**gen_section.pop("defect_rates", {}))
         generator = MutationGenerator(defect_rates=rates, **gen_section)
-        predictor = PairPotentialSurrogate(**config.get("predictor", {}))
-        for name, component in (("generator", generator), ("predictor", predictor)):
-            missing = sorted(set(cfg.target_composition) - set(component.radii))
-            if missing:
-                raise ValueError(f"{name} radii lack {', '.join(missing)}")
     except (TypeError, ValueError) as exc:
-        raise CliError(f"bad generator/predictor config: {exc}") from None
+        raise CliError(f"bad generator config: {exc}") from None
+    predictor = _configured(config, "predictor", PairPotentialSurrogate())
     weights = _configured(config, "weights", DEFAULT_WEIGHTS)
     phys = _configured(config, "phys", DEFAULT_PHYS)
 

@@ -3,10 +3,14 @@
 Radii are single-bond covalent radii in angstroms: Cordero-style values for
 H through Cm, extended with Pyykko single-bond radii for Bk through Og so
 that every element up to Z=118 has an entry.  For carbon the sp3 value is
-used.  All radii lie in (0.2, 3.0).
+used.  All radii lie in (0.2, 3.0).  Also the value checks that configs
+share: `check_composition` and `finite_number`.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 # Keyed by symbol, ordered by atomic number.
 COVALENT_RADII: dict[str, float] = {
@@ -46,6 +50,12 @@ ATOMIC_NUMBERS: dict[str, int] = {sym: z for z, sym in enumerate(SYMBOLS, start=
 def is_element(symbol: str) -> bool:
     """Return True if `symbol` is a recognized element symbol (case-sensitive)."""
     return symbol in COVALENT_RADII
+
+
+def finite_number(value: object) -> bool:
+    """True for a finite real number that is not a bool (JSON true/false)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and math.isfinite(value)
 
 
 def check_composition(mapping: object, where: str) -> dict[str, int]:

@@ -23,6 +23,8 @@ a member builds that cutoff for every member without a table.  The search
 through `reward._score_in_chunks`, which opens one such pass per chunk, so
 a chunk shares one pass instead of building one table per candidate.
 Every table is bit-identical to the one the structure would build alone.
+`covalent_pairs` alone turns covalent radii (Cordero et al., Dalton Trans.
+2008) into pair cutoffs, for the physics score and the neighbor list.
 """
 
 from __future__ import annotations
@@ -93,6 +95,11 @@ class PairTable:
 _EMPTY = PairTable(
     np.empty(0, int), np.empty(0, int), np.empty((0, 3), int), np.empty(0)
 )
+
+
+def _select(t: PairTable, keep: np.ndarray) -> PairTable:
+    """The rows of `t` where the boolean mask `keep` is set, in order."""
+    return PairTable(t.i[keep], t.j[keep], t.image[keep], t.distance[keep])
 
 
 def _pair_table(structure: Structure, cutoff: float) -> PairTable:
@@ -286,31 +293,32 @@ def volume_per_atom(structure: Structure) -> float:
     return structure.lattice.volume / len(structure)
 
 
-def iter_periodic_pairs(
-    structure: Structure, cutoff: float | np.ndarray
-) -> PairTable:
-    """All periodic pairs (i, j, image, distance) within a cutoff.
+def iter_periodic_pairs(structure: Structure, cutoff: float) -> PairTable:
+    """All periodic pairs (i, j, image, distance) within `cutoff` angstroms.
 
-    `cutoff` is either a scalar or an (N, N) per-pair matrix; a pair whose
-    cutoff is <= 0 is skipped.  Each physical pair appears once: i < j with
-    any image, or i == j with a lexicographically positive image, in
-    row-major (i, j) order with images in lexicographic order.  The
-    zero-offset self pair is never included.
+    Each physical pair appears once: i < j with any image, or i == j with a
+    lexicographically positive image, in row-major (i, j) order with images
+    in lexicographic order.  The zero-offset self pair is never included.
     """
-    n = len(structure)
-    cut = np.asarray(cutoff, dtype=float)
-    if cut.ndim != 0 and cut.shape != (n, n):
-        raise ValueError(f"cutoff matrix must be ({n}, {n})")
-    cut_max = float(np.max(cut))
-    if cut_max <= 0.0:
+    if cutoff <= 0.0:
         _check_cell(structure)
         return _EMPTY
-    table = _pair_table(structure, cut_max)
-    pair_cut = cut if cut.ndim == 0 else cut[table.i, table.j]
-    keep = (table.distance <= pair_cut) & (pair_cut > 0.0)
-    return PairTable(
-        table.i[keep], table.j[keep], table.image[keep], table.distance[keep]
-    )
+    table = _pair_table(structure, cutoff)
+    return _select(table, table.distance <= cutoff)
+
+
+def covalent_pairs(structure: Structure, scale: float) -> tuple[PairTable, np.ndarray]:
+    """Pairs within scale * (r_i + r_j) in `iter_periodic_pairs` order, and r_i + r_j.
+
+    They filter the table at scale * 2 * max(r); a scale <= 0 gives none.
+    """
+    if scale <= 0.0:
+        return _EMPTY, np.empty(0)
+    r = _covalent_radii(structure)
+    table = _pair_table(structure, scale * (2.0 * float(np.max(r))))
+    rsum = r[table.i] + r[table.j]
+    keep = table.distance <= scale * rsum
+    return _select(table, keep), rsum[keep]
 
 
 def build_neighbor_list(
@@ -322,10 +330,7 @@ def build_neighbor_list(
     construction: for every row (i, j, image) the mirrored row
     (j, i, -image) is present too.
     """
-    if scale <= 0.0:
-        return _EMPTY
-    r = _covalent_radii(structure)
-    t = iter_periodic_pairs(structure, scale * (r[:, None] + r[None, :]))
+    t, _ = covalent_pairs(structure, scale)
     i = np.concatenate((t.i, t.j))
     j = np.concatenate((t.j, t.i))
     image = np.concatenate((t.image, -t.image))

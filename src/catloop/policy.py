@@ -27,6 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .elements import finite_number
+
 
 @dataclass(frozen=True)
 class SequenceLogProbs:
@@ -77,7 +79,7 @@ DEFAULT_EPSILON = 1e-8  # z-score denominator epsilon
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+    if not (finite_number(epsilon) and epsilon >= 0.0):
         raise ValueError("epsilon must be finite and >= 0")
 
 
@@ -105,7 +107,7 @@ class GrpoConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+        if not (finite_number(self.beta) and self.beta >= 0.0):
             raise ValueError("beta must be finite and >= 0")
         _check_epsilon(self.epsilon)
 
@@ -175,7 +177,7 @@ class MmtgConfig:
     gating: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gating) and 0.0 < self.gating <= 1.0):
+        if not (finite_number(self.gating) and 0.0 < self.gating <= 1.0):
             raise ValueError(f"gating must lie in (0, 1], got {self.gating!r}")
 
 

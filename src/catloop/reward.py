@@ -10,12 +10,12 @@ A candidate CIF string is scored on four sub-scales, each in [0, 1]:
 The total is the weighted sum of the four.  Failure flags classify what
 went wrong: PF (parse failure), VF (validity violation), CM (composition
 mismatch), PV (physics violation).  A parse failure zeroes every downstream
-sub-score, so PF implies total = 0.
+sub-score, so PF implies total = 0.  One `covalent_pairs` query per
+structure gives the physics score and the hard verdict `hard_pass`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -32,10 +32,10 @@ from .cif import (
     find_atom_site_loop,
     parse_cif,
 )
+from .elements import finite_number
 from .geometry import (
     DegenerateCellError,
-    _covalent_radii,
-    iter_periodic_pairs,
+    covalent_pairs,
     shared_pair_pass,
     volume_per_atom,
 )
@@ -67,7 +67,7 @@ class RewardWeights:
 
     def __post_init__(self) -> None:
         vals = (self.comp, self.parse, self.valid, self.phys)
-        if any(not (math.isfinite(w) and w >= 0.0) for w in vals):
+        if any(not (finite_number(w) and w >= 0.0) for w in vals):
             raise ValueError("weights must be finite and non-negative")
         if abs(sum(vals) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(vals)!r}")
@@ -104,6 +104,8 @@ class PhysConfig:
     vpa_max: float = 200.0
 
     def __post_init__(self) -> None:
+        if not all(map(finite_number, vars(self).values())):
+            raise ValueError("physics thresholds must be finite numbers")
         if not 0.0 < self.hard_overlap_fraction < self.full_credit_fraction:
             raise ValueError("need 0 < hard_overlap_fraction < full_credit_fraction")
         if not 0.0 < self.vpa_min < self.vpa_max:
@@ -125,6 +127,7 @@ class RewardBreakdown:
     total: float
     failure_flags: frozenset[FailureMode]
     diagnostics: tuple[str, ...] = ()
+    hard_pass: bool = False  # `passes_hard_constraints`; not serialized
 
     def flag_codes(self) -> list[str]:
         return sorted(f.value for f in self.failure_flags)
@@ -168,12 +171,15 @@ def validity_checklist(outcome: ParseOutcome) -> list[tuple[str, bool]]:
     ]
 
 
+def _validity(outcome: ParseOutcome) -> tuple[float, list[str]]:
+    """The validity sub-score of a parsed candidate and its failed checks."""
+    failed = [name for name, ok in validity_checklist(outcome) if not ok]
+    return max(0.0, 1.0 - len(failed) / N_VALIDITY_CHECKS), failed
+
+
 def score_valid(outcome: ParseOutcome) -> float:
     """1 - violations/6 over the formatting checklist, clamped at 0."""
-    if not outcome.ok:
-        return 0.0
-    violations = sum(1 for _, ok in validity_checklist(outcome) if not ok)
-    return max(0.0, 1.0 - violations / N_VALIDITY_CHECKS)
+    return _validity(outcome)[0] if outcome.ok else 0.0
 
 
 def score_composition(target: CompositionVector, actual: CompositionVector) -> float:
@@ -195,18 +201,16 @@ def score_composition(target: CompositionVector, actual: CompositionVector) -> f
 
 def _distance_factor(
     structure: Structure, cfg: PhysConfig
-) -> tuple[float, list[str]]:
-    """Worst-pair distance credit: 0 below hard overlap, 1 above full credit."""
-    r = _covalent_radii(structure)
-    # Pair cutoffs at full credit: distances above carry no penalty, so only
-    # pairs inside them matter.
-    cut = cfg.full_credit_fraction * (r[:, None] + r[None, :])
-    t = iter_periodic_pairs(structure, cut)
+) -> tuple[float, list[str], bool]:
+    """Worst-pair credit (0 at hard overlap, 1 at full), its note, no-overlap verdict."""
+    # only pairs inside full credit can lose credit
+    t, rsum = covalent_pairs(structure, cfg.full_credit_fraction)
+    lo = cfg.hard_overlap_fraction * rsum
+    overlap = t.distance <= lo
+    hard_pass = not overlap.any()
     if len(t):
-        rsum = r[t.i] + r[t.j]
-        lo = cfg.hard_overlap_fraction * rsum
         hi = cfg.full_credit_fraction * rsum
-        credit = np.where(t.distance <= lo, 0.0, (t.distance - lo) / (hi - lo))
+        credit = np.where(overlap, 0.0, (t.distance - lo) / (hi - lo))
         # the worst pair is the first one at the smallest credit below 1
         k = int(np.argmin(credit))
         if credit[k] < 1.0:
@@ -215,8 +219,8 @@ def _distance_factor(
             return factor, [
                 f"closest pair {elems[i]}{i}-{elems[j]}{j} at {t.distance[k]:.3f} A "
                 f"scores {factor:.3f}"
-            ]
-    return 1.0, []
+            ], hard_pass
+    return 1.0, [], hard_pass
 
 
 def _volume_factor(structure: Structure, cfg: PhysConfig) -> tuple[float, list[str]]:
@@ -236,13 +240,13 @@ def _volume_factor(structure: Structure, cfg: PhysConfig) -> tuple[float, list[s
 
 def _assess_physical(
     structure: Structure, cfg: PhysConfig = DEFAULT_PHYS
-) -> tuple[float, list[str]]:
+) -> tuple[float, list[str], bool]:
     try:
-        d_factor, d_notes = _distance_factor(structure, cfg)
+        d_factor, d_notes, hard_pass = _distance_factor(structure, cfg)
         v_factor, v_notes = _volume_factor(structure, cfg)
     except DegenerateCellError as exc:
-        return 0.0, [f"degenerate cell: {exc}"]
-    return d_factor * v_factor, d_notes + v_notes
+        return 0.0, [f"degenerate cell: {exc}"], False
+    return d_factor * v_factor, d_notes + v_notes, hard_pass
 
 
 def score_physical(structure: Structure, cfg: PhysConfig = DEFAULT_PHYS) -> float:
@@ -254,12 +258,7 @@ def passes_hard_constraints(
     structure: Structure, cfg: PhysConfig = DEFAULT_PHYS
 ) -> bool:
     """True when no pair sits at or below the hard-overlap distance."""
-    r = _covalent_radii(structure)
-    cut = cfg.hard_overlap_fraction * (r[:, None] + r[None, :])
-    try:
-        return not len(iter_periodic_pairs(structure, cut))
-    except DegenerateCellError:
-        return False
+    return _assess_physical(structure, cfg)[2]
 
 
 def pvcp_from_outcome(
@@ -288,21 +287,16 @@ def pvcp_from_outcome(
         )
     structure = outcome.structure
     assert structure is not None
-    s_valid = score_valid(outcome)
+    s_valid, failed = _validity(outcome)
     if s_valid < 1.0:
         flags.add(FailureMode.VALIDITY_FAILURE)
-        diagnostics.extend(
-            f"validity check failed: {name}"
-            for name, ok in validity_checklist(outcome)
-            if not ok
-        )
-    s_comp = score_composition(target, composition_of(structure))
+        diagnostics.extend(f"validity check failed: {name}" for name in failed)
+    actual = composition_of(structure)
+    s_comp = score_composition(target, actual)
     if s_comp < 1.0:
         flags.add(FailureMode.COMPOSITION_MISMATCH)
-        diagnostics.append(
-            f"composition {composition_of(structure)} vs target {dict(target)}"
-        )
-    s_phys, phys_notes = _assess_physical(structure, phys)
+        diagnostics.append(f"composition {actual} vs target {dict(target)}")
+    s_phys, phys_notes, hard_pass = _assess_physical(structure, phys)
     if s_phys < 1.0:
         flags.add(FailureMode.PHYSICS_VIOLATION)
         diagnostics.extend(phys_notes)
@@ -321,6 +315,7 @@ def pvcp_from_outcome(
         total=total,
         failure_flags=frozenset(flags),
         diagnostics=tuple(diagnostics),
+        hard_pass=hard_pass,
     )
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Protocol, runtime_checkable
@@ -30,8 +29,8 @@ from typing import Iterable, Mapping, Protocol, runtime_checkable
 import numpy as np
 
 from .cif import Lattice, ParseOutcome, Structure, parse_cif, serialize_cif
-from .elements import COVALENT_RADII
-from .geometry import iter_periodic_pairs
+from .elements import COVALENT_RADII, finite_number
+from .geometry import _covalent_radii, iter_periodic_pairs
 from .reward import (
     DEFAULT_PHYS,
     DEFAULT_WEIGHTS,
@@ -40,7 +39,6 @@ from .reward import (
     RewardBreakdown,
     RewardWeights,
     _score_in_chunks,
-    passes_hard_constraints,
     pvcp_from_outcome,
 )
 
@@ -90,27 +88,9 @@ def energy_reward(e_pred: float, e_target: float, lambda_energy: float) -> float
 # desk-scale surrogates
 
 
-def _finite_number(value: object) -> bool:
-    """True for a finite real number that is not a bool."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
-def _check_radii(radii: object) -> None:
-    """Raise ValueError unless `radii` maps known elements to positive numbers."""
-    if not isinstance(radii, Mapping) or not all(
-        el in COVALENT_RADII and _finite_number(r) and r > 0.0
-        for el, r in radii.items()
-    ):
-        raise ValueError("radii must map element symbols to finite positive numbers")
-
-
 @dataclass
 class PairPotentialSurrogate:
-    """12-6 pair potential parameterized by covalent radii.
+    """12-6 pair potential parameterized by the covalent radii table.
 
     For a pair with radii r_i, r_j the well minimum sits at r_i + r_j
     (sigma = (r_i + r_j) / 2^(1/6)) and the well depth is
@@ -120,20 +100,18 @@ class PairPotentialSurrogate:
     Deterministic: equal structures always give equal energies.
     """
 
-    radii: Mapping[str, float] = field(default_factory=lambda: COVALENT_RADII)
     depth_scale: float = 0.4  # eV per angstrom of radius sum
     cutoff: float = 6.0  # angstroms
     bond_cap: float = 1e3  # eV
 
     def __post_init__(self) -> None:
-        _check_radii(self.radii)
         for name in ("depth_scale", "cutoff", "bond_cap"):
             value = getattr(self, name)
-            if not (_finite_number(value) and value > 0.0):
+            if not (finite_number(value) and value > 0.0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
     def predict(self, structure: Structure) -> float:
-        r = np.array([self.radii[e] for e in structure.elements])
+        r = _covalent_radii(structure)
         t = iter_periodic_pairs(structure, self.cutoff)
         if not len(t):
             return 0.0
@@ -162,7 +140,7 @@ class DefectRates:
     def __post_init__(self) -> None:
         for name in ("syntax", "missing_field", "composition", "overlap"):
             v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
+            if not (finite_number(v) and 0.0 <= v <= 1.0):
                 raise ValueError(f"{name} rate must lie in [0, 1], got {v!r}")
 
 
@@ -194,21 +172,19 @@ class MutationGenerator:
     defect_rates: DefectRates = field(default_factory=DefectRates)
     coord_jitter: float = 0.05  # fractional units, conditioned mode
     lattice_jitter: float = 0.02  # relative cell-length amplitude
-    radii: Mapping[str, float] = field(default_factory=lambda: COVALENT_RADII)
     spacing_floor: float = 1.9  # angstroms
     spacing_cap: float = 4.2  # angstroms
 
     def __post_init__(self) -> None:
         for name in ("coord_jitter", "lattice_jitter", "spacing_floor", "spacing_cap"):
             value = getattr(self, name)
-            if not _finite_number(value):
+            if not finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         # a cell-length factor 1 +- lattice_jitter must stay positive
         if not (self.coord_jitter >= 0.0 and 0.0 <= self.lattice_jitter < 1.0):
             raise ValueError("need coord_jitter >= 0 and 0 <= lattice_jitter < 1")
         if not 0.0 < self.spacing_floor <= self.spacing_cap:
             raise ValueError("need 0 < spacing_floor <= spacing_cap")
-        _check_radii(self.radii)
 
     def propose(
         self,
@@ -288,7 +264,7 @@ class MutationGenerator:
         if not symbols:
             raise ValueError("target composition must contain at least one atom")
         n = len(symbols)
-        r_max = max(self.radii[el] for el in symbols)
+        r_max = max(COVALENT_RADII[el] for el in symbols)
         spacing = min(max(2.2 * r_max, self.spacing_floor), self.spacing_cap)
         dims = _grid_dims(n)
         cells = dims[0] * dims[1] * dims[2]
@@ -409,10 +385,13 @@ class SearchConfig:
     success_tolerance: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("target_energy", "lambda_energy", "energy_weight",
+                     "pvcp_weight", "success_tolerance"):
+            value = getattr(self, name)
+            if not finite_number(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         # accept numpy scalars without letting them leak into reports
         object.__setattr__(self, "target_energy", float(self.target_energy))
-        if not math.isfinite(self.target_energy):
-            raise ValueError("target_energy must be finite")
         for name in ("seed", "iterations", "candidates_per_iteration",
                      "pool_capacity", "init_candidates", "init_rounds"):
             value = getattr(self, name)
@@ -428,9 +407,9 @@ class SearchConfig:
             raise ValueError("reward weights must be non-negative")
         if abs(self.energy_weight + self.pvcp_weight - 1.0) > 1e-9:
             raise ValueError("energy_weight + pvcp_weight must equal 1")
-        if not (math.isfinite(self.lambda_energy) and self.lambda_energy > 0.0):
+        if not self.lambda_energy > 0.0:
             raise ValueError("lambda_energy must be positive")
-        if not (math.isfinite(self.success_tolerance) and self.success_tolerance > 0.0):
+        if not self.success_tolerance > 0.0:
             raise ValueError("success_tolerance must be positive")
         if not isinstance(self.target_composition, Mapping):
             raise TypeError("target_composition must map elements to counts")
@@ -495,7 +474,7 @@ def _score_outcome(
     energy = None
     if outcome.ok:
         # Scored first: the stock surrogate's 6 A pair table is the widest a
-        # candidate needs, so the distance credit and the hard check reuse it.
+        # candidate needs, so the physics score filters it.
         try:
             energy = float(predictor.predict(structure))
             if not math.isfinite(energy):
@@ -506,7 +485,6 @@ def _score_outcome(
     else:
         diagnostics.append("parse failure")
     breakdown = pvcp_from_outcome(outcome, cfg.target_composition, weights, phys)
-    hard_pass = outcome.ok and passes_hard_constraints(structure, phys)
     score = e_rew = 0.0
     if energy is not None:
         e_rew = energy_reward(energy, cfg.target_energy, cfg.lambda_energy)
@@ -516,7 +494,7 @@ def _score_outcome(
         energy=energy,
         energy_reward=e_rew,
         pvcp=breakdown,
-        hard_pass=hard_pass,
+        hard_pass=breakdown.hard_pass,
         parsed=outcome.ok,
         diagnostics=tuple(diagnostics),
         structure=structure,

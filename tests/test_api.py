@@ -4,9 +4,8 @@ import inspect
 
 import catloop
 
-# the pluggable components carry their own radii; everything else scores
-# with the covalent radii table
-RADII_OWNERS = {"MutationGenerator", "PairPotentialSurrogate"}
+# every component reads the covalent radii table; none carries its own radii
+RADII_OWNERS: set[str] = set()
 # the z-score epsilon is a GrpoConfig field and an argument of the advantages
 EPSILON_OWNERS = {"GrpoConfig", "group_advantages"}
 

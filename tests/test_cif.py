@@ -428,6 +428,59 @@ def test_round_trip_random_structures():
         assert structures_close(s, out.structure, tol=1e-9)
 
 
+# characters that quoting, text fields, the tokenizer or stripping treat
+# specially; "\r", "\x85" and "\u2028" break lines for `str.splitlines`
+AWKWARD = ["a", "b", " ", "\t", "'", '"', ";", "#", "_", "?", ".", "\n", "\r",
+           "\x85", "\u2028", "\xa0"]
+
+
+@pytest.mark.parametrize(
+    "label, symbol",
+    [
+        ("a\n;b", "P 1"),  # the second line would close the text field
+        ("a'b\" ", "P 1"),  # a text field, read back stripped
+        (" a'b\"", "P 1"),
+        ("a\nb\n", "P 1"),
+        ("a\rb", "P 1"),  # read back as "a\nb"
+        ("a\r\nb", "P 1"),
+        ("a\x85b", "P 1"),
+        ("Cu1", " P 1"),  # read back stripped
+        ("Cu1", "P 1\t"),
+        ("Cu1", "?"),  # read back as no symbol
+        ("Cu1", "."),
+        ("Cu1", ""),
+        ("Cu1", "P\r1"),
+        ("Cu1", "P\n;1"),
+    ],
+)
+def test_structure_rejects_values_cif_cannot_carry(label, symbol):
+    with pytest.raises(ValueError, match="label|space group"):
+        one_site(label=label, space_group_symbol=symbol)
+
+
+def test_every_accepted_value_round_trips():
+    rng = np.random.default_rng(43)
+    accepted = rejected = 0
+    for _ in range(3000):
+        label, symbol = (
+            "".join(rng.choice(AWKWARD, size=int(rng.integers(1, 6))))
+            for _ in range(2)
+        )
+        try:
+            s = one_site(label=label, space_group_symbol=symbol)
+        except ValueError:
+            rejected += 1
+            continue
+        accepted += 1
+        out = parse_cif(serialize_cif(s))
+        assert out.ok and out.defects == (), (label, symbol)
+        got = out.structure
+        assert got.labels == (label,), (label, symbol)
+        assert got.space_group_symbol == symbol, (label, symbol)
+        assert structures_close(s, got, tol=1e-9)
+    assert accepted > 300 and rejected > 300, (accepted, rejected)
+
+
 def test_parse_is_pure(minimal_cif):
     a = parse_cif(minimal_cif)
     b = parse_cif(minimal_cif)

@@ -249,6 +249,26 @@ def test_validate_bad_config(tmp_path, capsys):
     assert "weights" in err
 
 
+@pytest.mark.parametrize(
+    "section, values",
+    [
+        ("weights", {"comp": True, "parse": False, "valid": False, "phys": False}),
+        ("weights", {"comp": 0.6, "parse": 0.2, "valid": 0.1, "phys": "0.1"}),
+        ("phys", {"full_credit_fraction": True}),
+        ("phys", {"vpa_min": True}),
+        ("phys", {"radii": {"Cu": 1.32}}),
+    ],
+)
+def test_validate_bad_config_values_exit_1(tmp_path, capsys, section, values):
+    p = tmp_path / "ok.cif"
+    p.write_text(MINIMAL_CIF)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: values}))
+    code, _, err = run_cli(capsys, "validate", str(p), "--config", str(cfg))
+    assert code == 1
+    assert f"catloop validate: bad {section} config" in err
+
+
 def test_validate_rates_match_generator_bookkeeping(tmp_path, capsys):
     rates = DefectRates(syntax=0.3, missing_field=0.4, composition=0.3, overlap=0.5)
     gen = MutationGenerator(defect_rates=rates)
@@ -424,6 +444,19 @@ def test_grpo_bad_beta(tmp_path, capsys):
     assert "grpo config" in err
 
 
+@pytest.mark.parametrize(
+    "values", [{"beta": True}, {"beta": "0.1"}, {"epsilon": False}]
+)
+def test_grpo_bad_config_values_exit_1(tmp_path, capsys, values):
+    groups = tmp_path / "groups.jsonl"
+    groups.write_text(GROUP_LINE + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grpo": values}))
+    code, _, err = run_cli(capsys, "grpo", str(groups), "--config", str(cfg))
+    assert code == 1
+    assert "catloop grpo: bad grpo config" in err
+
+
 # ---------------------------------------------------------------------------
 # mmtg
 
@@ -505,6 +538,15 @@ def test_mmtg_bad_gating(capsys):
     code, _, err = run_cli(capsys, "mmtg", "2", "1", "--gating", "0")
     assert code == 1
     assert "mmtg config" in err
+
+
+@pytest.mark.parametrize("values", [{"gating": True}, {"gating": "1"}])
+def test_mmtg_bad_config_values_exit_1(tmp_path, capsys, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mmtg": values}))
+    code, _, err = run_cli(capsys, "mmtg", "2", "1", "--config", str(cfg))
+    assert code == 1
+    assert "catloop mmtg: bad mmtg config" in err
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +660,22 @@ def test_search_unknown_element(tmp_path, capsys):
         ("predictor", {"radii": {"Cu": 1.32}}),
         ("predictor", {"radii": {"Cu": -1.32, "O": 0.66}}),
         ("predictor", {"radii": {"Cu": True, "O": 0.66}}),
+        # every component reads the covalent radii table: no radii key at all
+        ("generator", {"radii": {"Cu": 1.32, "O": 0.66}}),
+        ("predictor", {"radii": {"Cu": 1.32, "O": 0.66}}),
+        # JSON true and false are not numbers
+        ("search", {"target_energy": True}),
+        ("search", {"target_energy": "-2.5"}),
+        ("search", {"lambda_energy": True}),
+        ("search", {"energy_weight": True, "pvcp_weight": False}),
+        ("search", {"energy_weight": False, "pvcp_weight": True}),
+        ("search", {"success_tolerance": True}),
+        ("generator", {"defect_rates": {"syntax": True}}),
+        ("generator", {"defect_rates": {"overlap": False}}),
+        ("generator", {"defect_rates": {"composition": "0.1"}}),
+        ("weights", {"comp": True, "parse": False, "valid": False, "phys": False}),
+        ("phys", {"full_credit_fraction": True}),
+        ("phys", {"vpa_min": True}),
     ],
 )
 def test_search_bad_config_values_exit_1(tmp_path, capsys, section, values):
@@ -627,7 +685,7 @@ def test_search_bad_config_values_exit_1(tmp_path, capsys, section, values):
     cfg.write_text(json.dumps(obj))
     code, _, err = run_cli(capsys, "search", "--config", str(cfg))
     assert code == 1
-    assert "bad" in err and "config" in err
+    assert f"catloop search: bad {section} config" in err
 
 
 @pytest.mark.parametrize("section", ["search", "generator"])

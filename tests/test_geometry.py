@@ -11,6 +11,7 @@ from catloop.cif import Lattice
 from catloop.geometry import (
     DegenerateCellError,
     build_neighbor_list,
+    covalent_pairs,
     iter_periodic_pairs,
     min_image_distance,
     min_pair_distance,
@@ -50,16 +51,30 @@ def pairs(structure, cutoff):
     return pair_tuples(iter_periodic_pairs(structure, cutoff))
 
 
+def covalent(structure, scale):
+    """`covalent_pairs` rows as tuples, checked against their radius sums."""
+    table, rsum = covalent_pairs(structure, scale)
+    r = np.array([COVALENT_RADII[e] for e in structure.elements])
+    assert np.array_equal(rsum, r[table.i] + r[table.j])
+    return pair_tuples(table)
+
+
+def covalent_oracle(structure, scale):
+    """`brute_force_pairs` at the pair cutoffs scale * (r_i + r_j)."""
+    r = np.array([COVALENT_RADII[e] for e in structure.elements])
+    return brute_force_pairs(structure, scale * (r[:, None] + r[None, :]))
+
+
 def test_pairs_match_brute_force_on_skewed_cells():
     rng = np.random.default_rng(23)
     for _ in range(15):
         s = random_structure(rng, max_sites=6)
-        n = len(s)
-        per_pair = rng.uniform(0.0, 5.0, size=(n, n))
-        per_pair[rng.random((n, n)) < 0.2] = 0.0
-        for cutoff in (6.0, float(rng.uniform(1.0, 5.0)), per_pair):
+        for cutoff in (6.0, float(rng.uniform(1.0, 5.0))):
             fresh = dataclasses.replace(s)  # same fields, no memoized table
             assert pairs(fresh, cutoff) == brute_force_pairs(s, cutoff)
+        for scale in (0.5, 0.75, 1.2, float(rng.uniform(0.1, 1.5))):
+            fresh = dataclasses.replace(s)
+            assert covalent(fresh, scale) == covalent_oracle(s, scale)
 
 
 def test_pair_exactly_at_cutoff_is_kept():
@@ -76,10 +91,12 @@ def test_pruning_on_strongly_skewed_cell():
     s = make_structure(
         species, rng.random((7, 3)), lengths=(5.0, 5.5, 6.0), angles=(78, 96, 25)
     )
-    r = np.array([COVALENT_RADII[el] for el in species])
-    for cutoff in (4.0, 6.0, 0.75 * (r[:, None] + r[None, :])):
+    for cutoff in (4.0, 6.0):
         fresh = dataclasses.replace(s)  # same fields, no memoized table
         assert pairs(fresh, cutoff) == brute_force_pairs(s, cutoff)
+    for scale in (0.5, 0.75, 1.2):
+        fresh = dataclasses.replace(s)
+        assert covalent(fresh, scale) == covalent_oracle(s, scale)
 
 
 def test_cutoff_spanning_several_cells():
@@ -100,10 +117,9 @@ def test_pruning_on_64_site_structure():
     s = make_structure(
         species, rng.random((64, 3)), lengths=(12, 13, 14), angles=(85, 100, 75)
     )
-    r = np.array([COVALENT_RADII[el] for el in species])
-    cutoff = 0.75 * (r[:, None] + r[None, :])
-    got = pairs(s, cutoff)
-    assert got and got == brute_force_pairs(s, cutoff)
+    for scale in (0.75, 1.2):
+        got = covalent(dataclasses.replace(s), scale)
+        assert got and got == covalent_oracle(s, scale)
 
 
 def test_zero_pair_cutoff_skips_coincident_atoms():
@@ -112,24 +128,23 @@ def test_zero_pair_cutoff_skips_coincident_atoms():
     )
     # a scalar query first leaves the coincident pair (d = 0) in the memo
     assert (0, 1, (0, 0, 0), 0.0) in pairs(s, 3.0)
-    cut = np.full((3, 3), 2.5)
-    cut[0, 1] = 0.0
-    got = pairs(s, cut)
-    assert all((i, j) != (0, 1) for i, j, _, _ in got)
-    assert got == brute_force_pairs(s, cut)
+    assert covalent(s, 0.5) == covalent_oracle(s, 0.5)
+    # no cutoff above zero, no rows: not even the coincident pair
+    assert pairs(s, 0.0) == covalent(s, 0.0) == covalent(s, -1.0) == []
 
 
 def test_memoized_queries_equal_fresh_structures():
     rng = np.random.default_rng(29)
     for _ in range(10):
         s = random_structure(rng, max_sites=6)
-        r = np.array([COVALENT_RADII[e] for e in s.elements])
-        rsum = r[:, None] + r[None, :]
-        for cutoff in (6.0, 0.5 * rsum, 0.75 * rsum):
-            fresh = dataclasses.replace(s)  # same fields, no memoized table
-            want = pairs(fresh, cutoff)
-            assert pairs(s, cutoff) == want
-            assert want == brute_force_pairs(s, cutoff)
+        fresh = dataclasses.replace(s)  # same fields, no memoized table
+        want = pairs(fresh, 6.0)
+        assert pairs(s, 6.0) == want == brute_force_pairs(s, 6.0)
+        # after the 6 A query a covalent query filters the memo or widens it
+        for scale in (0.5, 0.75, 1.2, float(rng.uniform(0.1, 1.5))):
+            fresh = dataclasses.replace(s)
+            want = covalent(fresh, scale)
+            assert covalent(s, scale) == want == covalent_oracle(s, scale)
 
 
 def batch_members(rng):

@@ -180,8 +180,9 @@ def test_score_physical_degenerate_cell():
 def reference_physics(structure, cfg=DEFAULT_PHYS):
     """The per-pair loop of the distance credit over `brute_force_pairs`.
 
-    Returns the physics score, the closest-pair notes, and the credits of
-    the pairs tied at the worst credit below 1.
+    Returns the physics score, the closest-pair notes, the credits of the
+    pairs tied at the worst credit below 1, and the hard verdict: no pair
+    at or below the hard-overlap fraction of its radius sum.
     """
     elems = structure.elements
     r = [COVALENT_RADII[e] for e in elems]
@@ -190,12 +191,14 @@ def reference_physics(structure, cfg=DEFAULT_PHYS):
     factor = 1.0
     worst = None
     credits = []
+    hard_pass = True
     for i, j, _image, dist in brute_force_pairs(structure, cut):
         rsum = r[i] + r[j]
         lo = cfg.hard_overlap_fraction * rsum
         hi = cfg.full_credit_fraction * rsum
         if dist <= lo:
             credit = 0.0
+            hard_pass = False
         else:
             credit = (dist - lo) / (hi - lo)
         credits.append(credit)
@@ -210,7 +213,8 @@ def reference_physics(structure, cfg=DEFAULT_PHYS):
             f"scores {factor:.3f}"
         )
     v_factor, _ = reward._volume_factor(structure, cfg)
-    return factor * v_factor, notes, [c for c in credits if c == factor < 1.0]
+    tied = [c for c in credits if c == factor < 1.0]
+    return factor * v_factor, notes, tied, hard_pass
 
 
 def grid_structure(rng):
@@ -239,15 +243,17 @@ def grid_structure(rng):
 def test_physics_score_matches_reference_loop():
     rng = np.random.default_rng(41)
     seen = dict.fromkeys(
-        ("coincident", "zero_credit", "tied_zero", "tied_positive"), 0
+        ("coincident", "zero_credit", "tied_zero", "tied_positive", "hard_fail"), 0
     )
     for k in range(240):
         s = random_structure(rng, max_sites=6) if k % 3 == 0 else grid_structure(rng)
-        want_score, want_notes, tied = reference_physics(s)
-        score, notes = reward._assess_physical(s)
+        want_score, want_notes, tied, want_pass = reference_physics(s)
+        score, notes, hard_pass = reward._assess_physical(s)
         closest = [note for note in notes if note.startswith("closest pair")]
-        assert (score, closest) == (want_score, want_notes)
+        assert (score, closest, hard_pass) == (want_score, want_notes, want_pass)
         assert score_physical(s) == want_score
+        assert passes_hard_constraints(s) is want_pass
+        seen["hard_fail"] += not want_pass
         frac = s.frac
         seen["coincident"] += any(
             np.array_equal(frac[a], frac[b])

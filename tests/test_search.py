@@ -7,10 +7,17 @@ import time
 import numpy as np
 import pytest
 
-from catloop import geometry
+from catloop import geometry, reward, search
 from catloop.cif import parse_cif, serialize_cif
+from catloop.elements import COVALENT_RADII
 from catloop.geometry import iter_periodic_pairs, min_pair_distance, volume_per_atom
-from catloop.reward import FailureMode, passes_hard_constraints, pvcp
+from catloop.reward import (
+    DEFAULT_PHYS,
+    DEFAULT_WEIGHTS,
+    FailureMode,
+    passes_hard_constraints,
+    pvcp,
+)
 from catloop.search import (
     CandidateGenerator,
     DefectRates,
@@ -120,7 +127,7 @@ def test_surrogate_deterministic():
 
 def loop_predict(surr, structure):
     """The 12-6 sum as a running total over the pair table, one row at a time."""
-    r = np.array([surr.radii[e] for e in structure.elements])
+    r = np.array([COVALENT_RADII[e] for e in structure.elements])
     total = 0.0
     t = iter_periodic_pairs(structure, surr.cutoff)
     for i, j, dist in zip(t.i.tolist(), t.j.tolist(), t.distance.tolist()):
@@ -404,11 +411,18 @@ def test_combined_reward_nonfinite_energy():
 
 def test_one_pair_table_per_scored_candidate(monkeypatch):
     # the surrogate's 6 A table is the widest one a candidate needs, so the
-    # distance credit and the hard check filter it instead of rebuilding
+    # physics score filters it instead of rebuilding, in one covalent query
+    # that gives both the distance credit and the hard verdict
     spacings = geometry._slab_spacings
     builds = []
     monkeypatch.setattr(
         geometry, "_slab_spacings", lambda m: builds.append(1) or spacings(m)
+    )
+    covalent_pairs = reward.covalent_pairs
+    queries = []
+    monkeypatch.setattr(
+        reward, "covalent_pairs",
+        lambda s, scale: queries.append(scale) or covalent_pairs(s, scale),
     )
     target = {"Cu": 4, "O": 2}
     gen = MutationGenerator()
@@ -417,10 +431,19 @@ def test_one_pair_table_per_scored_candidate(monkeypatch):
     for seed in range(6):
         for parent in (None, exemplar):
             builds.clear()
+            queries.clear()
             text = gen.propose(parent, target, seed)
             _, br = combined_reward(text, PairPotentialSurrogate(), cfg)
             assert br.parsed and br.hard_pass and br.energy is not None
             assert len(builds) == 1
+            assert queries == [DEFAULT_PHYS.full_credit_fraction]
+    # a whole generation: one query per parsed candidate, none more
+    queries.clear()
+    scores, entries = search._generation(
+        gen, PairPotentialSurrogate(), cfg, np.random.default_rng(0), exemplar,
+        8, 1, DEFAULT_WEIGHTS, DEFAULT_PHYS,
+    )
+    assert len(scores) == len(entries) == len(queries) == 8
 
 
 def test_combined_reward_serializable():
