@@ -700,18 +700,19 @@ def _parse_sites(
     return (site_labels, elements, list(zip(*xyz))), coords_in_window
 
 
-def parse_cif(
-    text: str | bytes, max_chars: int = DEFAULT_MAX_CHARS
-) -> ParseOutcome:
-    """Parse CIF text into a `ParseOutcome`; never raises on bad input."""
+def parse_cif(text: str | bytes) -> ParseOutcome:
+    """Parse CIF text into a `ParseOutcome`; never raises on bad input.
+
+    Text longer than `DEFAULT_MAX_CHARS` characters is one SYNTAX defect.
+    """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     defects: list[Defect] = []
-    if len(text) > max_chars:
+    if len(text) > DEFAULT_MAX_CHARS:
         defects.append(
             Defect(
                 DefectCode.SYNTAX,
-                f"input length {len(text)} exceeds limit {max_chars}",
+                f"input length {len(text)} exceeds limit {DEFAULT_MAX_CHARS}",
                 0,
             )
         )

@@ -25,7 +25,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
@@ -48,15 +48,14 @@ from .policy import (
     mmtg_loss,
 )
 from .reward import (
-    DEFAULT_PHYS,
-    DEFAULT_WEIGHTS,
+    PhysConfig,
     RewardBreakdown,
+    RewardWeights,
     _score_in_chunks,
     corpus_failure_rates,
     pvcp_from_outcome,
 )
 from .search import (
-    DefectRates,
     MutationGenerator,
     PairPotentialSurrogate,
     PoolInitializationError,
@@ -112,12 +111,12 @@ def _section(config: dict, name: str) -> dict:
     return dict(section)
 
 
-def _configured(config: dict, name: str, default, **flags):
-    """`default` updated by the config's `name` object, then by non-None flags."""
+def _configured(config: dict, name: str, cls, **flags):
+    """`cls` built from the config's `name` object, updated by non-None flags."""
     section = _section(config, name)
     section.update((k, v) for k, v in flags.items() if v is not None)
     try:
-        return replace(default, **section)
+        return cls(**section)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad {name} config: {exc}") from None
 
@@ -252,8 +251,8 @@ def _read_inputs(paths: Sequence[str]) -> tuple[dict[str, bytes], list[str]]:
 
 
 def cmd_validate(args: argparse.Namespace, config: dict) -> Outcome:
-    weights = _configured(config, "weights", DEFAULT_WEIGHTS)
-    phys = _configured(config, "phys", DEFAULT_PHYS)
+    weights = _configured(config, "weights", RewardWeights)
+    phys = _configured(config, "phys", PhysConfig)
     blobs, unreadable = _read_inputs(args.paths)
 
     per_file_targets: dict[str, dict[str, int]] = {}
@@ -393,9 +392,7 @@ def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
 
 
 def cmd_grpo(args: argparse.Namespace, config: dict) -> Outcome:
-    cfg = _configured(
-        config, "grpo", GrpoConfig(), beta=args.beta, epsilon=args.epsilon
-    )
+    cfg = _configured(config, "grpo", GrpoConfig, beta=args.beta, epsilon=args.epsilon)
     blobs, _unreadable = _read_inputs([args.groups])
     cfg_snapshot = {"beta": cfg.beta, "epsilon": cfg.epsilon}
     manifest = _manifest(args, cfg_snapshot, blobs, args.seed)
@@ -432,7 +429,7 @@ def cmd_grpo(args: argparse.Namespace, config: dict) -> Outcome:
 def cmd_mmtg(args: argparse.Namespace, config: dict) -> Outcome:
     if args.losses and len(args.losses) != 2:
         raise CliError("provide exactly two losses")
-    cfg = _configured(config, "mmtg", MmtgConfig(), gating=args.gating)
+    cfg = _configured(config, "mmtg", MmtgConfig, gating=args.gating)
 
     pairs: list[tuple[float, float]] = []
     blobs: dict[str, bytes] = {}
@@ -447,7 +444,7 @@ def cmd_mmtg(args: argparse.Namespace, config: dict) -> Outcome:
                 if not (pair and all(map(finite_number, item))):
                     raise ValueError(f"{item!r} is not a pair of finite numbers")
                 pairs.append((float(item[0]), float(item[1])))
-        except (ValueError, OverflowError) as exc:  # float() of a huge int
+        except ValueError as exc:
             raise CliError(f"bad pairs file: {exc}") from None
     if args.losses:
         pairs.append((args.losses[0], args.losses[1]))
@@ -476,35 +473,22 @@ def cmd_mmtg(args: argparse.Namespace, config: dict) -> Outcome:
 
 
 def cmd_search(args: argparse.Namespace, config: dict) -> Outcome:
-    section = _section(config, "search")
-    if args.seed is not None:
-        section["seed"] = args.seed
-    if "target_composition" in section:
-        section["target_composition"] = _composition(
-            section["target_composition"], "bad search config: target_composition"
-        )
-    try:
-        cfg = SearchConfig(**section)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad search config: {exc}") from None
+    cfg = _configured(config, "search", SearchConfig, seed=args.seed)
     if not cfg.target_composition:
         raise CliError("search config needs a non-empty target_composition")
-
-    gen_section = _section(config, "generator")
-    try:
-        rates = DefectRates(**gen_section.pop("defect_rates", {}))
-        generator = MutationGenerator(defect_rates=rates, **gen_section)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad generator config: {exc}") from None
-    predictor = _configured(config, "predictor", PairPotentialSurrogate())
-    weights = _configured(config, "weights", DEFAULT_WEIGHTS)
-    phys = _configured(config, "phys", DEFAULT_PHYS)
+    generator = _configured(config, "generator", MutationGenerator)
+    predictor = _configured(config, "predictor", PairPotentialSurrogate)
+    weights = _configured(config, "weights", RewardWeights)
+    phys = _configured(config, "phys", PhysConfig)
 
     cfg_snapshot = {
-        "search": cfg.to_json_dict(),
+        "search": asdict(cfg),
         "weights": vars(weights),
         "phys": vars(phys),
-        "generator": {**gen_section, "defect_rates": vars(rates)},
+        "generator": {
+            **_section(config, "generator"),
+            "defect_rates": vars(generator.defect_rates),
+        },
         "predictor": config.get("predictor", {}),
     }
     manifest = _manifest(args, cfg_snapshot, {}, cfg.seed)

@@ -3,14 +3,16 @@
 Radii are single-bond covalent radii in angstroms: Cordero-style values for
 H through Cm, extended with Pyykko single-bond radii for Bk through Og so
 that every element up to Z=118 has an entry.  For carbon the sp3 value is
-used.  All radii lie in (0.2, 3.0).  Also the value checks that configs
-share: `check_composition` and `finite_number`.
+used.  All radii lie in (0.2, 3.0).  Also the one home of the rules for
+values read from outside (configs, sidecars, records): `finite_number`,
+`whole_number` and `check_composition`.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from typing import Mapping
 
 # Keyed by symbol, ordered by atomic number.
 COVALENT_RADII: dict[str, float] = {
@@ -54,20 +56,32 @@ def is_element(symbol: str) -> bool:
 
 def finite_number(value: object) -> bool:
     """True for a finite real number that is not a bool (JSON true/false)."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and math.isfinite(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float; consumers compute in floats
+        return False
+
+
+def whole_number(value: object) -> bool:
+    """True for an integer that is not a bool; numpy integers pass."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def check_composition(mapping: object, where: str) -> dict[str, int]:
-    """Known elements with integer counts >= 0, else ValueError prefixed by `where`."""
-    if not isinstance(mapping, dict):
+    """Any mapping of known elements to `whole_number` counts >= 0, as plain
+    ints; else ValueError prefixed by `where`."""
+    if not isinstance(mapping, Mapping):
         raise ValueError(f"{where}: expected element counts, got {mapping!r}")
+    counts = {}
     for el, count in mapping.items():
         if not is_element(el):
             raise ValueError(f"{where}: unknown element {el!r}")
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        if not (whole_number(count) and count >= 0):
             raise ValueError(f"{where}: count {count!r} for {el!r} is not an int >= 0")
-    return dict(mapping)
+        counts[el] = int(count)
+    return counts
 
 
 def normalize_symbol(token: str) -> str | None:

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .elements import finite_number
+from .elements import finite_number, whole_number
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ class SequenceLogProbs:
     """Per-token log-probabilities of one sequence under two policies.
 
     `logp_current` comes from the policy being trained, `logp_reference`
-    from the frozen reference.  Both must have the same nonzero length and
-    contain finite values <= 0.
+    from the frozen reference.  Both must have the same nonzero length as
+    the integer `tokens` and hold finite numbers <= 0.
     """
 
     tokens: tuple[int, ...]
@@ -44,20 +44,22 @@ class SequenceLogProbs:
     logp_reference: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "logp_current", tuple(float(v) for v in self.logp_current))
-        object.__setattr__(
-            self, "logp_reference", tuple(float(v) for v in self.logp_reference)
-        )
+        for name in ("tokens", "logp_current", "logp_reference"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for v in self.tokens:
+            if not whole_number(v):
+                raise ValueError(f"tokens must be integers, got {v!r}")
+        for name in ("logp_current", "logp_reference"):
+            for v in getattr(self, name):
+                if not (finite_number(v) and v <= 0.0):
+                    raise ValueError(
+                        f"{name} entries must be finite numbers <= 0, got {v!r}"
+                    )
         t = len(self.tokens)
         if t == 0:
             raise ValueError("sequence must contain at least one token")
         if len(self.logp_current) != t or len(self.logp_reference) != t:
             raise ValueError("tokens and log-prob arrays must share one length")
-        for name in ("logp_current", "logp_reference"):
-            for v in getattr(self, name):
-                if not math.isfinite(v) or v > 0.0:
-                    raise ValueError(f"{name} entries must be finite and <= 0, got {v!r}")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -71,8 +73,8 @@ class GroupMember:
     reward: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.reward):
-            raise ValueError(f"reward must be finite, got {self.reward!r}")
+        if not finite_number(self.reward):
+            raise ValueError(f"reward must be a finite number, got {self.reward!r}")
 
 
 DEFAULT_EPSILON = 1e-8  # z-score denominator epsilon
@@ -91,6 +93,8 @@ class CandidateGroup:
     members: tuple[GroupMember, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.prompt_id, str):
+            raise ValueError(f"prompt_id must be a string, got {self.prompt_id!r}")
         object.__setattr__(self, "members", tuple(self.members))
         if len(self.members) < 2:
             raise ValueError("a group needs at least two members")
@@ -128,8 +132,8 @@ def kl_estimate(seq: SequenceLogProbs) -> float:
 
     Zero when the two policies assigned identical per-token probabilities.
     """
-    cur = np.array(seq.logp_current)
-    ref = np.array(seq.logp_reference)
+    cur = np.array(seq.logp_current, dtype=float)
+    ref = np.array(seq.logp_reference, dtype=float)
     return float(np.mean(cur - ref))
 
 
@@ -233,7 +237,7 @@ def group_from_json_dict(obj: dict) -> CandidateGroup:
             "group record key 'epsilon' is not supported; set it with --epsilon"
         )
     try:
-        prompt_id = str(obj["prompt_id"])
+        prompt_id = obj["prompt_id"]
         raw_members = obj["members"]
     except KeyError as exc:
         raise ValueError(f"group record missing key {exc.args[0]!r}") from None
@@ -245,11 +249,11 @@ def group_from_json_dict(obj: dict) -> CandidateGroup:
             raise ValueError(f"member {k} must be a JSON object")
         try:
             seq = SequenceLogProbs(
-                tokens=tuple(raw.get("tokens", range(len(raw["logp_current"])))),
-                logp_current=tuple(raw["logp_current"]),
-                logp_reference=tuple(raw["logp_reference"]),
+                tokens=raw.get("tokens", range(len(raw["logp_current"]))),
+                logp_current=raw["logp_current"],
+                logp_reference=raw["logp_reference"],
             )
-            member = GroupMember(logprobs=seq, reward=float(raw["reward"]))
+            member = GroupMember(logprobs=seq, reward=raw["reward"])
         except KeyError as exc:
             raise ValueError(f"member {k} missing key {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
@@ -274,7 +278,7 @@ def group_report(group: CandidateGroup, cfg: GrpoConfig = GrpoConfig()) -> dict:
     return {
         "prompt_id": group.prompt_id,
         "n_members": len(group.members),
-        "rewards": [m.reward for m in group.members],
+        "rewards": group.rewards().tolist(),
         "advantages": [float(a) for a in adv],
         "normalized_logprob": [
             normalized_logprob(m.logprobs) for m in group.members

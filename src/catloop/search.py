@@ -22,14 +22,18 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
 from .cif import Lattice, ParseOutcome, Structure, parse_cif, serialize_cif
-from .elements import COVALENT_RADII, finite_number
+from .elements import (
+    COVALENT_RADII,
+    check_composition,
+    finite_number,
+    whole_number,
+)
 from .geometry import _covalent_radii, iter_periodic_pairs
 from .reward import (
     DEFAULT_PHYS,
@@ -164,7 +168,8 @@ class MutationGenerator:
     very little.
 
     Defect injection corrupts the output with per-class probabilities from
-    `defect_rates`.  Each class draws from its own seed substream, so
+    `defect_rates`, a `DefectRates` or a mapping of its fields (a config's
+    JSON object).  Each class draws from its own seed substream, so
     disabling one class leaves every other draw unchanged.  `propose` is a
     pure function of (exemplar, target, rng_seed).
     """
@@ -176,6 +181,11 @@ class MutationGenerator:
     spacing_cap: float = 4.2  # angstroms
 
     def __post_init__(self) -> None:
+        if isinstance(self.defect_rates, Mapping):
+            self.defect_rates = DefectRates(**self.defect_rates)
+        if not isinstance(self.defect_rates, DefectRates):
+            rates = self.defect_rates
+            raise TypeError(f"defect_rates must be a mapping, got {rates!r}")
         for name in ("coord_jitter", "lattice_jitter", "spacing_floor", "spacing_cap"):
             value = getattr(self, name)
             if not finite_number(value):
@@ -395,11 +405,9 @@ class SearchConfig:
         for name in ("seed", "iterations", "candidates_per_iteration",
                      "pool_capacity", "init_candidates", "init_rounds"):
             value = getattr(self, name)
-            try:
-                value = operator.index(value)  # numpy integers pass, floats do not
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
-            object.__setattr__(self, name, value)
+            if not whole_number(value):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
             least = 0 if name == "seed" else 1
             if value < least:
                 raise ValueError(f"{name} must be at least {least}")
@@ -411,38 +419,8 @@ class SearchConfig:
             raise ValueError("lambda_energy must be positive")
         if not self.success_tolerance > 0.0:
             raise ValueError("success_tolerance must be positive")
-        if not isinstance(self.target_composition, Mapping):
-            raise TypeError("target_composition must map elements to counts")
-        counts = {}
-        for el, cnt in self.target_composition.items():
-            if el not in COVALENT_RADII:
-                raise ValueError(f"unknown element {el!r} in target_composition")
-            try:
-                count = operator.index(cnt)  # numpy integers pass, 2.5 and "4" do not
-            except TypeError:
-                count = None
-            if count is None or isinstance(cnt, bool):  # operator.index(True) is 1
-                raise TypeError(f"target count for {el!r} must be an integer, got {cnt!r}")
-            if count < 0:
-                raise ValueError(f"negative target count for {el!r}")
-            counts[el] = count
+        counts = check_composition(self.target_composition, "target_composition")
         object.__setattr__(self, "target_composition", counts)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "target_energy": self.target_energy,
-            "target_composition": dict(sorted(self.target_composition.items())),
-            "seed": self.seed,
-            "iterations": self.iterations,
-            "candidates_per_iteration": self.candidates_per_iteration,
-            "pool_capacity": self.pool_capacity,
-            "init_candidates": self.init_candidates,
-            "init_rounds": self.init_rounds,
-            "lambda_energy": self.lambda_energy,
-            "energy_weight": self.energy_weight,
-            "pvcp_weight": self.pvcp_weight,
-            "success_tolerance": self.success_tolerance,
-        }
 
 
 def combined_reward(
@@ -621,7 +599,7 @@ class SearchReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "config": self.config.to_json_dict(),
+            "config": asdict(self.config),
             "init": {
                 "generated": self.init_generated,
                 "passed": self.init_passed,

@@ -22,19 +22,19 @@ from typing import Mapping
 import numpy as np
 
 from .cif import Structure
-from .elements import check_composition
+from .elements import check_composition, whole_number
 from .geometry import DEFAULT_NEIGHBOR_SCALE, build_neighbor_list
 
 DEFAULT_SEPARATOR = "</s>"
 
 
 def _integers(values: object, what: str) -> tuple[int, ...]:
-    """`values` as a tuple of ints; a bool, float or string is a ValueError."""
+    """`values` as a tuple of plain ints; a bool, float or string is a ValueError."""
     values = tuple(values)
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
+        if not whole_number(v):
             raise ValueError(f"{what} must be integers, got {v!r}")
-    return values
+    return tuple(map(int, values))
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,8 @@ class SystemMetadata:
             raise ValueError("adsorbate and surface_top site sets must be disjoint")
         if len(self.miller_index) != 3 or self.miller_index == (0, 0, 0):
             raise ValueError("miller index must be three integers, not all zero")
-        check_composition(self.catalyst_composition, "catalyst composition")
+        counts = check_composition(self.catalyst_composition, "catalyst composition")
+        object.__setattr__(self, "catalyst_composition", counts)
         if not self.catalyst_composition:
             raise ValueError("catalyst composition must be non-empty")
         for el, cnt in self.catalyst_composition.items():

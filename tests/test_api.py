@@ -1,6 +1,9 @@
 """The public API surface: parameters that have one source of truth."""
 
+import dataclasses
 import inspect
+
+import pytest
 
 import catloop
 
@@ -37,3 +40,31 @@ def test_public_api_has_no_stray_radii_or_epsilon():
         if owner not in EPSILON_OWNERS:
             assert "epsilon" not in params, qualname
     assert seen > len(catloop.__all__) // 2
+
+
+# every config dataclass in the public API, with the arguments it requires
+CONFIG_CLASSES = {
+    "RewardWeights": {},
+    "PhysConfig": {},
+    "GrpoConfig": {},
+    "MmtgConfig": {},
+    "SearchConfig": {"target_energy": -2.5, "target_composition": {"Cu": 4}},
+    "DefectRates": {},
+    "MutationGenerator": {},
+    "PairPotentialSurrogate": {},
+}
+
+
+@pytest.mark.parametrize("name", CONFIG_CLASSES)
+def test_config_numbers_reject_bools_and_strings(name):
+    assert name in catloop.__all__
+    cls, required = getattr(catloop, name), CONFIG_CLASSES[name]
+    numeric = [f for f in dataclasses.fields(cls) if f.type in ("int", "float")]
+    assert numeric
+    for f in numeric:
+        value = required.get(f.name, f.default)
+        # the bool equal to a 0 or 1 value slips past every range check
+        bad = [True, "1"] + ([bool(value)] if value in (0, 1) else [])
+        for v in bad:
+            with pytest.raises((TypeError, ValueError)):
+                cls(**{**required, f.name: v})

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from catloop.cif import (
+    DEFAULT_MAX_CHARS,
     DefectCode,
     FATAL_DEFECTS,
     Lattice,
@@ -235,9 +236,19 @@ def test_failure_iff_fatal_defect(minimal_cif):
 
 
 def test_oversize_input_rejected():
-    out = parse_cif("x" * (1 << 20 + 1), max_chars=1 << 20)
+    # a valid CIF padded with a comment to exactly the cap still parses
+    pad = DEFAULT_MAX_CHARS - len(MINIMAL_CIF) - 2
+    at_cap = MINIMAL_CIF + "#" + "x" * pad + "\n"
+    assert len(at_cap) == DEFAULT_MAX_CHARS
+    out = parse_cif(at_cap)
+    assert out.ok
+    assert not any("exceeds limit" in d.message for d in out.defects)
+    out = parse_cif(at_cap + "\n")
     assert not out.ok
     assert out.has(DefectCode.SYNTAX)
+    assert [d.message for d in out.defects] == [
+        f"input length {DEFAULT_MAX_CHARS + 1} exceeds limit {DEFAULT_MAX_CHARS}"
+    ]
 
 
 def test_empty_input():

@@ -423,6 +423,20 @@ def test_grpo_epsilon_key_is_a_line_error(tmp_path, capsys):
     assert "--epsilon" in artifact["errors"][0]["error"]
 
 
+def test_grpo_bool_reward_is_a_line_error(tmp_path, capsys):
+    record = json.loads(GROUP_LINE)
+    record["members"][0]["reward"] = True
+    groups = tmp_path / "groups.jsonl"
+    groups.write_text(GROUP_LINE + "\n" + json.dumps(record) + "\n")
+    code, out, _ = run_cli(capsys, "grpo", str(groups), "--format", "json")
+    assert code == 0
+    artifact = json.loads(out)
+    assert len(artifact["groups"]) == 1
+    assert artifact["errors"] == [
+        {"line": 2, "error": "member 0: reward must be a finite number, got True"}
+    ]
+
+
 def test_grpo_all_bad_lines(tmp_path, capsys):
     groups = tmp_path / "groups.jsonl"
     groups.write_text("{broken\nnot json either\n")
@@ -676,6 +690,12 @@ def test_search_unknown_element(tmp_path, capsys):
         ("weights", {"comp": True, "parse": False, "valid": False, "phys": False}),
         ("phys", {"full_credit_fraction": True}),
         ("phys", {"vpa_min": True}),
+        ("search", {"iterations": True}),
+        ("search", {"seed": False}),
+        ("search", {"pool_capacity": True}),
+        # an integer too large for a float is not a finite number
+        ("search", {"lambda_energy": 10**400}),
+        ("weights", {"comp": 10**400}),
     ],
 )
 def test_search_bad_config_values_exit_1(tmp_path, capsys, section, values):

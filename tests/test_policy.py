@@ -349,6 +349,17 @@ def test_group_from_json_line_round_trip():
         lambda o: o["members"][0].pop("logp_reference"),
         lambda o: o["members"][0].__setitem__("logp_current", [0.5]),
         lambda o: o.__setitem__("members", o["members"][:1]),
+        # JSON types are kept, never coerced
+        lambda o: o["members"][0].__setitem__("reward", True),
+        lambda o: o["members"][0].__setitem__("reward", "0.25"),
+        lambda o: o["members"][0].__setitem__("reward", 10**400),
+        lambda o: o["members"][0].update(
+            tokens="abc", logp_current=[-0.5] * 3, logp_reference=[-0.5] * 3
+        ),
+        lambda o: o["members"][0].__setitem__("tokens", [1.5, 2]),
+        lambda o: o.__setitem__("prompt_id", None),
+        # false is a bool, not the log-probability 0
+        lambda o: o["members"][0]["logp_current"].__setitem__(0, False),
     ],
 )
 def test_group_from_json_dict_errors(breaker):

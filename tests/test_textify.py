@@ -1,5 +1,8 @@
 """Adsorption-system text generation and the supporting formula helpers."""
 
+import json
+
+import numpy as np
 import pytest
 
 from catloop.textify import (
@@ -71,6 +74,19 @@ def test_metadata_json_round_trip():
         "miller": [1, 1, 0],
     }
     assert SystemMetadata.from_json_dict(d) == meta
+
+
+def test_metadata_accepts_numpy_integers():
+    i = np.int64
+    meta = SystemMetadata(
+        frozenset({i(8)}), frozenset({i(0), np.int32(1)}), {"Cu": i(8)},
+        (i(1), i(1), np.uint8(0)),
+    )
+    d = meta.to_json_dict()
+    assert json.loads(json.dumps(d)) == d  # plain ints, JSON-safe
+    assert all(type(v) is int for v in d["adsorbate"] + d["surface_top"] + d["miller"])
+    assert type(d["catalyst_composition"]["Cu"]) is int
+    assert meta == SystemMetadata(frozenset({8}), frozenset({0, 1}), {"Cu": 8}, (1, 1, 0))
 
 
 def test_metadata_from_json_missing_key():
