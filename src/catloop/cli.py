@@ -10,10 +10,16 @@ Subcommands:
 * ``geometry``  - periodic distances and neighbor summaries for CIF files
 
 Shared flags: ``--config`` (JSON), ``--seed``, ``--out`` (artifact
-directory), ``--format`` (json or table).  Every artifact embeds a run
-manifest: command, effective config, sha256 of each input file, tool
-version, seed, and an id over those fields.  Wall-clock time goes only to
-stderr, so identical manifest inputs produce byte-identical artifacts.
+directory), ``--format`` (json or table).  An artifact is one line of
+compact JSON with sorted keys, ending in a newline; pipe it through
+``python -m json.tool`` or ask for ``--format table`` to read it.  Every
+artifact embeds a run manifest: command, effective config, sha256 of each
+input file, tool version, seed, and an id over the manifest's other fields
+in the same JSON form.  Wall-clock time goes only to stderr, so identical
+manifest inputs produce byte-identical artifacts.
+
+`main` builds the argument parser once per process and reuses it, so
+repeated in-process calls pay for argparse set-up only once.
 
 Exit codes: 0 on completion (even when candidates fail their checks), 1 on
 usage or configuration errors, 2 when no input could be processed.
@@ -22,6 +28,7 @@ usage or configuration errors, 2 when no input could be processed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -167,6 +174,12 @@ def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _canonical_json(obj: object) -> str:
+    """Compact JSON with sorted keys: the artifact form and the manifest id's."""
+    # no `indent`: it would switch json to its pure-Python encoder
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def build_manifest(
     command: str,
     config: dict,
@@ -185,10 +198,7 @@ def build_manifest(
         "tool_version": __version__,
         "seed": seed,
     }
-    digest = _sha256_bytes(
-        json.dumps(core, sort_keys=True, separators=(",", ":")).encode()
-    )
-    return {**core, "id": digest}
+    return {**core, "id": _sha256_bytes(_canonical_json(core).encode())}
 
 
 def _log(message: str) -> None:
@@ -219,7 +229,7 @@ def _emit(
     artifact: dict, args: argparse.Namespace, table: Callable[[dict], str]
 ) -> None:
     """With --out, write the JSON artifact; then print per --format."""
-    rendered = json.dumps(artifact, indent=2, sort_keys=True) + "\n"
+    rendered = _canonical_json(artifact) + "\n"
     if args.out:
         _write_out(args.out, f"{args.command}_report.json", rendered)
     if args.format == "json":
@@ -526,6 +536,8 @@ def cmd_geometry(args: argparse.Namespace, config: dict) -> Outcome:
     def inspect(path: str) -> dict:
         outcome = parse_cif(blobs[path])
         if not outcome.ok:
+            codes = ", ".join(outcome.defect_codes())
+            _log(f"geometry {path}: parse failure: {codes}")
             return {
                 "path": path,
                 "ok": False,
@@ -536,6 +548,7 @@ def cmd_geometry(args: argparse.Namespace, config: dict) -> Outcome:
             nl = build_neighbor_list(s, scale=scale)
             min_dist = min_pair_distance(s)
         except DegenerateCellError as exc:
+            _log(f"geometry {path}: {exc}")
             return {"path": path, "ok": False, "error": str(exc)}
         record = {
             "path": path,
@@ -556,7 +569,7 @@ def cmd_geometry(args: argparse.Namespace, config: dict) -> Outcome:
 
     reports = [inspect(p) for p in args.paths if p in blobs]
     if not any(r["ok"] for r in reports):
-        raise _NoInput("no input parsed into a structure")
+        raise _NoInput("no input could be inspected")
 
     def table(art: dict) -> str:
         lines = []
@@ -589,7 +602,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The catloop parser, built once per process.
+
+    `parse_args` leaves the parser unchanged and returns a new namespace on
+    every call, so one parser serves every `main` call; callers must not
+    add arguments to it.
+    """
     parser = _Parser(
         prog="catloop",
         description="Score, textify, and search generated crystal structures.",

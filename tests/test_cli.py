@@ -7,7 +7,7 @@ import pytest
 
 from catloop import __version__, geometry
 from catloop.cif import parse_cif, serialize_cif
-from catloop.cli import main, parse_composition_arg
+from catloop.cli import build_parser, main, parse_composition_arg
 from catloop.search import DefectRates, MutationGenerator, PairPotentialSurrogate
 from conftest import BAD_COMPOSITIONS, BAD_SIDECAR_INTEGERS, MINIMAL_CIF
 
@@ -49,6 +49,31 @@ def test_no_arguments_is_usage_error(capsys):
 def test_unknown_subcommand(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 1
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    p = tmp_path / "ok.cif"
+    p.write_text(MINIMAL_CIF)
+    code, out, _ = run_cli(
+        capsys, "validate", str(p), "--seed", "5", "--target", "Cu:1",
+        "--format", "json",
+    )
+    assert code == 0
+    manifest = json.loads(out)["manifest"]
+    assert (manifest["seed"], manifest["config"]["target"]) == (5, {"Cu": 1})
+    code, out, _ = run_cli(capsys, "validate", str(p), "--format", "json")
+    assert code == 0
+    manifest = json.loads(out)["manifest"]
+    assert (manifest["seed"], manifest["config"]["target"]) == (None, None)
+    code, out, err = run_cli(capsys, "validate", str(p), "--format", "xml")
+    assert (code, out) == (1, "")
+    assert "usage" in err
+    code, out, _ = run_cli(capsys, "--version")
+    assert (code, out) == (0, f"catloop {__version__}\n")
+    code, out, _ = run_cli(capsys, "geometry", str(p))
+    assert code == 0
+    assert out == f"{p}: sites=1 min_dist=4.0000 vpa=64.000 neighbors=0\n"
 
 
 def test_parse_composition_arg():
@@ -769,7 +794,7 @@ def test_geometry_all_unparseable(tmp_path, capsys):
     p.write_text("random text")
     code, _, err = run_cli(capsys, "geometry", str(p))
     assert code == 2
-    assert "no input parsed" in err
+    assert "no input could be inspected" in err
 
 
 def test_geometry_mixed(tmp_path, capsys):
@@ -801,7 +826,17 @@ def test_geometry_degenerate_cell_is_a_file_error(tmp_path, capsys):
     assert "cell volume below" in recs[str(tiny)]["error"]
     code, _, err = run_cli(capsys, "geometry", str(tiny))
     assert code == 2
-    assert "no input parsed" in err
+    assert "no input could be inspected" in err
+
+
+def test_geometry_logs_why_no_file_was_inspected(tmp_path, capsys, slab_files):
+    cif_path, _ = slab_files
+    code, out, err = run_cli(capsys, "geometry", str(cif_path), "--scale", "1e6")
+    assert code == 2
+    assert out == ""
+    assert f"geometry {cif_path}: " in err
+    assert "lattice images within" in err and "(limit 100000)" in err
+    assert err.splitlines()[-1].endswith("no input could be inspected")
 
 
 @pytest.mark.parametrize(

@@ -43,17 +43,17 @@ CRITERION6_RATES = {
 CORPUS = ((CU4O2, 30), ({"Cu": 43, "O": 21}, 8))
 
 SEARCH_DIGESTS = {
-    0: "8292930fca14e9e9f5e83830c4990e2c45cd6635347c747115640d5db07cfe73",
-    1: "21a4626f04eb080d744b620f60bd9d75cdf5a0e7416da596cdc89cb9d9da7ff1",
-    2: "e13276679da2e9498390037975576cddc496de221b4e60bca62e4ad907396b61",
+    0: "9400b35acf2ab7364a1babac490550a8afb01d601af68535027b2bdd338a4361",
+    1: "40bc044237d67ee886a8759ad6d161de5bafc1f1be87ed8d97170bb1b498bc5b",
+    2: "e38276066d62996f33977b431596254df03d750c7d98137654e698050defc36a",
 }
-DEFECT_SEARCH_DIGEST = "6d55adea70ec2a31dd83cf66585ebee1927023480c3dad9889e22b230097560c"
-VALIDATE_DIGEST = "0c37b774f0c5edd103d8ec58769fef251cfffffc98d64f38674971c76d487f7c"
+DEFECT_SEARCH_DIGEST = "1ab206ea6b820416e0aba26c917dec9182973a8a0c21b5c8ad52fc4d8c72494b"
+VALIDATE_DIGEST = "e42086324e37a5aa5ea3ca6b55f76184409acba80971824a9596e3233077b619"
 PARSE_DIGEST = "6ed876538f9e9ea73d0dd5fae7c4a2c7ca7d5efe4086b6ba191a42a42dafe15d"
-GEOMETRY_DIGEST = "fffeaf1bf51b8c59b616cd66ca28a208c44ba35f6072d06ab9d8b81a2537508c"
-TEXTIFY_DIGEST = "7541275f612d00aa7ac3654aa62e6bc998e994c63274bfed5b18e0f647469490"
-GRPO_DIGEST = "fe5e1e8c49f3c4244c50ecdfb51fdec0d5caa894cf5739274278fd074ef5f419"
-MMTG_DIGEST = "e3354abaeb3b816523388ecd182cac713c938b789c2cca90325447a295b30b1e"
+GEOMETRY_DIGEST = "7f11e0e36a20a58e43ec489018bba42ffc9113da2f4e0b8ab8da17c2b9c170db"
+TEXTIFY_DIGEST = "8a1fe360bbb51ba0043858ca7b30d38f4ebba81ff7bd9684f378eb837f182850"
+GRPO_DIGEST = "3761f2d0531985f177fe3c1fffff15af536e8a9aadc02b13279fd3cd608c7be0"
+MMTG_DIGEST = "1c42ca059ab30440bdbf290fc56944272d463b6061f1509e3b75906f64c4d2e8"
 
 # Parse corpus: generated files at 6, 64 and 128 sites, then seeded text
 # edits of the 6- and 64-site files.  The snippets hit every tokenizer rule
@@ -131,6 +131,9 @@ def _run(capsys, *argv) -> bytes:
     code = main(list(argv))
     out = capsys.readouterr().out
     assert code == 0
+    # the artifact form: one line of compact JSON with sorted keys
+    canonical = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
+    assert out == canonical + "\n"
     return out.encode()
 
 
