@@ -26,6 +26,11 @@ Tokenizer rules, all encoded in `_TOKEN_RE` except text fields:
 * Unquoted tags (`_...`), `data_...` and exactly `loop_` are reserved words,
   the last two in any letter case.  ASCII case classes suffice: no
   non-ASCII letter lowercases to a letter of `data_` or `loop_`.
+
+Data stays in columns from the tokenizer to `Structure`: `_tokenize` returns
+token texts, their line numbers and the reserved-word indices as three
+lists, each `CifLoop` holds one tuple of raw values per column, and
+`_parse_sites` converts those to the site columns.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .elements import COVALENT_RADII, normalize_symbol
+from .elements import COVALENT_RADII, normalize_symbol, whole_number
 
 DEFAULT_MAX_CHARS = 1 << 20  # parser input budget (~1 MiB of text)
 
@@ -111,10 +116,12 @@ class Defect:
 
 @dataclass(frozen=True)
 class CifLoop:
-    """A `loop_` block: column tags plus rows of raw string values."""
+    """A `loop_` block as columns: `values[c]` holds the raw string values of
+    column tag `columns[c]`, one per whole row, and `row_lines[r]` is the
+    line on which row `r` starts.  A trailing partial row is dropped."""
 
     columns: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+    values: tuple[tuple[str, ...], ...]
     line: int  # line of the loop_ keyword
     row_lines: tuple[int, ...] = ()
 
@@ -232,7 +239,7 @@ def _check_writable(values: tuple[str, ...], what: str) -> None:
     if joined.splitlines() == [joined] and not ("'" in joined and '"' in joined):
         return  # bare or quoted tokens only, never a text field
     for value in values:
-        if [t[0] for t in _tokenize(_quote(value).splitlines(), [])[0]] != [value]:
+        if _tokenize(_quote(value).splitlines(), [])[0] != [value]:
             raise ValueError(f"{what} {value!r} does not survive a CIF text field")
 
 
@@ -256,8 +263,9 @@ class Structure:
 
     def __post_init__(self) -> None:
         labels, elements = tuple(self.labels), tuple(self.elements)
-        # a copy: the caller's array must not change a memoized pair table
-        frac = np.array(self.frac, dtype=float)
+        # a C-ordered copy, also of a transposed array: the caller's array
+        # must not change a memoized pair table
+        frac = np.array(self.frac, dtype=float, order="C")
         if not labels:
             raise ValueError("structure must contain at least one site")
         if len(elements) != len(labels) or frac.shape != (len(labels), 3):
@@ -279,8 +287,10 @@ class Structure:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "frac", frac)
         n = self.space_group_number
-        if n is not None and not (1 <= n <= 230):
-            raise ValueError(f"space group number {n} outside 1..230")
+        if n is not None:
+            if not (whole_number(n) and 1 <= n <= 230):
+                raise ValueError(f"space group number {n!r} is not an int in 1..230")
+            object.__setattr__(self, "space_group_number", int(n))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -329,51 +339,45 @@ _TOKEN_RE = re.compile(
 
 def _tokenize(
     lines: list[str], defects: list[Defect]
-) -> tuple[list[tuple[str, int, bool]], list[int]]:
-    """Split CIF text into `(text, line, quoted)` tokens, honoring quotes,
-    comments, and semicolon-delimited text fields; also return the indices
-    of the reserved words."""
-    tokens: list[tuple[str, int, bool]] = []
+) -> tuple[list[str], list[int], list[int]]:
+    """Split CIF text into token columns, honoring quotes, comments, and
+    semicolon-delimited text fields: each token's text and line number, and
+    the indices of the reserved words."""
+    texts: list[str] = []
+    token_lines: list[int] = []
     reserved: list[int] = []
     i = 0
     n = len(lines)
     while i < n:
         line = lines[i]
         lineno = i + 1
+        i += 1
         if line.startswith(";"):
             # multiline text field: collect until a line starting with ';'
-            block: list[str] = [line[1:]]
-            j = i + 1
-            closed = False
-            while j < n:
-                if lines[j].startswith(";"):
-                    closed = True
-                    break
-                block.append(lines[j])
-                j += 1
-            if not closed:
+            j = next((j for j in range(i, n) if lines[j].startswith(";")), None)
+            if j is None:
                 defects.append(
                     Defect(DefectCode.SYNTAX, "unterminated text field", lineno)
                 )
-                i = n
-                continue
-            tokens.append(("\n".join(block).strip(), lineno, True))
+                break
+            texts.append("\n".join([line[1:], *lines[i:j]]).strip())
             i = j + 1
-            continue
-        for quoted, word, bare, stop in _TOKEN_RE.findall(line):
-            if bare:
-                tokens.append((bare, lineno, False))
-            elif word:
-                reserved.append(len(tokens))
-                tokens.append((word, lineno, False))
-            elif quoted:
-                tokens.append((quoted[1:-1], lineno, True))
-            elif stop != "#":
-                defects.append(
-                    Defect(DefectCode.SYNTAX, "unterminated quoted value", lineno)
-                )
-        i += 1
-    return tokens, reserved
+        else:
+            for quoted, word, bare, stop in _TOKEN_RE.findall(line):
+                if bare:
+                    texts.append(bare)
+                elif word:
+                    reserved.append(len(texts))
+                    texts.append(word)
+                elif quoted:
+                    texts.append(quoted[1:-1])
+                elif stop != "#":
+                    defects.append(
+                        Defect(DefectCode.SYNTAX, "unterminated quoted value", lineno)
+                    )
+        # every token read in this pass starts on line `lineno`
+        token_lines += [lineno] * (len(texts) - len(token_lines))
+    return texts, token_lines, reserved
 
 
 def parse_number(raw: str) -> float | None:
@@ -404,8 +408,8 @@ def parse_number(raw: str) -> float | None:
 def _parse_document(
     text: str, defects: list[Defect]
 ) -> CifDocument | None:
-    tokens, reserved = _tokenize(text.splitlines(), defects)
-    n = len(tokens)
+    texts, token_lines, reserved = _tokenize(text.splitlines(), defects)
+    n = len(texts)
     reserved.append(n)  # sentinel: every run of values ends at a reserved index
 
     def next_reserved(k: int) -> int:
@@ -413,7 +417,7 @@ def _parse_document(
 
     # locate the data block header
     start = next(
-        (k for k in reserved[:-1] if tokens[k][0].lower().startswith("data_")), None
+        (k for k in reserved[:-1] if texts[k].lower().startswith("data_")), None
     )
     if start is None:
         defects.append(Defect(DefectCode.SYNTAX, "missing data block header", 0))
@@ -423,10 +427,10 @@ def _parse_document(
             Defect(
                 DefectCode.SYNTAX,
                 "content before data block header",
-                tokens[0][1],
+                token_lines[0],
             )
         )
-    block_name = tokens[start][0][len("data_") :]
+    block_name = texts[start][len("data_") :]
 
     scalars: dict[str, str] = {}
     loops: list[CifLoop] = []
@@ -435,26 +439,27 @@ def _parse_document(
     i = start + 1
     while i < n:
         j = next_reserved(i)
-        for value, line, _ in tokens[i:j]:
+        for k in range(i, j):
             defects.append(
                 Defect(
                     DefectCode.SYNTAX,
-                    f"unexpected value {value!r} outside any loop",
-                    line,
+                    f"unexpected value {texts[k]!r} outside any loop",
+                    token_lines[k],
                 )
             )
         if j == n:
             break
         i = j
-        word, line = tokens[i][0].lower(), tokens[i][1]
+        word, line = texts[i].lower(), token_lines[i]
         if word.startswith("data_"):
             defects.append(Defect(DefectCode.SYNTAX, "multiple data blocks", line))
             break
         if word == "loop_":
             i += 1
+            # column tags: the reserved words after loop_ that start with `_`
             columns: list[str] = []
-            while i < n and not tokens[i][2] and tokens[i][0].startswith("_"):
-                columns.append(tokens[i][0].lower())
+            while i < n and texts[i].startswith("_") and next_reserved(i) == i:
+                columns.append(texts[i].lower())
                 i += 1
             if not columns:
                 defects.append(
@@ -470,32 +475,32 @@ def _parse_document(
                     )
                 )
             end = next_reserved(i)
-            texts, lines, _ = zip(*tokens[i:end]) if end > i else ((), (), ())
-            i = end
             ncol = len(columns)
-            if not texts:
+            if end == i:
                 defects.append(
                     Defect(DefectCode.INCONSISTENT_LOOP, "loop has no data rows", line)
                 )
-            elif len(texts) % ncol != 0:
+            elif (end - i) % ncol != 0:
                 defects.append(
                     Defect(
                         DefectCode.INCONSISTENT_LOOP,
-                        f"loop value count {len(texts)} is not a multiple of "
+                        f"loop value count {end - i} is not a multiple of "
                         f"{ncol} columns",
-                        lines[-1],
+                        token_lines[end - 1],
                     )
                 )
-            nrows = len(texts) // ncol
-            rows = tuple(zip(*(texts[c::ncol] for c in range(ncol))))
-            row_lines = lines[: nrows * ncol : ncol]
-            loops.append(CifLoop(tuple(columns), rows, line, row_lines))
+            stop = end - (end - i) % ncol  # whole rows only
+            values = tuple(tuple(texts[c:stop:ncol]) for c in range(i, i + ncol))
+            loops.append(
+                CifLoop(tuple(columns), values, line, tuple(token_lines[i:stop:ncol]))
+            )
             for col in columns:
-                spans.setdefault(col, (line, lines[-1] if texts else line))
+                spans.setdefault(col, (line, token_lines[end - 1] if end > i else line))
+            i = end
             continue
         # a tag: its value is the next token unless that is reserved too
         if next_reserved(i + 1) > i + 1:
-            value, value_line, _ = tokens[i + 1]
+            value, value_line = texts[i + 1], token_lines[i + 1]
             if word in scalars:
                 defects.append(
                     Defect(DefectCode.SYNTAX, f"duplicate tag {word}", line)
@@ -608,7 +613,7 @@ def _parse_space_group(
 
 def _parse_sites(
     document: CifDocument, defects: list[Defect]
-) -> tuple[tuple[list[str], list[str], list[tuple]] | None, bool]:
+) -> tuple[tuple[list[str], list[str], np.ndarray] | None, bool]:
     """Return (columns labels, elements, frac, or None; coords_in_window)."""
     loop = find_atom_site_loop(document)
     if loop is None:
@@ -630,7 +635,7 @@ def _parse_sites(
             )
         )
         return None, True
-    if not loop.rows:
+    if not loop.row_lines:
         defects.append(
             Defect(DefectCode.EMPTY_SITES, "atom site loop has no rows", loop.line)
         )
@@ -638,14 +643,14 @@ def _parse_sites(
 
     # one pass per column: convert the coordinates, resolve each distinct
     # symbol once; then one pass per row for defects and labels
-    columns = dict(zip(loop.columns, zip(*loop.rows)))
+    columns = dict(zip(loop.columns, loop.values))
     raw_xyz = [columns[col] for col in fract_cols]
     xyz = [list(map(parse_number, raws)) for raws in raw_xyz]
     coords_in_window = all(
         -0.5 <= v < 1.5 for col in xyz for v in col if v is not None
     )
     labels = columns.get("_atom_site_label")
-    elements: list[str | None] = [None] * len(loop.rows)
+    elements: list[str | None] = [None] * len(loop.row_lines)
     for column in (columns.get("_atom_site_type_symbol"), labels):
         if column is not None and None in elements:
             symbol = {tok: normalize_symbol(tok) for tok in set(column)}
@@ -656,8 +661,9 @@ def _parse_sites(
     fatal = False
     element_counts: dict[str, int] = {}
     seen_labels: set[str] = set()
+    xs, ys, zs = xyz
     for k, (x, y, z, element, row_line) in enumerate(
-        zip(*xyz, elements, loop.row_lines)
+        zip(xs, ys, zs, elements, loop.row_lines)
     ):
         if x is None or y is None or z is None or element is None:
             for col, raws, num in zip(fract_cols, raw_xyz, (x, y, z)):
@@ -697,16 +703,18 @@ def _parse_sites(
         site_labels.append(label)
     if fatal:
         return None, coords_in_window
-    return (site_labels, elements, list(zip(*xyz))), coords_in_window
+    return (site_labels, elements, np.array(xyz).T), coords_in_window
 
 
 def parse_cif(text: str | bytes) -> ParseOutcome:
     """Parse CIF text into a `ParseOutcome`; never raises on bad input.
 
+    One leading byte-order mark (U+FEFF) is ignored, as CIF 2.0 allows.
     Text longer than `DEFAULT_MAX_CHARS` characters is one SYNTAX defect.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
+    text = text.removeprefix("\ufeff")
     defects: list[Defect] = []
     if len(text) > DEFAULT_MAX_CHARS:
         defects.append(
@@ -773,10 +781,13 @@ def serialize_cif(structure: Structure, block_name: str | None = None) -> str:
 
     Numbers are written with nine decimal places.  A structure without a
     space group is written with the CIF unknown-value marker `?` so the tag
-    stays present.
+    stays present.  Raises ValueError for a block name that does not read
+    back as one `data_` word.
     """
-    if block_name is None:
+    if block_name is None:  # element symbols and counts: one bare word
         block_name = _format_block_name(structure)
+    elif _tokenize(f"data_{block_name}".splitlines(), [])[0] != [f"data_{block_name}"]:
+        raise ValueError(f"block name {block_name!r} does not survive a data_ header")
     lat = structure.lattice
     lines = [f"data_{block_name}"]
     for tag, value in zip(CELL_TAGS, (*lat.lengths, *lat.angles)):

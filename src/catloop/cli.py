@@ -69,7 +69,7 @@ from .search import (
     SearchConfig,
     run_search,
 )
-from .textify import SystemMetadata, to_system_text
+from .textify import DEFAULT_SEPARATOR, SystemMetadata, to_system_text
 
 # What a subcommand hands to `main`: the run manifest, the artifact's other
 # keys, and the table renderer for ``--format table``.
@@ -337,7 +337,7 @@ def cmd_validate(args: argparse.Namespace, config: dict) -> Outcome:
 
 def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
     scale = _neighbor_scale(config)
-    separator = config.get("separator", "</s>")
+    separator = config.get("separator", DEFAULT_SEPARATOR)
     if not isinstance(separator, str):
         raise CliError(f"bad separator config: expected a string, got {separator!r}")
     blobs, _unreadable = _read_inputs(args.paths)

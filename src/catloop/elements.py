@@ -66,7 +66,11 @@ def finite_number(value: object) -> bool:
 
 def whole_number(value: object) -> bool:
     """True for an integer that is not a bool; numpy integers pass."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # plain ints skip the ten-times slower ABC check; `Structure` calls
+    # this on each construction with a space-group number
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 def check_composition(mapping: object, where: str) -> dict[str, int]:

@@ -129,6 +129,16 @@ def test_bytes_input(minimal_cif):
     assert parse_cif(b"\xff\xfe garbage").ok is False
 
 
+def test_leading_byte_order_mark_ignored(minimal_cif):
+    plain = parse_cif(minimal_cif).structure
+    for text in ("\ufeff" + minimal_cif, ("\ufeff" + minimal_cif).encode()):
+        out = parse_cif(text)
+        assert out.ok and out.defects == ()
+        assert structures_close(out.structure, plain, tol=0.0)
+    # only one: a second mark is content before the header
+    assert parse_cif("\ufeff\ufeff" + minimal_cif).has(DefectCode.SYNTAX)
+
+
 def test_label_column_optional(minimal_cif):
     text = minimal_cif.replace("_atom_site_label\n", "").replace(
         "Cu1 Cu 0.0 0.0 0.0", "Cu 0.0 0.0 0.0"
@@ -337,6 +347,13 @@ def test_structure_frac_is_a_read_only_copy():
         s.frac[0, 0] = 0.5
 
 
+def test_structure_frac_is_c_ordered():
+    # parsing hands over its coordinate columns transposed
+    columns = np.array([[0.1, 0.2], [0.0, 0.0], [0.5, 0.0]])
+    s = Structure(CUBIC, ("a", "b"), ("Cu", "O"), columns.T)
+    assert s.frac.flags.c_contiguous and s.frac.tolist()[0] == [0.1, 0.0, 0.5]
+
+
 def test_wrap_fractional_corner():
     assert wrap_fractional(0.5) == 0.5
     assert wrap_fractional(1.0) == 0.0
@@ -357,6 +374,20 @@ def test_structure_validation():
         Structure(CUBIC, (), (), np.empty((0, 3)))
     with pytest.raises(ValueError):
         one_site(space_group_number=231)
+
+
+@pytest.mark.parametrize("number", [2.5, 2.0, True, "2", 0, 231])
+def test_space_group_number_must_be_an_int_in_range(number):
+    with pytest.raises(ValueError, match="space group number"):
+        one_site(space_group_number=number)
+
+
+def test_space_group_number_is_stored_as_int():
+    s = one_site(space_group_number=np.int64(225))
+    assert type(s.space_group_number) is int and s.space_group_number == 225
+    out = parse_cif(serialize_cif(s))
+    assert out.ok and out.defects == ()
+    assert structures_close(s, out.structure)
 
 
 def test_composition_of():
@@ -395,6 +426,22 @@ def test_serialize_block_name_from_composition():
     s = make_structure(["Cu", "Cu", "O"], [(0, 0, 0), (0.5, 0.5, 0.5), (0.25, 0.25, 0.25)])
     assert serialize_cif(s).startswith("data_Cu2O1\n")
     assert serialize_cif(s, block_name="custom").startswith("data_custom\n")
+
+
+@pytest.mark.parametrize("name", ["my block", "x\ny", "x\n", "a\tb", "a\rb", " a"])
+def test_serialize_refuses_unwritable_block_names(name):
+    with pytest.raises(ValueError, match="block name"):
+        serialize_cif(one_site(), block_name=name)
+
+
+@pytest.mark.parametrize(
+    "name", [None, "", "custom", "a#b", "a'b", "Data_x", "\xa0"]
+)
+def test_serialized_block_names_re_parse(name):
+    s = one_site()
+    out = parse_cif(serialize_cif(s, block_name=name))
+    assert out.ok and out.defects == ()
+    assert out.document.block_name == ("Cu1" if name is None else name)
 
 
 def test_serialize_quotes_awkward_labels():

@@ -103,6 +103,14 @@ def _hexes(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
+def _loop_rows(loop) -> list:
+    """A loop's rows rebuilt from its columns; `zip` would silently drop the
+    tail of a longer column, so every column must hold one value per row."""
+    assert len(loop.values) == len(loop.columns)
+    assert all(len(column) == len(loop.row_lines) for column in loop.values)
+    return list(zip(*loop.values))
+
+
 def dump_outcome(outcome) -> list:
     """Every field of a `ParseOutcome`, floats as `float.hex`."""
     doc, st = outcome.document, outcome.structure
@@ -111,7 +119,7 @@ def dump_outcome(outcome) -> list:
         doc and [
             doc.block_name,
             list(doc.scalars.items()),
-            [[lp.columns, lp.rows, lp.line, lp.row_lines] for lp in doc.loops],
+            [[lp.columns, _loop_rows(lp), lp.line, lp.row_lines] for lp in doc.loops],
             list(doc.source_line_spans.items()),
         ],
         st and [
