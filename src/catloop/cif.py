@@ -12,7 +12,8 @@ Parsing never raises on malformed input.  Every problem is recorded as a
 defect means no `Structure` is produced, while non-fatal defects still yield
 one.  `parse_cif` is a pure function of its input text.
 
-Tokenizer rules, all encoded in `_TOKEN_RE` except text fields:
+Tokenizer rules, all encoded in `_TOKEN_RE` except text fields and plain
+lines:
 
 * Tokens are separated by spaces and tabs only, and never span lines.
 * A quote or `#` counts only at the start of a token, so `ab'c` and `a#b`
@@ -26,6 +27,8 @@ Tokenizer rules, all encoded in `_TOKEN_RE` except text fields:
 * Unquoted tags (`_...`), `data_...` and exactly `loop_` are reserved words,
   the last two in any letter case.  ASCII case classes suffice: no
   non-ASCII letter lowercases to a letter of `data_` or `loop_`.
+* A plain line, all ASCII with no quote, `#` or U+001F, is cut by
+  `str.split`, which there splits exactly where `_TOKEN_RE` does.
 
 Data stays in columns from the tokenizer to `Structure`: `_tokenize` returns
 token texts, their line numbers and the reserved-word indices as three
@@ -335,6 +338,12 @@ _TOKEN_RE = re.compile(
     r"""|([^ \t#'"][^ \t]*)"""
     r"""|([#'"]).*"""
 )
+# A plain line is ASCII and holds no quote, `#` or `\x1f`.  `str.splitlines`
+# has cut it at every other ASCII whitespace but space and tab, so
+# `str.split` reads it as `_TOKEN_RE` does, and its reserved words are the
+# words `_RESERVED_RE` matches.
+_NOT_PLAIN_RE = re.compile(r"""['"#\x1f]""")
+_RESERVED_RE = re.compile(r"_|[dD][aA][tT][aA]_|[lL][oO][oO][pP]_\Z")
 
 
 def _tokenize(
@@ -342,7 +351,8 @@ def _tokenize(
 ) -> tuple[list[str], list[int], list[int]]:
     """Split CIF text into token columns, honoring quotes, comments, and
     semicolon-delimited text fields: each token's text and line number, and
-    the indices of the reserved words."""
+    the indices of the reserved words.  `lines` are as `str.splitlines`
+    cuts them."""
     texts: list[str] = []
     token_lines: list[int] = []
     reserved: list[int] = []
@@ -362,6 +372,13 @@ def _tokenize(
                 break
             texts.append("\n".join([line[1:], *lines[i:j]]).strip())
             i = j + 1
+        elif line.isascii() and _NOT_PLAIN_RE.search(line) is None:
+            words = line.split()
+            if "_" in line:
+                reserved += [
+                    len(texts) + k for k, w in enumerate(words) if _RESERVED_RE.match(w)
+                ]
+            texts += words
         else:
             for quoted, word, bare, stop in _TOKEN_RE.findall(line):
                 if bare:
@@ -399,6 +416,23 @@ def parse_number(raw: str) -> float | None:
         if "_" in raw:
             return None
     return value if math.isfinite(value) else None
+
+
+def _number_column(raws: tuple[str, ...]) -> tuple[list[float | None], bool]:
+    """`[parse_number(r) for r in raws]`, and whether it holds no None.
+
+    One `float` pass serves when every value converts, none holds `_` and
+    all are finite: `parse_number` tries `float` first, so those are its values.
+    """
+    try:
+        values = list(map(float, raws))
+    except ValueError:
+        pass
+    else:  # a sum is finite only if every term is
+        if "_" not in "".join(raws) and math.isfinite(sum(values)):
+            return values, True
+    numbers = list(map(parse_number, raws))
+    return numbers, None not in numbers
 
 
 # ---------------------------------------------------------------------------
@@ -642,19 +676,23 @@ def _parse_sites(
         return None, True
 
     # one pass per column: convert the coordinates, resolve each distinct
-    # symbol once; then one pass per row for defects and labels
+    # symbol once; a row pass only when some row has a problem
     columns = dict(zip(loop.columns, loop.values))
     raw_xyz = [columns[col] for col in fract_cols]
-    xyz = [list(map(parse_number, raws)) for raws in raw_xyz]
-    coords_in_window = all(
-        -0.5 <= v < 1.5 for col in xyz for v in col if v is not None
-    )
+    xyz, numeric = zip(*map(_number_column, raw_xyz))
+    read = [c if ok else [v for v in c if v is not None] for c, ok in zip(xyz, numeric)]
+    coords_in_window = all(-0.5 <= min(c) and max(c) < 1.5 for c in read if c)
     labels = columns.get("_atom_site_label")
     elements: list[str | None] = [None] * len(loop.row_lines)
+    resolved = False
     for column in (columns.get("_atom_site_type_symbol"), labels):
-        if column is not None and None in elements:
+        if column is not None and not resolved:
             symbol = {tok: normalize_symbol(tok) for tok in set(column)}
             elements = [el or symbol[tok] for el, tok in zip(elements, column)]
+            resolved = None not in elements
+    unique = labels is not None and all(labels) and len(set(labels)) == len(labels)
+    if resolved and unique and all(numeric):
+        return (list(labels), elements, np.array(xyz).T), coords_in_window
     sources = labels or columns["_atom_site_type_symbol"]
 
     site_labels: list[str] = []

@@ -225,12 +225,15 @@ def _stacked_pass(
         step = max(1, _BLOCK_ROWS // (g * bs))
         for start in range(0, len(pi), step):
             bi, bj = pi[start : start + step], pj[start : start + step]
-            delta = fr[:, bj] - fr[:, bi]
+            # `take` and `compress` give the C-ordered arrays that `fr[:, bj]`
+            # and `delta[:, near]` would, without numpy's slow fancy-indexing
+            # path for a middle axis
+            delta = np.take(fr, bj, axis=1) - np.take(fr, bi, axis=1)
             # a pair that no member sees within its bound on every axis has
             # no image to measure (three ANDs beat np.all over a length-3 axis)
             within = np.abs(delta - np.rint(delta)) <= bnd[:, None]
             near = (within[..., 0] & within[..., 1] & within[..., 2]).any(axis=0)
-            bi, bj, delta = bi[near], bj[near], delta[:, near]
+            bi, bj, delta = bi[near], bj[near], np.compress(near, delta, axis=1)
             ax = [
                 np.abs(d[..., None] + a) <= lim
                 for d, a, lim in zip(delta.transpose(2, 0, 1), axes, bnd_axes)

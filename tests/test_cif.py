@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from catloop.cif import (
+    _TOKEN_RE,
     DEFAULT_MAX_CHARS,
     DefectCode,
     FATAL_DEFECTS,
     Lattice,
     Structure,
+    _number_column,
+    _tokenize,
     composition_of,
     frac_circle_distance,
     parse_cif,
@@ -20,6 +23,7 @@ from catloop.cif import (
     wrap_fractional,
 )
 from conftest import MINIMAL_CIF, make_structure, random_structure
+from test_golden import parse_corpus
 
 
 def edit(base: str, old: str, new: str) -> str:
@@ -462,9 +466,11 @@ def test_serialize_quotes_awkward_labels():
         ("\n;a'b\"c\n;\n", "'P 1'"),
         ("Cu1", "'_p1'"),
         ("Cu1", "\n;P'1\"\n;\n"),
+        ("Cu\x1f1", "'P 1'"),  # written bare; `str.split` would cut it
+        ("Cu\u30001", "'P 1'"),
     ],
     ids=["loop", "tag", "data", "semicolon", "hash", "both-quotes",
-         "tag-symbol", "both-quotes-symbol"],
+         "tag-symbol", "both-quotes-symbol", "unit-separator", "ideographic-space"],
 )
 def test_serialized_values_re_parse(minimal_cif, label, symbol):
     text = edit(minimal_cif, "Cu1 Cu", f"{label} Cu")
@@ -487,9 +493,10 @@ def test_round_trip_random_structures():
 
 
 # characters that quoting, text fields, the tokenizer or stripping treat
-# specially; "\r", "\x85" and "\u2028" break lines for `str.splitlines`
+# specially; "\r", "\x85" and "\u2028" break lines for `str.splitlines`, and
+# `str.split` but not `_TOKEN_RE` splits at "\x1f", "\xa0" and "\u3000"
 AWKWARD = ["a", "b", " ", "\t", "'", '"', ";", "#", "_", "?", ".", "\n", "\r",
-           "\x85", "\u2028", "\xa0"]
+           "\x85", "\u2028", "\xa0", "\x1f", "\u3000"]
 
 
 @pytest.mark.parametrize(
@@ -563,3 +570,121 @@ def test_fuzz_never_raises():
         else:
             cut = int(rng.integers(len(base)))
             parse_cif(base[cut:] + base[:cut])
+
+
+# ---------------------------------------------------------------------------
+# fast paths read exactly what the general rules read
+
+
+def regex_reading(line: str) -> tuple[list[str], list[int], list[int], list]:
+    """`_tokenize([line], defects)` spelled out with `_TOKEN_RE.findall` only."""
+    texts, reserved, defects = [], [], []
+    for quoted, word, bare, stop in _TOKEN_RE.findall(line):
+        if word:
+            reserved.append(len(texts))
+        if quoted:
+            texts.append(quoted[1:-1])
+        elif word or bare:
+            texts.append(word or bare)
+        elif stop != "#":
+            defects.append((DefectCode.SYNTAX, 1))
+    return texts, [1] * len(texts), reserved, defects
+
+
+HAZARD_LINES = [
+    "Cu\x1f1 Cu 0 0 0", "a\x1fb", "\x1f_x\x1fy", "Cu\xa01 Cu 0 0 0", "\xa0.5 0.5",
+    "a\u3000b c", "a\u2007b c", "_x\u3000loop_ y",
+    "Cu1 Cu _x 0 0", "a loop_x b", "a LOOP_ b", "a dAtA_y b", "a;b c", "loop_",
+    "loop_ _a _b", "_a\t_b\tdata_c\t", "\tCu1\t\tCu 0\t", "", " \t ",
+    # lines as `str.splitlines` cuts them at CR LF and CR
+    *"Cu1 Cu 0 0 0\r\n_cell_length_a 4\rloop_\r\n".splitlines(),
+]
+
+
+def test_plain_lines_tokenize_as_the_regex_does():
+    lines = [
+        line
+        for text in parse_corpus()
+        for line in text.splitlines()
+        if not line.startswith(";")  # text fields do not split
+    ]
+    assert len(lines) > 10000
+    for line in lines + HAZARD_LINES:
+        defects = []
+        got = _tokenize([line], defects)
+        assert (*got, [(d.code, d.line) for d in defects]) == regex_reading(line), line
+
+
+def test_text_field_after_plain_rows():
+    lines = "Cu1 Cu 0 0 0\nO1 O .5 .5 .5\n;\n a b \n;\n_tag x\n".splitlines()
+    defects = []
+    assert _tokenize(lines, defects) == (
+        ["Cu1", "Cu", "0", "0", "0", "O1", "O", ".5", ".5", ".5", "a b", "_tag", "x"],
+        [1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 6, 6],
+        [11],
+    )
+    assert defects == []
+
+
+@pytest.mark.parametrize(
+    "odd", ["1_0", "nan", "inf", "1e999", "0.5(3)", "1D-1", "\xa0.5", "-0.0", "x"]
+)
+def test_number_column_equals_parse_number(odd):
+    def hexes(values):
+        return [None if v is None else v.hex() for v in values]
+
+    clean = ["0.25", "-0.0", "1", ".5", "-3e-2", "\xa0.5", "0.000000001"]
+    for column in (clean, [*clean, odd], [odd, *clean], [odd]):
+        values, numeric = _number_column(tuple(column))
+        expected = [parse_number(v) for v in column]
+        assert hexes(values) == hexes(expected), column
+        assert numeric == (None not in expected)
+
+
+@pytest.mark.parametrize(
+    "row, in_window", [("Cu1 Cu x 1.5 0", False), ("Cu1 Cu x -0.5 1.4999", True)]
+)
+def test_window_ignores_unread_coordinates(minimal_cif, row, in_window):
+    out = parse_cif(edit(minimal_cif, "Cu1 Cu 0.0 0.0 0.0", row))
+    assert out.has(DefectCode.BAD_NUMBER) and not out.ok
+    assert out.coords_in_window is in_window
+
+
+SITE_HEADER = MINIMAL_CIF[: MINIMAL_CIF.index("Cu1 Cu")]  # 15 lines, through the tags
+NO_LABEL_HEADER = SITE_HEADER.replace("_atom_site_label\n", "")  # 14 lines
+
+
+@pytest.mark.parametrize(
+    "text, defects, labels",
+    [
+        (
+            SITE_HEADER + "Cu1 Cu 0 0 0\nO1 O .5 .5 .5\nCu1 Cu .25 .25 .25\n",
+            [("DUPLICATE_LABEL", "duplicate site label 'Cu1'", 17)],
+            ("Cu1", "O1", "Cu1"),
+        ),
+        (
+            SITE_HEADER + "Cu1 Cu 0 0 0\nO1 O .5 .5 .5\nCu1 Cu .25 .25 .25\n"
+            "'' O .1 .1 .1\nX1 Xx .2 .2 .2\n",
+            [
+                ("DUPLICATE_LABEL", "duplicate site label 'Cu1'", 17),
+                ("SYNTAX", "empty site label", 18),
+                ("UNKNOWN_ELEMENT", "no element recognized in 'X1'", 19),
+            ],
+            None,
+        ),
+        (
+            NO_LABEL_HEADER + "Cu 0 0 0\nO .5 .5 .5\nXx .2 .2 .2\nCu .25 x .25\n",
+            [
+                ("UNKNOWN_ELEMENT", "no element recognized in 'Xx'", 16),
+                ("BAD_NUMBER", "_atom_site_fract_y value 'x' is not numeric", 17),
+            ],
+            None,
+        ),
+        (NO_LABEL_HEADER + "Cu 0 0 0\nO .5 .5 .5\nCu .25 .25 .25\n", [], ("Cu1", "O1", "Cu2")),
+    ],
+    ids=["duplicate", "duplicate-empty-unknown", "no-label-column", "no-label-clean"],
+)
+def test_row_defects(text, defects, labels):
+    out = parse_cif(text)
+    assert [(d.code.value, d.message, d.line) for d in out.defects] == defects
+    assert (out.structure and out.structure.labels) == labels
