@@ -795,7 +795,8 @@ def _quote(value: str) -> str:
     A value stays bare when `_TOKEN_RE` reads it whole as a bare token and
     it cannot open a text field at the start of a line.  Otherwise it is
     quoted with a quote it lacks; one holding both quote kinds, or a line
-    break, becomes a text field on lines of its own.
+    break, becomes a text field on lines of its own.  `value` is never
+    empty: `Structure` refuses empty labels and space-group symbols.
     """
     if value.splitlines() == [value]:  # non-empty and on one line
         m = _TOKEN_RE.match(value)
@@ -804,8 +805,6 @@ def _quote(value: str) -> str:
         for quote in "'\"":
             if quote not in value:
                 return f"{quote}{value}{quote}"
-    elif not value:
-        return "''"
     return f"\n;{value}\n;\n"
 
 

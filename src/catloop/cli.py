@@ -15,14 +15,17 @@ compact JSON with sorted keys, ending in a newline; pipe it through
 ``python -m json.tool`` or ask for ``--format table`` to read it.  Every
 artifact embeds a run manifest: command, effective config, sha256 of each
 input file, tool version, seed, and an id over the manifest's other fields
-in the same JSON form.  Wall-clock time goes only to stderr, so identical
-manifest inputs produce byte-identical artifacts.
+in the same JSON form; the config records each section as built, defaults
+included (``asdict`` of the built object, keyed by section name, or at the
+top level for ``grpo`` and ``mmtg``).  Wall-clock time goes only to stderr,
+so identical manifest inputs produce byte-identical artifacts.
 
 `main` builds the argument parser once per process and reuses it, so
 repeated in-process calls pay for argparse set-up only once.
 
 Exit codes: 0 on completion (even when candidates fail their checks), 1 on
-usage or configuration errors, 2 when no input could be processed.
+usage or configuration errors and on non-finite results (JSON holds no NaN
+or infinity), 2 when no input could be processed.
 """
 
 from __future__ import annotations
@@ -110,18 +113,12 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
-def _section(config: dict, name: str) -> dict:
-    """A copy of the config's `name` object, empty when absent."""
+def _configured(config: dict, name: str, cls, **flags):
+    """`cls` built from the config's `name` object, updated by non-None flags."""
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise CliError(f"bad {name} config: expected a JSON object, got {section!r}")
-    return dict(section)
-
-
-def _configured(config: dict, name: str, cls, **flags):
-    """`cls` built from the config's `name` object, updated by non-None flags."""
-    section = _section(config, name)
-    section.update((k, v) for k, v in flags.items() if v is not None)
+    section = {**section, **{k: v for k, v in flags.items() if v is not None}}
     try:
         return cls(**section)
     except (TypeError, ValueError) as exc:
@@ -176,8 +173,9 @@ def _sha256_bytes(data: bytes) -> str:
 
 def _canonical_json(obj: object) -> str:
     """Compact JSON with sorted keys: the artifact form and the manifest id's."""
-    # no `indent`: it would switch json to its pure-Python encoder
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # no `indent`: it would switch json to its pure-Python encoder; NaN and
+    # infinity are not JSON, so they raise ValueError
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def build_manifest(
@@ -229,7 +227,10 @@ def _emit(
     artifact: dict, args: argparse.Namespace, table: Callable[[dict], str]
 ) -> None:
     """With --out, write the JSON artifact; then print per --format."""
-    rendered = _canonical_json(artifact) + "\n"
+    try:
+        rendered = _canonical_json(artifact) + "\n"
+    except ValueError as exc:
+        raise CliError(f"result is not finite: {exc}") from None
     if args.out:
         _write_out(args.out, f"{args.command}_report.json", rendered)
     if args.format == "json":
@@ -238,19 +239,20 @@ def _emit(
         sys.stdout.write(table(artifact))
 
 
-def _read_inputs(paths: Sequence[str]) -> tuple[dict[str, bytes], list[str]]:
-    """Read every path; returns (name -> bytes, unreadable paths).
+def _read_inputs(paths: Sequence[str]) -> tuple[dict[str, bytes], list[dict]]:
+    """Read every path; returns (name -> bytes, unreadable records).
 
-    Raises `_NoInput` when no path could be read.
+    An unreadable record is ``{"path", "error"}``.  Raises `_NoInput` when
+    no path could be read.
     """
     blobs: dict[str, bytes] = {}
-    errors: list[str] = []
+    errors: list[dict] = []
     for p in paths:
         try:
             blobs[p] = Path(p).read_bytes()
         except OSError as exc:
             _log(f"skipping {p}: {exc}")
-            errors.append(p)
+            errors.append({"path": p, "error": str(exc)})
     if not blobs:
         raise _NoInput("no readable input files")
     return blobs, errors
@@ -286,8 +288,8 @@ def cmd_validate(args: argparse.Namespace, config: dict) -> Outcome:
     uniform_target = parse_composition_arg(args.target) if args.target else None
 
     cfg_snapshot = {
-        "weights": vars(weights),
-        "phys": vars(phys),
+        "weights": asdict(weights),
+        "phys": asdict(phys),
         "target": uniform_target,
         "targets_file": args.targets_file,
     }
@@ -316,7 +318,7 @@ def cmd_validate(args: argparse.Namespace, config: dict) -> Outcome:
     scored = _score_in_chunks([blobs[p] for p in paths], score_one)
     body = {
         "files": [record for record, _ in scored],
-        "unreadable": unreadable,
+        "unreadable": [e["path"] for e in unreadable],
         "failure_rates": corpus_failure_rates(br for _, br in scored),
     }
 
@@ -340,7 +342,7 @@ def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
     separator = config.get("separator", DEFAULT_SEPARATOR)
     if not isinstance(separator, str):
         raise CliError(f"bad separator config: expected a string, got {separator!r}")
-    blobs, _unreadable = _read_inputs(args.paths)
+    blobs, unreadable = _read_inputs(args.paths)
 
     sidecars: dict[str, bytes] = {}
     for p in list(blobs):
@@ -398,14 +400,13 @@ def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
     def table(art: dict) -> str:
         return "".join(rec["text"] + "\n" for rec in art["systems"])
 
-    return manifest, {"systems": systems, "errors": errors}, table
+    return manifest, {"systems": systems, "errors": unreadable + errors}, table
 
 
 def cmd_grpo(args: argparse.Namespace, config: dict) -> Outcome:
     cfg = _configured(config, "grpo", GrpoConfig, beta=args.beta, epsilon=args.epsilon)
     blobs, _unreadable = _read_inputs([args.groups])
-    cfg_snapshot = {"beta": cfg.beta, "epsilon": cfg.epsilon}
-    manifest = _manifest(args, cfg_snapshot, blobs, args.seed)
+    manifest = _manifest(args, asdict(cfg), blobs, args.seed)
 
     reports = []
     errors = []
@@ -461,7 +462,7 @@ def cmd_mmtg(args: argparse.Namespace, config: dict) -> Outcome:
     if not pairs:
         raise CliError("provide two positional losses or --pairs FILE")
 
-    manifest = _manifest(args, {"gating": cfg.gating}, blobs, args.seed)
+    manifest = _manifest(args, asdict(cfg), blobs, args.seed)
     try:
         results = [
             {"loss_a": a, "loss_b": b, "combined": mmtg_loss(a, b, cfg)}
@@ -484,24 +485,23 @@ def cmd_mmtg(args: argparse.Namespace, config: dict) -> Outcome:
 
 def cmd_search(args: argparse.Namespace, config: dict) -> Outcome:
     cfg = _configured(config, "search", SearchConfig, seed=args.seed)
-    if not cfg.target_composition:
-        raise CliError("search config needs a non-empty target_composition")
+    if not sum(cfg.target_composition.values()):
+        raise CliError("search config needs at least one atom in target_composition")
     generator = _configured(config, "generator", MutationGenerator)
     predictor = _configured(config, "predictor", PairPotentialSurrogate)
     weights = _configured(config, "weights", RewardWeights)
     phys = _configured(config, "phys", PhysConfig)
 
-    cfg_snapshot = {
-        "search": asdict(cfg),
-        "weights": vars(weights),
-        "phys": vars(phys),
-        "generator": {
-            **_section(config, "generator"),
-            "defect_rates": vars(generator.defect_rates),
-        },
-        "predictor": config.get("predictor", {}),
+    sections = {
+        "search": cfg,
+        "generator": generator,
+        "predictor": predictor,
+        "weights": weights,
+        "phys": phys,
     }
-    manifest = _manifest(args, cfg_snapshot, {}, cfg.seed)
+    manifest = _manifest(
+        args, {name: asdict(obj) for name, obj in sections.items()}, {}, cfg.seed
+    )
     try:
         report = run_search(generator, predictor, cfg, weights, phys)
     except PoolInitializationError as exc:
@@ -585,7 +585,8 @@ def cmd_geometry(args: argparse.Namespace, config: dict) -> Outcome:
                 lines.append(f"{r['path']}: {r.get('error', 'parse failure')}")
         return "\n".join(lines) + "\n"
 
-    return manifest, {"files": reports, "unreadable": unreadable}, table
+    body = {"files": reports, "unreadable": [e["path"] for e in unreadable]}
+    return manifest, body, table
 
 
 # ---------------------------------------------------------------------------

@@ -359,22 +359,9 @@ class CombinedBreakdown:
     score: float
     energy: float | None
     energy_reward: float
-    pvcp: RewardBreakdown
-    hard_pass: bool
+    pvcp: RewardBreakdown  # carries the hard verdict, `pvcp.hard_pass`
     parsed: bool
     diagnostics: tuple[str, ...] = ()
-    structure: Structure | None = None  # parsed candidate; not serialized
-
-    def to_json_dict(self) -> dict:
-        return {
-            "score": self.score,
-            "energy": self.energy,
-            "energy_reward": self.energy_reward,
-            "pvcp": self.pvcp.to_json_dict(),
-            "hard_pass": self.hard_pass,
-            "parsed": self.parsed,
-            "diagnostics": list(self.diagnostics),
-        }
 
 
 @dataclass(frozen=True)
@@ -429,7 +416,7 @@ def combined_reward(
     cfg: SearchConfig,
     weights: RewardWeights = DEFAULT_WEIGHTS,
     phys: PhysConfig = DEFAULT_PHYS,
-) -> tuple[float, CombinedBreakdown]:
+) -> CombinedBreakdown:
     """Score candidate text against the target energy and composition.
 
     Parse failures score 0.  A predictor that raises on a parsed structure
@@ -445,16 +432,15 @@ def _score_outcome(
     cfg: SearchConfig,
     weights: RewardWeights,
     phys: PhysConfig,
-) -> tuple[float, CombinedBreakdown]:
+) -> CombinedBreakdown:
     """`combined_reward` of an already-parsed candidate."""
-    structure = outcome.structure
     diagnostics: list[str] = []
     energy = None
     if outcome.ok:
         # Scored first: the stock surrogate's 6 A pair table is the widest a
         # candidate needs, so the physics score filters it.
         try:
-            energy = float(predictor.predict(structure))
+            energy = float(predictor.predict(outcome.structure))
             if not math.isfinite(energy):
                 raise ValueError(f"predictor returned non-finite energy {energy!r}")
         except Exception as exc:  # predictor contract: failures score zero
@@ -467,17 +453,14 @@ def _score_outcome(
     if energy is not None:
         e_rew = energy_reward(energy, cfg.target_energy, cfg.lambda_energy)
         score = cfg.energy_weight * e_rew + cfg.pvcp_weight * breakdown.total
-    combined = CombinedBreakdown(
+    return CombinedBreakdown(
         score=score,
         energy=energy,
         energy_reward=e_rew,
         pvcp=breakdown,
-        hard_pass=breakdown.hard_pass,
         parsed=outcome.ok,
         diagnostics=tuple(diagnostics),
-        structure=structure,
     )
-    return score, combined
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +475,6 @@ class PoolEntry:
     cif_text: str
     score: float
     energy: float
-    pvcp_total: float
     iteration: int  # 0 = initialization
 
 
@@ -569,18 +551,6 @@ class IterationLog:
     pool_min: float
     pool_max: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "exemplar_score": self.exemplar_score,
-            "exemplar_iteration": self.exemplar_iteration,
-            "candidate_scores": list(self.candidate_scores),
-            "admitted": self.admitted,
-            "best_abs_delta": self.best_abs_delta,
-            "pool_min": self.pool_min,
-            "pool_max": self.pool_max,
-        }
-
 
 @dataclass(frozen=True)
 class SearchReport:
@@ -598,20 +568,12 @@ class SearchReport:
     best_energy: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": asdict(self.config),
-            "init": {
-                "generated": self.init_generated,
-                "passed": self.init_passed,
-                "rounds": self.init_rounds,
-            },
-            "iterations": [log.to_json_dict() for log in self.iterations],
-            "best_abs_delta": self.best_abs_delta,
-            "success": self.success,
-            "final_pool_scores": list(self.final_pool_scores),
-            "best_cif": self.best_cif,
-            "best_energy": self.best_energy,
+        """`asdict`, with the `init_*` fields grouped under ``"init"``."""
+        out = asdict(self)
+        out["init"] = {
+            k: out.pop(f"init_{k}") for k in ("generated", "passed", "rounds")
         }
+        return out
 
 
 def _best_abs_delta(deltas: Iterable[float | None]) -> float | None:
@@ -646,19 +608,18 @@ def _generation(
     entries: list[PoolEntry] = []
 
     def score_one(k: int, outcome: ParseOutcome) -> float:
-        score, br = _score_outcome(outcome, predictor, cfg, weights, phys)
-        if br.hard_pass and br.energy is not None:
+        br = _score_outcome(outcome, predictor, cfg, weights, phys)
+        if br.pvcp.hard_pass and br.energy is not None:
             entries.append(
                 PoolEntry(
-                    structure=br.structure,
+                    structure=outcome.structure,
                     cif_text=texts[k],
-                    score=score,
+                    score=br.score,
                     energy=br.energy,
-                    pvcp_total=br.pvcp.total,
                     iteration=iteration,
                 )
             )
-        return score
+        return br.score
 
     scores = _score_in_chunks(texts, score_one)
     return scores, entries

@@ -1,6 +1,7 @@
 """CIF parsing, defect reporting, and round-trip serialization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,6 +175,14 @@ def test_label_column_optional(minimal_cif):
         (lambda t: edit(t, "Cu1 Cu", "Xx1 Xx"), DefectCode.UNKNOWN_ELEMENT),
         (lambda t: edit(t, "Cu1 Cu 0.0 0.0 0.0\n", ""), DefectCode.INCONSISTENT_LOOP),
         (lambda t: edit(t, " 0.0\n", "\n"), DefectCode.INCONSISTENT_LOOP),
+        # a repeated column tag, with one more value per row so rows stay whole
+        (
+            lambda t: edit(
+                edit(t, "_fract_z\n", "_fract_z\n_atom_site_fract_x\n"),
+                "0.0 0.0 0.0", "0.0 0.0 0.0 0.5",
+            ),
+            DefectCode.INCONSISTENT_LOOP,
+        ),
         (lambda t: edit(t, "Cu1 Cu", "'' Cu"), DefectCode.SYNTAX),
         (lambda t: edit(t, "Cu1 Cu", ";\n;\nCu"), DefectCode.SYNTAX),
     ],
@@ -398,6 +407,24 @@ def test_composition_of():
     s = make_structure(["Cu", "O", "Cu", "Cu"], np.random.default_rng(0).random((4, 3)))
     assert composition_of(s) == {"Cu": 3, "O": 1}
     assert list(composition_of(s)) == ["Cu", "O"]  # alphabetical keys
+
+
+def test_structures_close_mismatches():
+    base = make_structure(
+        ["Cu", "O"], [(0.0, 0.0, 0.0), (0.5, 0.5, 0.5)], space_group_number=1
+    )
+    assert structures_close(base, replace(base), tol=0.0)
+    others = {
+        "label": replace(base, labels=("Cu1", "O2")),
+        "element": replace(base, elements=("Cu", "S")),
+        "space group symbol": replace(base, space_group_symbol="P -1"),
+        "space group number": replace(base, space_group_number=2),
+        "cell angle": replace(base, lattice=replace(base.lattice, gamma=90.5)),
+        "coordinate": replace(base, frac=base.frac + [[0.0, 0.0, 0.1], [0.0] * 3]),
+    }
+    for what, other in others.items():
+        assert not structures_close(base, other), what
+        assert not structures_close(other, base), what
 
 
 def test_frac_circle_distance():

@@ -2,13 +2,21 @@
 
 import json
 import re
+from dataclasses import asdict
 
 import pytest
 
 from catloop import __version__, geometry
 from catloop.cif import parse_cif, serialize_cif
 from catloop.cli import build_parser, main, parse_composition_arg
-from catloop.search import DefectRates, MutationGenerator, PairPotentialSurrogate
+from catloop.policy import GrpoConfig, MmtgConfig
+from catloop.reward import PhysConfig, RewardWeights
+from catloop.search import (
+    DefectRates,
+    MutationGenerator,
+    PairPotentialSurrogate,
+    SearchConfig,
+)
 from conftest import BAD_COMPOSITIONS, BAD_SIDECAR_INTEGERS, MINIMAL_CIF
 
 TARGET = {"Cu": 4, "O": 2}
@@ -404,6 +412,28 @@ def test_textify_custom_separator(tmp_path, capsys, slab_files):
     assert " ||| " in json.loads(out)["systems"][0]["text"]
 
 
+def test_textify_lists_unreadable_inputs(tmp_path, capsys, slab_files):
+    cif_path, _ = slab_files
+    missing = tmp_path / "missing.cif"
+    code, out, _ = run_cli(
+        capsys, "textify", str(cif_path), str(missing), "--format", "json"
+    )
+    assert code == 0
+    artifact = json.loads(out)
+    assert [r["path"] for r in artifact["systems"]] == [str(cif_path)]
+    [error] = artifact["errors"]
+    assert error["path"] == str(missing)
+    assert "No such file" in error["error"]
+
+
+def test_textify_table_output(tmp_path, capsys, slab_files):
+    cif_path, _ = slab_files
+    code, out, _ = run_cli(capsys, "textify", str(cif_path))
+    assert code == 0
+    _, json_out, _ = run_cli(capsys, "textify", str(cif_path), "--format", "json")
+    assert out == json.loads(json_out)["systems"][0]["text"] + "\n"
+
+
 # ---------------------------------------------------------------------------
 # grpo
 
@@ -434,6 +464,14 @@ def test_grpo_jsonl(tmp_path, capsys):
     assert artifact["groups"][0]["loss"] == pytest.approx(-0.75, abs=1e-12)
     assert artifact["groups"][0]["advantages"] == pytest.approx([1.0, -1.0])
     assert artifact["errors"] == [{"line": 2, "error": artifact["errors"][0]["error"]}]
+
+
+def test_grpo_table_output(tmp_path, capsys):
+    groups = tmp_path / "groups.jsonl"
+    groups.write_text(GROUP_LINE + "\n")
+    code, out, _ = run_cli(capsys, "grpo", str(groups), "--epsilon", "0")
+    assert code == 0
+    assert out == "g1: K=2 loss=-0.750000 advantages=1.0000,-1.0000\n"
 
 
 def test_grpo_epsilon_key_is_a_line_error(tmp_path, capsys):
@@ -645,6 +683,17 @@ def test_search_requires_target_composition(tmp_path, capsys):
     code, _, err = run_cli(capsys, "search", "--config", str(cfg))
     assert code == 1
     assert "target_composition" in err
+
+
+@pytest.mark.parametrize("composition", [{"Cu": 0}, {"Cu": 0, "O": 0}])
+def test_search_zero_atom_target_exits_1(tmp_path, capsys, composition):
+    cfg = search_config_file(tmp_path, target_composition=composition)
+    code, out, err = run_cli(capsys, "search", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == (
+        "catloop search: search config needs at least one atom in "
+        "target_composition\n"
+    )
 
 
 def test_search_unknown_element(tmp_path, capsys):
@@ -892,6 +941,57 @@ def test_manifest_id_tracks_inputs_and_config(tmp_path, capsys):
     assert ids[3] != ids[0]  # input change -> new id
 
 
+def manifest_config(capsys, *argv):
+    code, out, _ = run_cli(capsys, *argv, "--config", "cfg.json", "--format", "json")
+    assert code == 0
+    return json.loads(out)["manifest"]["config"]
+
+
+# one or two keys per section: the manifest fills in the defaults
+PARTIAL_SECTIONS = {
+    "weights": {"comp": 0.7, "parse": 0.1},
+    "phys": {"vpa_max": 150.0},
+    "generator": {"coord_jitter": 0.04, "defect_rates": {"syntax": 0.01}},
+    "predictor": {"cutoff": 5.0},
+    "grpo": {"beta": 0.2},
+    "mmtg": {"gating": 0.5},
+}
+
+
+@pytest.mark.parametrize(
+    "sections", [{}, PARTIAL_SECTIONS], ids=["search_only", "partial"]
+)
+def test_manifest_records_each_section_as_built(
+    tmp_path, monkeypatch, capsys, sections
+):
+    search = json.loads(search_config_file(tmp_path).read_text())["search"]
+    (tmp_path / "cfg.json").write_text(json.dumps({"search": search, **sections}))
+    (tmp_path / "ok.cif").write_text(MINIMAL_CIF)
+    (tmp_path / "groups.jsonl").write_text(GROUP_LINE + "\n")
+    monkeypatch.chdir(tmp_path)
+
+    def built(name, cls):
+        return asdict(cls(**sections.get(name, {})))
+
+    validate = manifest_config(capsys, "validate", "ok.cif")
+    assert validate == {
+        "weights": built("weights", RewardWeights),
+        "phys": built("phys", PhysConfig),
+        "target": None,
+        "targets_file": None,
+    }
+    assert manifest_config(capsys, "search") == {
+        "search": asdict(SearchConfig(**search)),
+        "generator": built("generator", MutationGenerator),
+        "predictor": built("predictor", PairPotentialSurrogate),
+        "weights": built("weights", RewardWeights),
+        "phys": built("phys", PhysConfig),
+    }
+    # one section each, recorded at the top level
+    assert manifest_config(capsys, "grpo", "groups.jsonl") == built("grpo", GrpoConfig)
+    assert manifest_config(capsys, "mmtg", "2", "1") == built("mmtg", MmtgConfig)
+
+
 def test_artifacts_byte_identical_across_runs(tmp_path, capsys):
     paths = write_clean_corpus(tmp_path, n=4)
     cfg = search_config_file(tmp_path)
@@ -914,6 +1014,42 @@ def test_artifacts_byte_identical_across_runs(tmp_path, capsys):
         (tmp_path / "s1" / "search_report.json").read_bytes()
         == (tmp_path / "s2" / "search_report.json").read_bytes()
     )
+
+
+# ---------------------------------------------------------------------------
+# non-finite results: JSON has no NaN or infinity, so they exit 1
+
+# the second member's log-probs sum past the float range
+HUGE_LOGP_LINE = json.dumps(
+    {
+        "prompt_id": "g1",
+        "members": [
+            {"logp_current": [-0.5], "logp_reference": [-0.5], "reward": 1.0},
+            {"logp_current": [-1e308, -1e308], "logp_reference": [-0.5, -0.5],
+             "reward": 0.0},
+        ],
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["mmtg", "1e308", "1e308", "--gating", "0.001"], {}),
+        (["grpo", "groups.jsonl"], {"groups.jsonl": HUGE_LOGP_LINE}),
+        (["geometry", "big.cif"], {"big.cif": MINIMAL_CIF.replace("4.0", "1e150")}),
+    ],
+    ids=["mmtg", "grpo", "geometry"],
+)
+def test_non_finite_result_exits_1(tmp_path, monkeypatch, capsys, argv, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, out, err = run_cli(capsys, *argv, "--out", "out", "--format", "json")
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith(f"catloop {argv[0]}: result is not finite")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

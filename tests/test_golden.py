@@ -43,11 +43,11 @@ CRITERION6_RATES = {
 CORPUS = ((CU4O2, 30), ({"Cu": 43, "O": 21}, 8))
 
 SEARCH_DIGESTS = {
-    0: "9400b35acf2ab7364a1babac490550a8afb01d601af68535027b2bdd338a4361",
-    1: "40bc044237d67ee886a8759ad6d161de5bafc1f1be87ed8d97170bb1b498bc5b",
-    2: "e38276066d62996f33977b431596254df03d750c7d98137654e698050defc36a",
+    0: "c7624be42b2c87de7aeb3c950250516c3b1b3588e9153e0dc000dea799f4db41",
+    1: "24fc33f54039fb0b7c7bb9a2e4e2be1c2375a68b1c54bfd76d4b452ad6def40d",
+    2: "b5b1776e15653d4bfa4743c6bc12c3536118e65c17be8d89a5b2140db44b90d5",
 }
-DEFECT_SEARCH_DIGEST = "1ab206ea6b820416e0aba26c917dec9182973a8a0c21b5c8ad52fc4d8c72494b"
+DEFECT_SEARCH_DIGEST = "dd06e185be595edd7105f2c22bc6bfc2416bf0a97372c2ac1b99ec4e84d8eaaa"
 VALIDATE_DIGEST = "e42086324e37a5aa5ea3ca6b55f76184409acba80971824a9596e3233077b619"
 PARSE_DIGEST = "6ed876538f9e9ea73d0dd5fae7c4a2c7ca7d5efe4086b6ba191a42a42dafe15d"
 GEOMETRY_DIGEST = "7f11e0e36a20a58e43ec489018bba42ffc9113da2f4e0b8ab8da17c2b9c170db"

@@ -360,24 +360,24 @@ def base_config(**kw):
 def test_combined_reward_frozen_value():
     # perfect formatting score, energy off by 0.5 eV at lambda 1
     cfg = base_config()
-    score, br = combined_reward(MINIMAL_CIF, FixedPredictor(0.5), cfg)
-    assert score == pytest.approx(0.7245714617988434, abs=1e-12)
+    br = combined_reward(MINIMAL_CIF, FixedPredictor(0.5), cfg)
+    assert br.score == pytest.approx(0.7245714617988434, abs=1e-12)
     assert br.energy == 0.5
     assert br.pvcp.total == 1.0
-    assert br.hard_pass and br.parsed
+    assert br.pvcp.hard_pass and br.parsed
 
 
 def test_combined_reward_parse_failure():
-    score, br = combined_reward("nope", FixedPredictor(0.0), base_config())
-    assert score == 0.0
-    assert not br.parsed and not br.hard_pass
+    br = combined_reward("nope", FixedPredictor(0.0), base_config())
+    assert br.score == 0.0
+    assert not br.parsed and not br.pvcp.hard_pass
     assert br.energy is None
     assert "parse failure" in br.diagnostics
 
 
 def test_combined_reward_predictor_failure():
-    score, br = combined_reward(MINIMAL_CIF, FailingPredictor(), base_config())
-    assert score == 0.0
+    br = combined_reward(MINIMAL_CIF, FailingPredictor(), base_config())
+    assert br.score == 0.0
     assert br.parsed and br.energy is None
     assert any("predictor failed" in d for d in br.diagnostics)
 
@@ -394,8 +394,8 @@ def test_tiny_cell_scores_zero_in_bounded_time(a, phys_note):
     assert br.s_phys == 0.0
     assert any(phys_note in d for d in br.diagnostics)
     assert not passes_hard_constraints(parse_cif(text).structure)
-    score, cb = combined_reward(text, PairPotentialSurrogate(), base_config())
-    assert score == 0.0 and cb.parsed and not cb.hard_pass
+    cb = combined_reward(text, PairPotentialSurrogate(), base_config())
+    assert cb.score == 0.0 and cb.parsed and not cb.pvcp.hard_pass
     assert any(
         "predictor failed" in d and "lattice images" in d for d in cb.diagnostics
     )
@@ -403,10 +403,8 @@ def test_tiny_cell_scores_zero_in_bounded_time(a, phys_note):
 
 
 def test_combined_reward_nonfinite_energy():
-    score, br = combined_reward(
-        MINIMAL_CIF, FixedPredictor(float("inf")), base_config()
-    )
-    assert score == 0.0
+    br = combined_reward(MINIMAL_CIF, FixedPredictor(float("inf")), base_config())
+    assert br.score == 0.0
     assert br.energy is None
 
 
@@ -434,8 +432,8 @@ def test_one_pair_table_per_scored_candidate(monkeypatch):
             builds.clear()
             queries.clear()
             text = gen.propose(parent, target, seed)
-            _, br = combined_reward(text, PairPotentialSurrogate(), cfg)
-            assert br.parsed and br.hard_pass and br.energy is not None
+            br = combined_reward(text, PairPotentialSurrogate(), cfg)
+            assert br.parsed and br.pvcp.hard_pass and br.energy is not None
             assert len(builds) == 1
             assert queries == [DEFAULT_PHYS.full_credit_fraction]
     # a whole generation: one query per parsed candidate, none more
@@ -445,13 +443,6 @@ def test_one_pair_table_per_scored_candidate(monkeypatch):
         8, 1, DEFAULT_WEIGHTS, DEFAULT_PHYS,
     )
     assert len(scores) == len(entries) == len(queries) == 8
-
-
-def test_combined_reward_serializable():
-    _, br = combined_reward(MINIMAL_CIF, FixedPredictor(0.5), base_config())
-    d = br.to_json_dict()
-    json.dumps(d)
-    assert "structure" not in d
 
 
 def test_search_config_validation():
@@ -502,7 +493,6 @@ def entry(score, tag=0):
         cif_text=serialize_cif(s),
         score=score,
         energy=-1.0,
-        pvcp_total=1.0,
         iteration=tag,
     )
 
