@@ -808,25 +808,17 @@ def _quote(value: str) -> str:
     return f"\n;{value}\n;\n"
 
 
-def _format_block_name(structure: Structure) -> str:
-    comp = composition_of(structure)
-    return "".join(f"{el}{n}" for el, n in comp.items())
-
-
-def serialize_cif(structure: Structure, block_name: str | None = None) -> str:
+def serialize_cif(structure: Structure) -> str:
     """Render a structure as CIF text that re-parses without defects.
 
-    Numbers are written with nine decimal places.  A structure without a
-    space group is written with the CIF unknown-value marker `?` so the tag
-    stays present.  Raises ValueError for a block name that does not read
-    back as one `data_` word.
+    The block is named by composition, element symbols and counts in site
+    order (``data_Cu2O1``).  Numbers are written with nine decimal places.
+    A structure without a space group is written with the CIF unknown-value
+    marker `?` so the tag stays present.
     """
-    if block_name is None:  # element symbols and counts: one bare word
-        block_name = _format_block_name(structure)
-    elif _tokenize(f"data_{block_name}".splitlines(), [])[0] != [f"data_{block_name}"]:
-        raise ValueError(f"block name {block_name!r} does not survive a data_ header")
+    comp = composition_of(structure)
     lat = structure.lattice
-    lines = [f"data_{block_name}"]
+    lines = ["data_" + "".join(f"{el}{n}" for el, n in comp.items())]
     for tag, value in zip(CELL_TAGS, (*lat.lengths, *lat.angles)):
         lines.append(f"{tag} {value:.9f}")
     sg = structure.space_group_symbol

@@ -9,23 +9,30 @@ Subcommands:
 * ``search``    - run the closed-loop exemplar search with the surrogates
 * ``geometry``  - periodic distances and neighbor summaries for CIF files
 
-Shared flags: ``--config`` (JSON), ``--seed``, ``--out`` (artifact
-directory), ``--format`` (json or table).  An artifact is one line of
-compact JSON with sorted keys, ending in a newline; pipe it through
+Shared flags: ``--config`` (JSON), ``--out`` (artifact directory),
+``--format`` (json or table).  ``--seed`` belongs to ``search``, the only
+command that draws random numbers.  An artifact is one line of compact
+JSON with sorted keys, ending in a newline; pipe it through
 ``python -m json.tool`` or ask for ``--format table`` to read it.  Every
 artifact embeds a run manifest: command, effective config, sha256 of each
-input file, tool version, seed, and an id over the manifest's other fields
-in the same JSON form; the config records each section as built, defaults
-included (``asdict`` of the built object, keyed by section name, or at the
-top level for ``grpo`` and ``mmtg``).  Wall-clock time goes only to stderr,
-so identical manifest inputs produce byte-identical artifacts.
+input file, tool version, seed (null for every command but ``search``),
+and an id over the manifest's other fields in the same JSON form; the
+config records each section as built, defaults included (``asdict`` of the
+built object, keyed by section name, or at the top level for ``grpo`` and
+``mmtg``).  Wall-clock time goes only to stderr, so identical manifest
+inputs produce byte-identical artifacts.
 
 `main` builds the argument parser once per process and reuses it, so
 repeated in-process calls pay for argparse set-up only once.
 
+JSON holds no NaN or infinity.  ``geometry`` reports a file whose sizes
+are not finite, and ``grpo`` a group whose loss is not, as an error
+record; numpy's floating-point warnings are silenced, since these checks
+report the outcome.
+
 Exit codes: 0 on completion (even when candidates fail their checks), 1 on
-usage or configuration errors and on non-finite results (JSON holds no NaN
-or infinity), 2 when no input could be processed.
+usage or configuration errors and on a non-finite ``mmtg`` result, 2 when
+no input could be processed.
 """
 
 from __future__ import annotations
@@ -34,11 +41,14 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
+
+import numpy as np
 
 from . import __version__
 from .cif import ParseOutcome, composition_of, parse_cif
@@ -205,7 +215,10 @@ def _log(message: str) -> None:
 
 
 def _manifest(
-    args: argparse.Namespace, config: dict, inputs: dict[str, bytes], seed: int | None
+    args: argparse.Namespace,
+    config: dict,
+    inputs: dict[str, bytes],
+    seed: int | None = None,
 ) -> dict:
     """Build the run manifest and log its id before the command does its work."""
     manifest = build_manifest(args.command, config, inputs, seed)
@@ -293,7 +306,7 @@ def cmd_validate(args: argparse.Namespace, config: dict) -> Outcome:
         "target": uniform_target,
         "targets_file": args.targets_file,
     }
-    manifest = _manifest(args, cfg_snapshot, blobs, args.seed)
+    manifest = _manifest(args, cfg_snapshot, blobs)
 
     paths = [p for p in args.paths if p in blobs and p != args.targets_file]
 
@@ -354,7 +367,7 @@ def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
             pass
 
     cfg_snapshot = {"neighbor_scale": scale, "separator": separator}
-    manifest = _manifest(args, cfg_snapshot, blobs, args.seed)
+    manifest = _manifest(args, cfg_snapshot, blobs)
 
     systems = []
     errors = []
@@ -406,7 +419,7 @@ def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
 def cmd_grpo(args: argparse.Namespace, config: dict) -> Outcome:
     cfg = _configured(config, "grpo", GrpoConfig, beta=args.beta, epsilon=args.epsilon)
     blobs, _unreadable = _read_inputs([args.groups])
-    manifest = _manifest(args, asdict(cfg), blobs, args.seed)
+    manifest = _manifest(args, asdict(cfg), blobs)
 
     reports = []
     errors = []
@@ -417,12 +430,16 @@ def cmd_grpo(args: argparse.Namespace, config: dict) -> Outcome:
             line = raw.decode("utf-8")
             if not line.strip():
                 continue
-            group = group_from_json_line(line)
+            report = group_report(group_from_json_line(line), cfg)
+            # the loss is finite only if every advantage, log-prob mean and
+            # KL term that went into it is
+            if not math.isfinite(report["loss"]):
+                raise ValueError("result is not finite: a sum overflows")
         except ValueError as exc:
             errors.append({"line": lineno, "error": str(exc)})
             _log(f"grpo line {lineno}: {exc}")
             continue
-        reports.append(group_report(group, cfg))
+        reports.append(report)
     if not reports:
         raise _NoInput("no valid group records")
 
@@ -462,7 +479,7 @@ def cmd_mmtg(args: argparse.Namespace, config: dict) -> Outcome:
     if not pairs:
         raise CliError("provide two positional losses or --pairs FILE")
 
-    manifest = _manifest(args, asdict(cfg), blobs, args.seed)
+    manifest = _manifest(args, asdict(cfg), blobs)
     try:
         results = [
             {"loss_a": a, "loss_b": b, "combined": mmtg_loss(a, b, cfg)}
@@ -531,7 +548,7 @@ def cmd_search(args: argparse.Namespace, config: dict) -> Outcome:
 def cmd_geometry(args: argparse.Namespace, config: dict) -> Outcome:
     scale = _neighbor_scale(config, args.scale)
     blobs, unreadable = _read_inputs(args.paths)
-    manifest = _manifest(args, {"neighbor_scale": scale}, blobs, args.seed)
+    manifest = _manifest(args, {"neighbor_scale": scale}, blobs)
 
     def inspect(path: str) -> dict:
         outcome = parse_cif(blobs[path])
@@ -546,17 +563,19 @@ def cmd_geometry(args: argparse.Namespace, config: dict) -> Outcome:
         s = outcome.structure
         try:
             nl = build_neighbor_list(s, scale=scale)
-            min_dist = min_pair_distance(s)
-        except DegenerateCellError as exc:
+            sizes = (s.lattice.volume, volume_per_atom(s), min_pair_distance(s))
+            if not all(map(math.isfinite, sizes)):
+                raise OverflowError("result is not finite: the cell is too large")
+        except (DegenerateCellError, OverflowError) as exc:
             _log(f"geometry {path}: {exc}")
             return {"path": path, "ok": False, "error": str(exc)}
         record = {
             "path": path,
             "ok": True,
             "n_sites": len(s),
-            "volume": s.lattice.volume,
-            "volume_per_atom": volume_per_atom(s),
-            "min_pair_distance": min_dist,
+            "volume": sizes[0],
+            "volume_per_atom": sizes[1],
+            "min_pair_distance": sizes[2],
             "n_neighbor_entries": len(nl),
         }
         if args.neighbors:
@@ -595,7 +614,6 @@ def cmd_geometry(args: argparse.Namespace, config: dict) -> Outcome:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int, default=None, help="seed override")
     parser.add_argument("--out", help="directory for JSON artifacts")
     parser.add_argument(
         "--format", choices=("json", "table"), default="table",
@@ -654,6 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mmtg)
 
     p = sub.add_parser("search", help="run the closed-loop exemplar search")
+    p.add_argument("--seed", type=int, default=None, help="seed override")
     _add_common(p)
     p.set_defaults(func=cmd_search)
 
@@ -676,8 +695,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        manifest, body, table = args.func(args, _load_config(args.config))
-        _emit({"manifest": manifest, **body}, args, table)
+        # each result is checked for being finite, so numpy's floating-point
+        # warnings would only repeat that check on stderr
+        with np.errstate(all="ignore"):
+            manifest, body, table = args.func(args, _load_config(args.config))
+            _emit({"manifest": manifest, **body}, args, table)
     except CliError as exc:
         print(f"catloop {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -314,8 +314,10 @@ def covalent_pairs(structure: Structure, scale: float) -> tuple[PairTable, np.nd
     """Pairs within scale * (r_i + r_j) in `iter_periodic_pairs` order, and r_i + r_j.
 
     They filter the table at scale * 2 * max(r); a scale <= 0 gives none.
+    A degenerate cell raises `DegenerateCellError` at any scale.
     """
     if scale <= 0.0:
+        _check_cell(structure)
         return _EMPTY, np.empty(0)
     r = _covalent_radii(structure)
     table = _pair_table(structure, scale * (2.0 * float(np.max(r))))

@@ -116,15 +116,9 @@ class GrpoConfig:
         _check_epsilon(self.epsilon)
 
 
-def normalized_logprob(seq: SequenceLogProbs, which: str = "current") -> float:
-    """Mean per-token log-probability, (1/T) * sum_t logp_t; always <= 0."""
-    if which == "current":
-        vals = seq.logp_current
-    elif which == "reference":
-        vals = seq.logp_reference
-    else:
-        raise ValueError(f"which must be 'current' or 'reference', got {which!r}")
-    return float(np.mean(vals))
+def normalized_logprob(seq: SequenceLogProbs) -> float:
+    """Mean per-token current log-probability, (1/T) * sum_t logp_t; <= 0."""
+    return float(np.mean(seq.logp_current))
 
 
 def kl_estimate(seq: SequenceLogProbs) -> float:

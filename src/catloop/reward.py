@@ -72,20 +72,6 @@ class RewardWeights:
         if abs(sum(vals) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(vals)!r}")
 
-    def normalized_copy(self, **overrides: float) -> "RewardWeights":
-        """New weights with the given raw values, renormalized to sum 1."""
-        raw = {
-            "comp": self.comp,
-            "parse": self.parse,
-            "valid": self.valid,
-            "phys": self.phys,
-        }
-        raw.update(overrides)
-        total = sum(raw.values())
-        if total <= 0.0:
-            raise ValueError("weights must have a positive sum")
-        return RewardWeights(**{k: v / total for k, v in raw.items()})
-
 
 @dataclass(frozen=True)
 class PhysConfig:

@@ -456,21 +456,18 @@ def test_serialize_without_space_group_round_trips():
 def test_serialize_block_name_from_composition():
     s = make_structure(["Cu", "Cu", "O"], [(0, 0, 0), (0.5, 0.5, 0.5), (0.25, 0.25, 0.25)])
     assert serialize_cif(s).startswith("data_Cu2O1\n")
-    assert serialize_cif(s, block_name="custom").startswith("data_custom\n")
-
-
-@pytest.mark.parametrize("name", ["my block", "x\ny", "x\n", "a\tb", "a\rb", " a"])
-def test_serialize_refuses_unwritable_block_names(name):
-    with pytest.raises(ValueError, match="block name"):
-        serialize_cif(one_site(), block_name=name)
 
 
 @pytest.mark.parametrize(
     "name", [None, "", "custom", "a#b", "a'b", "Data_x", "\xa0"]
 )
 def test_serialized_block_names_re_parse(name):
-    s = one_site()
-    out = parse_cif(serialize_cif(s, block_name=name))
+    # None: the composition name as written; otherwise a header the parser
+    # must read back as that one word
+    text = serialize_cif(one_site())
+    if name is not None:
+        text = text.replace("data_Cu1\n", f"data_{name}\n", 1)
+    out = parse_cif(text)
     assert out.ok and out.defects == ()
     assert out.document.block_name == ("Cu1" if name is None else name)
 

@@ -64,12 +64,11 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     p = tmp_path / "ok.cif"
     p.write_text(MINIMAL_CIF)
     code, out, _ = run_cli(
-        capsys, "validate", str(p), "--seed", "5", "--target", "Cu:1",
-        "--format", "json",
+        capsys, "validate", str(p), "--target", "Cu:1", "--format", "json"
     )
     assert code == 0
     manifest = json.loads(out)["manifest"]
-    assert (manifest["seed"], manifest["config"]["target"]) == (5, {"Cu": 1})
+    assert (manifest["seed"], manifest["config"]["target"]) == (None, {"Cu": 1})
     code, out, _ = run_cli(capsys, "validate", str(p), "--format", "json")
     assert code == 0
     manifest = json.loads(out)["manifest"]
@@ -677,6 +676,25 @@ def test_search_seed_override_changes_manifest(tmp_path, capsys):
     assert b["manifest"]["seed"] == 5
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "ok.cif"],
+        ["textify", "slab.cif"],
+        ["grpo", "groups.jsonl"],
+        ["mmtg", "2.0", "1.0"],
+        ["geometry", "ok.cif"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_only_search_takes_seed(capsys, argv):
+    # no other command draws a random number, so none takes a seed
+    code, out, err = run_cli(capsys, *argv, "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: catloop")
+    assert err.endswith("error: unrecognized arguments: --seed 1\n")
+
+
 def test_search_requires_target_composition(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"search": {"target_energy": -1.0}}))
@@ -770,6 +788,11 @@ def test_search_unknown_element(tmp_path, capsys):
         # an integer too large for a float is not a finite number
         ("search", {"lambda_energy": 10**400}),
         ("weights", {"comp": 10**400}),
+        # defect_rates that are not a mapping
+        ("generator", {"defect_rates": [0.1]}),
+        ("generator", {"defect_rates": None}),
+        # a negative weight, although the two still sum to 1
+        ("search", {"energy_weight": -0.5, "pvcp_weight": 1.5}),
     ],
 )
 def test_search_bad_config_values_exit_1(tmp_path, capsys, section, values):
@@ -915,10 +938,10 @@ def test_inspection_bad_config_exits_1(
 def test_manifest_contents(tmp_path, capsys):
     p = tmp_path / "ok.cif"
     p.write_text(MINIMAL_CIF)
-    _, out, _ = run_cli(capsys, "validate", str(p), "--seed", "7", "--format", "json")
+    _, out, _ = run_cli(capsys, "validate", str(p), "--format", "json")
     manifest = json.loads(out)["manifest"]
     assert manifest["command"] == "validate"
-    assert manifest["seed"] == 7
+    assert manifest["seed"] is None
     assert manifest["tool_version"] == __version__
     assert len(manifest["id"]) == 64
     assert set(manifest["inputs"]) == {str(p)}
@@ -1017,39 +1040,84 @@ def test_artifacts_byte_identical_across_runs(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# non-finite results: JSON has no NaN or infinity, so they exit 1
+# non-finite results: JSON has no NaN or infinity.  `mmtg` refuses the run
+# (exit 1); `grpo` and `geometry` report the item as an error record, so a
+# run with nothing else to report exits 2.  numpy's floating-point warnings
+# never reach stderr.
+
+
+def group_line(prompt_id: str, logp: list[float]) -> str:
+    """A two-member group whose second member has the log-probs `logp`."""
+    members = [
+        {"logp_current": [-0.5], "logp_reference": [-0.5], "reward": 1.0},
+        {"logp_current": logp, "logp_reference": [-0.5] * len(logp), "reward": 0.0},
+    ]
+    return json.dumps({"prompt_id": prompt_id, "members": members})
+
 
 # the second member's log-probs sum past the float range
-HUGE_LOGP_LINE = json.dumps(
-    {
-        "prompt_id": "g1",
-        "members": [
-            {"logp_current": [-0.5], "logp_reference": [-0.5], "reward": 1.0},
-            {"logp_current": [-1e308, -1e308], "logp_reference": [-0.5, -0.5],
-             "reward": 0.0},
-        ],
-    }
-)
+HUGE_LOGP_LINE = group_line("g1", [-1e308, -1e308])
+BIG_CIF = MINIMAL_CIF.replace("4.0", "1e150")  # its volume overflows
 
 
 @pytest.mark.parametrize(
-    "argv, files",
+    "argv, files, code",
     [
-        (["mmtg", "1e308", "1e308", "--gating", "0.001"], {}),
-        (["grpo", "groups.jsonl"], {"groups.jsonl": HUGE_LOGP_LINE}),
-        (["geometry", "big.cif"], {"big.cif": MINIMAL_CIF.replace("4.0", "1e150")}),
+        (["mmtg", "1e308", "1e308", "--gating", "0.001"], {}, 1),
+        (["grpo", "groups.jsonl"], {"groups.jsonl": HUGE_LOGP_LINE}, 2),
+        (["geometry", "big.cif"], {"big.cif": BIG_CIF}, 2),
     ],
     ids=["mmtg", "grpo", "geometry"],
 )
-def test_non_finite_result_exits_1(tmp_path, monkeypatch, capsys, argv, files):
+def test_non_finite_result_exits_1(tmp_path, monkeypatch, capsys, argv, files, code):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code, out, err = run_cli(capsys, *argv, "--out", "out", "--format", "json")
-    assert code == 1 and out == ""
-    assert err.splitlines()[-1].startswith(f"catloop {argv[0]}: result is not finite")
+    got, out, err = run_cli(capsys, *argv, "--out", "out", "--format", "json")
+    assert (got, out) == (code, "")
+    assert "result is not finite" in err and "RuntimeWarning" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["grpo", "geometry", "validate"])
+def test_non_finite_item_leaves_the_others(tmp_path, monkeypatch, capsys, command):
+    (tmp_path / "ok.cif").write_text(MINIMAL_CIF)
+    (tmp_path / "big.cif").write_text(BIG_CIF)
+    lines = (group_line("g0", [-0.7]), HUGE_LOGP_LINE)
+    (tmp_path / "groups.jsonl").write_text("\n".join(lines) + "\n")
+    monkeypatch.chdir(tmp_path)
+    inputs = ["groups.jsonl"] if command == "grpo" else ["ok.cif", "big.cif"]
+    code, out, err = run_cli(capsys, command, *inputs, "--format", "json")
+    assert code == 0 and "RuntimeWarning" not in err
+    art = json.loads(out)
+    if command == "grpo":
+        assert [g["prompt_id"] for g in art["groups"]] == ["g0"]
+        assert art["errors"] == [
+            {"line": 2, "error": "result is not finite: a sum overflows"}
+        ]
+    elif command == "geometry":
+        ok, big = art["files"]
+        assert (ok["path"], ok["ok"], ok["volume"]) == ("ok.cif", True, 64.0)
+        assert big == {
+            "path": "big.cif",
+            "ok": False,
+            "error": "result is not finite: the cell is too large",
+        }
+    else:  # the physics score clamps, so validate scores both files
+        assert [f["ok"] for f in art["files"]] == [True, True]
+
+
+def test_geometry_table_lists_failed_files(tmp_path, monkeypatch, capsys):
+    (tmp_path / "ok.cif").write_text(MINIMAL_CIF)
+    (tmp_path / "big.cif").write_text(BIG_CIF)
+    (tmp_path / "bad.cif").write_text("not a cif\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "geometry", "ok.cif", "big.cif", "bad.cif")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "big.cif: result is not finite: the cell is too large",
+        "bad.cif: parse failure",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -327,8 +327,16 @@ def test_degenerate_cell_raises():
     assert s.lattice.volume < 1e-6
     with pytest.raises(DegenerateCellError):
         min_image_distance(s, 0, 0)
-    with pytest.raises(DegenerateCellError):
-        build_neighbor_list(s)
+    # at every cutoff or scale, also one that selects no pair
+    for call in (
+        lambda: build_neighbor_list(s),
+        lambda: build_neighbor_list(s, 0.0),
+        lambda: iter_periodic_pairs(s, 0.0),
+        lambda: covalent_pairs(s, 0.0),
+        lambda: covalent_pairs(s, -1.0),
+    ):
+        with pytest.raises(DegenerateCellError):
+            call()
     # volume_per_atom has no distance semantics and stays defined
     assert volume_per_atom(s) == pytest.approx(0.005**3)
 

@@ -87,9 +87,6 @@ def test_advantages_override_epsilon():
 def test_normalized_logprob():
     s = seq([-0.5, -1.5], ref=[-1.0, -3.0])
     assert normalized_logprob(s) == pytest.approx(-1.0, abs=1e-15)
-    assert normalized_logprob(s, "reference") == pytest.approx(-2.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        normalized_logprob(s, "nope")
 
 
 def test_kl_estimate_exact():
@@ -360,6 +357,8 @@ def test_group_from_json_line_round_trip():
         lambda o: o.__setitem__("prompt_id", None),
         # false is a bool, not the log-probability 0
         lambda o: o["members"][0]["logp_current"].__setitem__(0, False),
+        # a member that is not a JSON object
+        lambda o: o["members"].__setitem__(0, [-0.5, -0.5]),
     ],
 )
 def test_group_from_json_dict_errors(breaker):

@@ -293,13 +293,6 @@ def test_weights_validation():
     assert w.comp == 0.25
 
 
-def test_normalized_copy():
-    w = DEFAULT_WEIGHTS.normalized_copy(comp=1.2)
-    total = w.comp + w.parse + w.valid + w.phys
-    assert total == pytest.approx(1.0, abs=1e-12)
-    assert w.comp == pytest.approx(1.2 / 1.6)
-
-
 def test_total_is_weighted_sum(minimal_cif):
     br = pvcp(minimal_cif, {"Cu": 1})
     expected = (
@@ -314,7 +307,8 @@ def test_total_is_weighted_sum(minimal_cif):
 def test_weight_linearity():
     # doubling one weight (renormalized) moves the total exactly linearly
     text = big_cell_cif(["Cu1 Cu 0.1 0.1 0.1\n", "O1 O 0.5 0.5 0.5\n"])
-    w2 = DEFAULT_WEIGHTS.normalized_copy(valid=0.2)
+    raw = {"comp": 0.6, "parse": 0.2, "valid": 0.2, "phys": 0.1}
+    w2 = RewardWeights(**{k: v / 1.1 for k, v in raw.items()})
     br1 = pvcp(text, {"Cu": 1})
     br2 = pvcp(text, {"Cu": 1}, weights=w2)
     expected = (
