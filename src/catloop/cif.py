@@ -134,14 +134,15 @@ class CifDocument:
     """Lossless view of one parsed data block.
 
     `scalars` maps lowercased tags to raw (unconverted) values in file
-    order; `loops` keeps every loop including unrecognized ones.  Treated
-    as immutable after construction.
+    order and `tag_lines` maps them to their lines, both from a duplicate
+    tag's first occurrence; `loops` keeps every loop including
+    unrecognized ones.  Treated as immutable after construction.
     """
 
     block_name: str
     scalars: dict[str, str]
     loops: tuple[CifLoop, ...]
-    source_line_spans: dict[str, tuple[int, int]]
+    tag_lines: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -468,7 +469,7 @@ def _parse_document(
 
     scalars: dict[str, str] = {}
     loops: list[CifLoop] = []
-    spans: dict[str, tuple[int, int]] = {}
+    tag_lines: dict[str, int] = {}
 
     i = start + 1
     while i < n:
@@ -528,26 +529,23 @@ def _parse_document(
             loops.append(
                 CifLoop(tuple(columns), values, line, tuple(token_lines[i:stop:ncol]))
             )
-            for col in columns:
-                spans.setdefault(col, (line, token_lines[end - 1] if end > i else line))
             i = end
             continue
         # a tag: its value is the next token unless that is reserved too
         if next_reserved(i + 1) > i + 1:
-            value, value_line = texts[i + 1], token_lines[i + 1]
             if word in scalars:
                 defects.append(
                     Defect(DefectCode.SYNTAX, f"duplicate tag {word}", line)
                 )
             else:
-                scalars[word] = value
-                spans[word] = (line, value_line)
+                scalars[word] = texts[i + 1]
+                tag_lines[word] = line
             i += 2
         else:
             defects.append(Defect(DefectCode.SYNTAX, f"tag {word} has no value", line))
             i += 1
 
-    return CifDocument(block_name, scalars, tuple(loops), spans)
+    return CifDocument(block_name, scalars, tuple(loops), tag_lines)
 
 
 def find_atom_site_loop(document: CifDocument) -> CifLoop | None:
@@ -556,11 +554,6 @@ def find_atom_site_loop(document: CifDocument) -> CifLoop | None:
         if any(col in SITE_TAGS for col in loop.columns):
             return loop
     return None
-
-
-def _tag_line(document: CifDocument, tag: str) -> int:
-    span = document.source_line_spans.get(tag)
-    return span[0] if span else 0
 
 
 def _parse_lattice(document: CifDocument, defects: list[Defect]) -> Lattice | None:
@@ -584,7 +577,7 @@ def _parse_lattice(document: CifDocument, defects: list[Defect]) -> Lattice | No
                 Defect(
                     DefectCode.BAD_NUMBER,
                     f"{tag} value {raw!r} is not numeric",
-                    _tag_line(document, tag),
+                    document.tag_lines.get(tag, 0),
                 )
             )
             bad = True
@@ -595,7 +588,7 @@ def _parse_lattice(document: CifDocument, defects: list[Defect]) -> Lattice | No
                 Defect(
                     DefectCode.BAD_NUMBER,
                     f"{tag} value {num} outside physical range",
-                    _tag_line(document, tag),
+                    document.tag_lines.get(tag, 0),
                 )
             )
             bad = True

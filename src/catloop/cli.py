@@ -25,8 +25,8 @@ inputs produce byte-identical artifacts.
 `main` builds the argument parser once per process and reuses it, so
 repeated in-process calls pay for argparse set-up only once.
 
-JSON holds no NaN or infinity.  ``geometry`` reports a file whose sizes
-are not finite, and ``grpo`` a group whose loss is not, as an error
+JSON holds no NaN or infinity.  ``geometry`` reports a file whose volume
+is not finite, and ``grpo`` a group whose loss is not, as an error
 record; numpy's floating-point warnings are silenced, since these checks
 report the outcome.
 
@@ -140,8 +140,10 @@ def _neighbor_scale(config: dict, override: float | None = None) -> float:
     scale = override
     if scale is None:
         scale = config.get("neighbor_scale", DEFAULT_NEIGHBOR_SCALE)
-    if not finite_number(scale):
-        raise CliError(f"bad neighbor_scale config: {scale!r} is not a finite number")
+    if not (finite_number(scale) and scale > 0):
+        raise CliError(
+            f"bad neighbor_scale config: {scale!r} is not a finite number above 0"
+        )
     return scale
 
 
@@ -153,8 +155,16 @@ def _composition(mapping: object, where: str) -> dict[str, int]:
         raise CliError(str(exc)) from None
 
 
+def _target(mapping: object, where: str) -> dict[str, int]:
+    """A `validate` target: `_composition` with at least one atom."""
+    counts = _composition(mapping, where)
+    if not sum(counts.values()):
+        raise CliError(f"{where}: empty composition; a target needs at least one atom")
+    return counts
+
+
 def parse_composition_arg(text: str) -> dict[str, int]:
-    """Parse a composition argument like ``Cu:4,O:1``."""
+    """Parse a target argument like ``Cu:4,O:1``; it needs at least one atom."""
     where = f"composition {text!r}"
     comp: dict[str, int] = {}
     for part in text.split(","):
@@ -168,9 +178,7 @@ def parse_composition_arg(text: str) -> dict[str, int]:
             raise CliError(f"{where}: bad count {num!r} for {el!r}") from None
         _composition({el: count}, where)
         comp[el] = comp.get(el, 0) + count
-    if not comp:
-        raise CliError(f"empty composition {text!r}")
-    return comp
+    return _target(comp, where)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +302,8 @@ def cmd_validate(args: argparse.Namespace, config: dict) -> Outcome:
         if not isinstance(table, dict):
             raise CliError("bad targets file: top level must be an object")
         for name, comp in table.items():
-            where = f"bad targets file entry {name!r}"
-            per_file_targets[name] = _composition(comp, where)
-            if not per_file_targets[name]:
-                raise CliError(f"{where}: empty composition")
-    uniform_target = parse_composition_arg(args.target) if args.target else None
+            per_file_targets[name] = _target(comp, f"bad targets file entry {name!r}")
+    uniform_target = None if args.target is None else parse_composition_arg(args.target)
 
     cfg_snapshot = {
         "weights": asdict(weights),
@@ -563,9 +568,10 @@ def cmd_geometry(args: argparse.Namespace, config: dict) -> Outcome:
         s = outcome.structure
         try:
             nl = build_neighbor_list(s, scale=scale)
-            sizes = (s.lattice.volume, volume_per_atom(s), min_pair_distance(s))
+            sizes = (s.lattice.volume, volume_per_atom(s))
             if not all(map(math.isfinite, sizes)):
                 raise OverflowError("result is not finite: the cell is too large")
+            sizes += (min_pair_distance(s),)  # finite for a finite volume
         except (DegenerateCellError, OverflowError) as exc:
             _log(f"geometry {path}: {exc}")
             return {"path": path, "ok": False, "error": str(exc)}

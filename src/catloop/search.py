@@ -357,10 +357,8 @@ class CombinedBreakdown:
     """Energy and formatting components of one candidate's score."""
 
     score: float
-    energy: float | None
-    energy_reward: float
-    pvcp: RewardBreakdown  # carries the hard verdict, `pvcp.hard_pass`
-    parsed: bool
+    energy: float | None  # None, and score 0, if unparsed or unpredicted
+    pvcp: RewardBreakdown  # parse verdict `s_parse`, hard verdict `hard_pass`
     diagnostics: tuple[str, ...] = ()
 
 
@@ -449,16 +447,14 @@ def _score_outcome(
     else:
         diagnostics.append("parse failure")
     breakdown = pvcp_from_outcome(outcome, cfg.target_composition, weights, phys)
-    score = e_rew = 0.0
+    score = 0.0
     if energy is not None:
         e_rew = energy_reward(energy, cfg.target_energy, cfg.lambda_energy)
         score = cfg.energy_weight * e_rew + cfg.pvcp_weight * breakdown.total
     return CombinedBreakdown(
         score=score,
         energy=energy,
-        energy_reward=e_rew,
         pvcp=breakdown,
-        parsed=outcome.ok,
         diagnostics=tuple(diagnostics),
     )
 
@@ -483,17 +479,16 @@ class PoolInitializationError(RuntimeError):
 
 
 class ExemplarPool:
-    """Fixed-capacity pool ordered by descending score; ties by insertion."""
+    """The best `capacity` entries by descending score, ties by insertion."""
 
     def __init__(self, entries: list[PoolEntry], capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if len(entries) != capacity:
+        if len(entries) < capacity:
             raise ValueError(
-                f"pool needs exactly {capacity} entries, got {len(entries)}"
+                f"pool needs at least {capacity} entries, got {len(entries)}"
             )
-        self.capacity = capacity
-        self._entries = sorted(entries, key=lambda e: -e.score)
+        self._entries = sorted(entries, key=lambda e: -e.score)[:capacity]
 
     @property
     def entries(self) -> tuple[PoolEntry, ...]:
@@ -556,7 +551,6 @@ class IterationLog:
 class SearchReport:
     """Full account of one closed-loop run."""
 
-    config: SearchConfig
     init_generated: int
     init_passed: int
     init_rounds: int
@@ -655,10 +649,7 @@ def initialize_pool(
             f"only {len(passing)} of {cfg.pool_capacity} required candidates "
             f"passed hard constraints after {generated} attempts"
         )
-    ranked = sorted(
-        range(len(passing)), key=lambda k: (-passing[k].score, k)
-    )[: cfg.pool_capacity]
-    pool = ExemplarPool([passing[k] for k in ranked], cfg.pool_capacity)
+    pool = ExemplarPool(passing, cfg.pool_capacity)
     stats = {
         "generated": generated,
         "passed": len(passing),
@@ -733,7 +724,6 @@ def run_search(
     )
     success = bool(best_delta is not None and best_delta <= cfg.success_tolerance)
     return SearchReport(
-        config=cfg,
         init_generated=stats["generated"],
         init_passed=stats["passed"],
         init_rounds=stats["rounds"],

@@ -126,6 +126,15 @@ def test_semicolon_text_field(minimal_cif):
     out = parse_cif(text)
     assert out.ok and out.defects == ()
     assert "free text" in out.document.scalars["_exptl_notes"]
+    # a scalar tag's own line, not its value's; a duplicate keeps the first;
+    # loop columns have none
+    dup = parse_cif(text + "_exptl_notes again\n").document
+    assert "free text" in dup.scalars["_exptl_notes"]
+    assert dup.tag_lines == {
+        "_cell_length_a": 2, "_cell_length_b": 3, "_cell_length_c": 4,
+        "_cell_angle_alpha": 5, "_cell_angle_beta": 6, "_cell_angle_gamma": 7,
+        "_symmetry_space_group_name_h-m": 8, "_exptl_notes": 16,
+    }
 
 
 def test_bytes_input(minimal_cif):

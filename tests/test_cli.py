@@ -88,7 +88,7 @@ def test_parse_composition_arg():
     assert parse_composition_arg(" Cu:2 , Cu:1 ") == {"Cu": 3}
     from catloop.cli import CliError
 
-    for bad in ("Xx:1", "Cu:abc", "Cu:-2", "Cu:2.7", "Cu:-2,Cu:3", ""):
+    for bad in ("Xx:1", "Cu:abc", "Cu:-2", "Cu:2.7", "Cu:-2,Cu:3", "", "Cu:0"):
         with pytest.raises(CliError):
             parse_composition_arg(bad)
 
@@ -169,6 +169,9 @@ def test_validate_bad_targets_file(tmp_path, capsys):
         ({"sub/a.cif": {}, "a.cif": {"Cu": 4, "O": 2}}, ()),
         ({"sub/a.cif": {}}, ("--target", "Cu:1")),
         ({"a.cif": {}}, ()),
+        # a target needs at least one atom
+        ({"a.cif": {"Cu": 0}}, ()),
+        ({"a.cif": {"Cu": 0, "O": 0}}, ()),
     ],
 )
 def test_validate_empty_target_entry_is_rejected(
@@ -186,6 +189,16 @@ def test_validate_empty_target_entry_is_rejected(
     )
     assert code == 1 and not out
     assert "bad targets file entry" in err and "empty composition" in err
+
+
+@pytest.mark.parametrize("target", ["", "Cu:0"])
+def test_validate_empty_target_arg_is_rejected(tmp_path, capsys, target):
+    # "" is a target with no atoms, not a missing one
+    p = tmp_path / "ok.cif"
+    p.write_text(MINIMAL_CIF)
+    code, out, err = run_cli(capsys, "validate", str(p), "--target", target)
+    assert code == 1 and not out
+    assert f"composition {target!r}: empty composition" in err
 
 
 def _validate_files(capsys, *argv) -> list[dict]:
@@ -918,6 +931,12 @@ def test_geometry_logs_why_no_file_was_inspected(tmp_path, capsys, slab_files):
         (["geometry", "--neighbors"], {"neighbor_scale": None}, "bad neighbor_scale"),
         (["textify"], {"neighbor_scale": "x"}, "bad neighbor_scale"),
         (["textify"], {"separator": None}, "bad separator"),
+        # a scale at or below 0 would find no bonds at all
+        (["geometry", "--neighbors"], {"neighbor_scale": 0}, "bad neighbor_scale"),
+        (["geometry", "--neighbors"], {"neighbor_scale": -1}, "bad neighbor_scale"),
+        (["textify"], {"neighbor_scale": 0}, "bad neighbor_scale"),
+        (["textify"], {"neighbor_scale": -1}, "bad neighbor_scale"),
+        (["geometry", "--scale", "0"], {}, "bad neighbor_scale"),
     ],
 )
 def test_inspection_bad_config_exits_1(
@@ -1003,7 +1022,10 @@ def test_manifest_records_each_section_as_built(
         "target": None,
         "targets_file": None,
     }
-    assert manifest_config(capsys, "search") == {
+    code, out, _ = run_cli(capsys, "search", "--config", "cfg.json", "--format", "json")
+    artifact = json.loads(out)
+    assert code == 0 and "config" not in artifact["report"]  # held once
+    assert artifact["manifest"]["config"] == {
         "search": asdict(SearchConfig(**search)),
         "generator": built("generator", MutationGenerator),
         "predictor": built("predictor", PairPotentialSurrogate),
@@ -1058,6 +1080,7 @@ def group_line(prompt_id: str, logp: list[float]) -> str:
 # the second member's log-probs sum past the float range
 HUGE_LOGP_LINE = group_line("g1", [-1e308, -1e308])
 BIG_CIF = MINIMAL_CIF.replace("4.0", "1e150")  # its volume overflows
+BIGGER_CIF = MINIMAL_CIF.replace("4.0", "1e155")  # so does a lattice row's length
 
 
 @pytest.mark.parametrize(
@@ -1083,10 +1106,13 @@ def test_non_finite_result_exits_1(tmp_path, monkeypatch, capsys, argv, files, c
 def test_non_finite_item_leaves_the_others(tmp_path, monkeypatch, capsys, command):
     (tmp_path / "ok.cif").write_text(MINIMAL_CIF)
     (tmp_path / "big.cif").write_text(BIG_CIF)
+    (tmp_path / "bigger.cif").write_text(BIGGER_CIF)
     lines = (group_line("g0", [-0.7]), HUGE_LOGP_LINE)
     (tmp_path / "groups.jsonl").write_text("\n".join(lines) + "\n")
     monkeypatch.chdir(tmp_path)
-    inputs = ["groups.jsonl"] if command == "grpo" else ["ok.cif", "big.cif"]
+    inputs = {
+        "grpo": ["groups.jsonl"], "geometry": ["ok.cif", "big.cif", "bigger.cif"]
+    }.get(command, ["ok.cif", "big.cif"])
     code, out, err = run_cli(capsys, command, *inputs, "--format", "json")
     assert code == 0 and "RuntimeWarning" not in err
     art = json.loads(out)
@@ -1096,13 +1122,16 @@ def test_non_finite_item_leaves_the_others(tmp_path, monkeypatch, capsys, comman
             {"line": 2, "error": "result is not finite: a sum overflows"}
         ]
     elif command == "geometry":
-        ok, big = art["files"]
+        ok, *big = art["files"]
         assert (ok["path"], ok["ok"], ok["volume"]) == ("ok.cif", True, 64.0)
-        assert big == {
-            "path": "big.cif",
-            "ok": False,
-            "error": "result is not finite: the cell is too large",
-        }
+        assert big == [
+            {
+                "path": path,
+                "ok": False,
+                "error": "result is not finite: the cell is too large",
+            }
+            for path in ("big.cif", "bigger.cif")
+        ]
     else:  # the physics score clamps, so validate scores both files
         assert [f["ok"] for f in art["files"]] == [True, True]
 

@@ -43,13 +43,13 @@ CRITERION6_RATES = {
 CORPUS = ((CU4O2, 30), ({"Cu": 43, "O": 21}, 8))
 
 SEARCH_DIGESTS = {
-    0: "c7624be42b2c87de7aeb3c950250516c3b1b3588e9153e0dc000dea799f4db41",
-    1: "24fc33f54039fb0b7c7bb9a2e4e2be1c2375a68b1c54bfd76d4b452ad6def40d",
-    2: "b5b1776e15653d4bfa4743c6bc12c3536118e65c17be8d89a5b2140db44b90d5",
+    0: "4c6d016131b1765cacefcf63e82bac93fef06aecde4e828fa102290b6674fc97",
+    1: "64d324f4ceda7be19c554c8f25b0d50d0f1b227f6fdf054b013fdc454bf042c9",
+    2: "e24467030900ff9d8e5be90d2021070a716673dee5ffba3cc5028d63efe9613f",
 }
-DEFECT_SEARCH_DIGEST = "dd06e185be595edd7105f2c22bc6bfc2416bf0a97372c2ac1b99ec4e84d8eaaa"
+DEFECT_SEARCH_DIGEST = "4c22534ede40a9c971ebf361158743df74e9d4805a10dbd9857af1e16953c92a"
 VALIDATE_DIGEST = "e42086324e37a5aa5ea3ca6b55f76184409acba80971824a9596e3233077b619"
-PARSE_DIGEST = "6ed876538f9e9ea73d0dd5fae7c4a2c7ca7d5efe4086b6ba191a42a42dafe15d"
+PARSE_DIGEST = "009a071abf1197f8e882544c591fab275fa351a5da7cbb838254a94780959311"
 GEOMETRY_DIGEST = "7f11e0e36a20a58e43ec489018bba42ffc9113da2f4e0b8ab8da17c2b9c170db"
 TEXTIFY_DIGEST = "8a1fe360bbb51ba0043858ca7b30d38f4ebba81ff7bd9684f378eb837f182850"
 GRPO_DIGEST = "3761f2d0531985f177fe3c1fffff15af536e8a9aadc02b13279fd3cd608c7be0"
@@ -120,7 +120,7 @@ def dump_outcome(outcome) -> list:
             doc.block_name,
             list(doc.scalars.items()),
             [[lp.columns, _loop_rows(lp), lp.line, lp.row_lines] for lp in doc.loops],
-            list(doc.source_line_spans.items()),
+            list(doc.tag_lines.items()),
         ],
         st and [
             _hexes(st.lattice.lengths + st.lattice.angles),

@@ -364,13 +364,14 @@ def test_combined_reward_frozen_value():
     assert br.score == pytest.approx(0.7245714617988434, abs=1e-12)
     assert br.energy == 0.5
     assert br.pvcp.total == 1.0
-    assert br.pvcp.hard_pass and br.parsed
+    assert br.pvcp.hard_pass and br.pvcp.s_parse == 1.0
 
 
 def test_combined_reward_parse_failure():
     br = combined_reward("nope", FixedPredictor(0.0), base_config())
     assert br.score == 0.0
-    assert not br.parsed and not br.pvcp.hard_pass
+    assert br.pvcp.s_parse == 0.0 and not br.pvcp.hard_pass
+    assert "PF" in br.pvcp.flag_codes()
     assert br.energy is None
     assert "parse failure" in br.diagnostics
 
@@ -378,7 +379,7 @@ def test_combined_reward_parse_failure():
 def test_combined_reward_predictor_failure():
     br = combined_reward(MINIMAL_CIF, FailingPredictor(), base_config())
     assert br.score == 0.0
-    assert br.parsed and br.energy is None
+    assert br.pvcp.s_parse == 1.0 and br.energy is None
     assert any("predictor failed" in d for d in br.diagnostics)
 
 
@@ -395,7 +396,7 @@ def test_tiny_cell_scores_zero_in_bounded_time(a, phys_note):
     assert any(phys_note in d for d in br.diagnostics)
     assert not passes_hard_constraints(parse_cif(text).structure)
     cb = combined_reward(text, PairPotentialSurrogate(), base_config())
-    assert cb.score == 0.0 and cb.parsed and not cb.pvcp.hard_pass
+    assert cb.score == 0.0 and cb.pvcp.s_parse == 1.0 and not cb.pvcp.hard_pass
     assert any(
         "predictor failed" in d and "lattice images" in d for d in cb.diagnostics
     )
@@ -433,7 +434,7 @@ def test_one_pair_table_per_scored_candidate(monkeypatch):
             queries.clear()
             text = gen.propose(parent, target, seed)
             br = combined_reward(text, PairPotentialSurrogate(), cfg)
-            assert br.parsed and br.pvcp.hard_pass and br.energy is not None
+            assert br.pvcp.hard_pass and br.energy is not None
             assert len(builds) == 1
             assert queries == [DEFAULT_PHYS.full_credit_fraction]
     # a whole generation: one query per parsed candidate, none more
@@ -502,6 +503,8 @@ def test_pool_ctor_validation():
         ExemplarPool([entry(1.0)], capacity=2)
     with pytest.raises(ValueError):
         ExemplarPool([], capacity=0)
+    with pytest.raises(ValueError):
+        ExemplarPool([entry(1.0)], capacity=0)
 
 
 def test_pool_ordering_and_accessors():
@@ -518,6 +521,13 @@ def test_pool_stable_ties():
     pool = ExemplarPool([first, second, entry(0.7, tag=3)], capacity=3)
     tied = [e.iteration for e in pool.entries if e.score == 0.5]
     assert tied == [1, 2]  # insertion order preserved among equals
+    # more entries than capacity: the best are kept, and of a tie the first
+    entries = [entry(0.5, tag=1), entry(0.2, tag=2), entry(0.5, tag=3),
+               entry(0.7, tag=4), entry(0.5, tag=5)]
+    pool = ExemplarPool(entries, capacity=3)
+    assert [(e.score, e.iteration) for e in pool.entries] == [
+        (0.7, 4), (0.5, 1), (0.5, 3)
+    ]
 
 
 def test_try_replace_strict_improvement():
