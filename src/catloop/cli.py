@@ -18,9 +18,15 @@ artifact embeds a run manifest: command, effective config, sha256 of each
 input file, tool version, seed (null for every command but ``search``),
 and an id over the manifest's other fields in the same JSON form; the
 config records each section as built, defaults included (``asdict`` of the
-built object, keyed by section name, or at the top level for ``grpo`` and
-``mmtg``).  Wall-clock time goes only to stderr, so identical manifest
-inputs produce byte-identical artifacts.
+built object, keyed by the section name that ``--config`` reads it from).
+Wall-clock time goes only to stderr, so identical manifest inputs produce
+byte-identical artifacts.
+
+``validate``, ``geometry`` and ``textify`` report each input they cannot
+use as a ``{"path", "error"}`` record under ``errors`` (unreadable inputs
+first, the others in input order) and log it to stderr as
+``<command> <path>: <error>``.  ``grpo`` reads lines, so its error records
+are ``{"line", "error"}``.
 
 `main` builds the argument parser once per process and reuses it, so
 repeated in-process calls pay for argparse set-up only once.
@@ -260,11 +266,37 @@ def _emit(
         sys.stdout.write(table(artifact))
 
 
-def _read_inputs(paths: Sequence[str]) -> tuple[dict[str, bytes], list[dict]]:
-    """Read every path; returns (name -> bytes, unreadable records).
+def _read_side_file(path: str, what: str, blobs: dict[str, bytes]) -> object:
+    """The JSON value in the side file `path`; its bytes go into `blobs`.
 
-    An unreadable record is ``{"path", "error"}``.  Raises `_NoInput` when
-    no path could be read.
+    A side file that cannot be read or decoded is a usage error.
+    """
+    try:
+        blobs[path] = Path(path).read_bytes()
+        return json.loads(blobs[path].decode("utf-8"))
+    except OSError as exc:
+        raise CliError(f"cannot read {what}: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise CliError(f"bad {what}: {exc}") from None
+
+
+def _input_error(errors: list[dict], command: str, path: str, error: object) -> None:
+    """Record an input the command cannot use, in `errors` and on stderr."""
+    errors.append({"path": path, "error": str(error)})
+    _log(f"{command} {path}: {error}")
+
+
+def _parse_failure(outcome: ParseOutcome) -> str:
+    return "parse failure: " + ", ".join(outcome.defect_codes())
+
+
+def _read_inputs(
+    command: str, paths: Sequence[str]
+) -> tuple[dict[str, bytes], list[dict]]:
+    """Read every path; returns (name -> bytes, the command's error records).
+
+    Each unreadable path gets an `_input_error` record.  Raises `_NoInput`
+    when no path could be read.
     """
     blobs: dict[str, bytes] = {}
     errors: list[dict] = []
@@ -272,8 +304,7 @@ def _read_inputs(paths: Sequence[str]) -> tuple[dict[str, bytes], list[dict]]:
         try:
             blobs[p] = Path(p).read_bytes()
         except OSError as exc:
-            _log(f"skipping {p}: {exc}")
-            errors.append({"path": p, "error": str(exc)})
+            _input_error(errors, command, p, exc)
     if not blobs:
         raise _NoInput("no readable input files")
     return blobs, errors
@@ -286,19 +317,12 @@ def _read_inputs(paths: Sequence[str]) -> tuple[dict[str, bytes], list[dict]]:
 def cmd_validate(args: argparse.Namespace, config: dict) -> Outcome:
     weights = _configured(config, "weights", RewardWeights)
     phys = _configured(config, "phys", PhysConfig)
-    blobs, unreadable = _read_inputs(args.paths)
+    blobs, errors = _read_inputs(args.command, args.paths)
+    paths = [p for p in args.paths if p in blobs]
 
     per_file_targets: dict[str, dict[str, int]] = {}
     if args.targets_file:
-        try:
-            raw = Path(args.targets_file).read_bytes()
-        except OSError as exc:
-            raise CliError(f"cannot read targets file: {exc}") from None
-        blobs[args.targets_file] = raw
-        try:
-            table = json.loads(raw.decode("utf-8"))
-        except ValueError as exc:
-            raise CliError(f"bad targets file: {exc}") from None
+        table = _read_side_file(args.targets_file, "targets file", blobs)
         if not isinstance(table, dict):
             raise CliError("bad targets file: top level must be an object")
         for name, comp in table.items():
@@ -312,8 +336,6 @@ def cmd_validate(args: argparse.Namespace, config: dict) -> Outcome:
         "targets_file": args.targets_file,
     }
     manifest = _manifest(args, cfg_snapshot, blobs)
-
-    paths = [p for p in args.paths if p in blobs and p != args.targets_file]
 
     def score_one(k: int, outcome: ParseOutcome) -> tuple[dict, RewardBreakdown]:
         path = paths[k]
@@ -336,7 +358,7 @@ def cmd_validate(args: argparse.Namespace, config: dict) -> Outcome:
     scored = _score_in_chunks([blobs[p] for p in paths], score_one)
     body = {
         "files": [record for record, _ in scored],
-        "unreadable": [e["path"] for e in unreadable],
+        "errors": errors,
         "failure_rates": corpus_failure_rates(br for _, br in scored),
     }
 
@@ -360,14 +382,14 @@ def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
     separator = config.get("separator", DEFAULT_SEPARATOR)
     if not isinstance(separator, str):
         raise CliError(f"bad separator config: expected a string, got {separator!r}")
-    blobs, unreadable = _read_inputs(args.paths)
+    blobs, errors = _read_inputs(args.command, args.paths)
+    paths = [p for p in args.paths if p in blobs]
 
     sidecars: dict[str, bytes] = {}
-    for p in list(blobs):
+    for p in paths:
         meta_path = str(Path(p).with_suffix("")) + ".meta.json"
         try:
-            sidecars[p] = Path(meta_path).read_bytes()
-            blobs[meta_path] = sidecars[p]
+            sidecars[p] = blobs[meta_path] = Path(meta_path).read_bytes()
         except OSError:
             pass
 
@@ -375,19 +397,13 @@ def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
     manifest = _manifest(args, cfg_snapshot, blobs)
 
     systems = []
-    errors = []
-    for p in args.paths:
-        if p not in blobs:
-            continue
-        record = {"path": p}
+    for p in paths:
         if p not in sidecars:
-            record["error"] = "missing sidecar metadata"
-            errors.append(record)
+            _input_error(errors, args.command, p, "missing sidecar metadata")
             continue
         outcome = parse_cif(blobs[p])
         if not outcome.ok:
-            record["error"] = "parse failure: " + ", ".join(outcome.defect_codes())
-            errors.append(record)
+            _input_error(errors, args.command, p, _parse_failure(outcome))
             continue
         try:
             meta = SystemMetadata.from_json_dict(json.loads(sidecars[p].decode()))
@@ -395,21 +411,17 @@ def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
                 outcome.structure, meta, scale=scale, separator=separator
             )
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
-            record["error"] = str(exc)
-            errors.append(record)
+            _input_error(errors, args.command, p, exc)
             continue
-        record.update(
+        systems.append(
             {
+                "path": p,
                 "adsorbate_part": text.adsorbate_part,
                 "surface_part": text.surface_part,
                 "configuration_part": text.configuration_part,
                 "text": text.joined,
             }
         )
-        systems.append(record)
-
-    for record in errors:
-        _log(f"textify {record['path']}: {record['error']}")
     if not systems:
         raise _NoInput("no system could be textified")
     if args.out:
@@ -418,13 +430,13 @@ def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
     def table(art: dict) -> str:
         return "".join(rec["text"] + "\n" for rec in art["systems"])
 
-    return manifest, {"systems": systems, "errors": unreadable + errors}, table
+    return manifest, {"systems": systems, "errors": errors}, table
 
 
 def cmd_grpo(args: argparse.Namespace, config: dict) -> Outcome:
     cfg = _configured(config, "grpo", GrpoConfig, beta=args.beta, epsilon=args.epsilon)
-    blobs, _unreadable = _read_inputs([args.groups])
-    manifest = _manifest(args, asdict(cfg), blobs)
+    blobs, _errors = _read_inputs(args.command, [args.groups])
+    manifest = _manifest(args, {"grpo": asdict(cfg)}, blobs)
 
     reports = []
     errors = []
@@ -467,9 +479,8 @@ def cmd_mmtg(args: argparse.Namespace, config: dict) -> Outcome:
     pairs: list[tuple[float, float]] = []
     blobs: dict[str, bytes] = {}
     if args.pairs:
-        blobs, _unreadable = _read_inputs([args.pairs])
+        data = _read_side_file(args.pairs, "pairs file", blobs)
         try:
-            data = json.loads(blobs[args.pairs].decode())
             if not isinstance(data, list):
                 raise ValueError("expected an array of [a, b] pairs")
             for item in data:
@@ -479,12 +490,14 @@ def cmd_mmtg(args: argparse.Namespace, config: dict) -> Outcome:
                 pairs.append((float(item[0]), float(item[1])))
         except ValueError as exc:
             raise CliError(f"bad pairs file: {exc}") from None
+        if not (pairs or args.losses):
+            raise CliError("the pairs file holds no pairs")
     if args.losses:
         pairs.append((args.losses[0], args.losses[1]))
     if not pairs:
         raise CliError("provide two positional losses or --pairs FILE")
 
-    manifest = _manifest(args, asdict(cfg), blobs)
+    manifest = _manifest(args, {"mmtg": asdict(cfg)}, blobs)
     try:
         results = [
             {"loss_a": a, "loss_b": b, "combined": mmtg_loss(a, b, cfg)}
@@ -552,19 +565,15 @@ def cmd_search(args: argparse.Namespace, config: dict) -> Outcome:
 
 def cmd_geometry(args: argparse.Namespace, config: dict) -> Outcome:
     scale = _neighbor_scale(config, args.scale)
-    blobs, unreadable = _read_inputs(args.paths)
+    blobs, errors = _read_inputs(args.command, args.paths)
     manifest = _manifest(args, {"neighbor_scale": scale}, blobs)
 
-    def inspect(path: str) -> dict:
+    reports = []
+    for path in [p for p in args.paths if p in blobs]:
         outcome = parse_cif(blobs[path])
         if not outcome.ok:
-            codes = ", ".join(outcome.defect_codes())
-            _log(f"geometry {path}: parse failure: {codes}")
-            return {
-                "path": path,
-                "ok": False,
-                "defects": [d.to_json_dict() for d in outcome.defects],
-            }
+            _input_error(errors, args.command, path, _parse_failure(outcome))
+            continue
         s = outcome.structure
         try:
             nl = build_neighbor_list(s, scale=scale)
@@ -573,11 +582,11 @@ def cmd_geometry(args: argparse.Namespace, config: dict) -> Outcome:
                 raise OverflowError("result is not finite: the cell is too large")
             sizes += (min_pair_distance(s),)  # finite for a finite volume
         except (DegenerateCellError, OverflowError) as exc:
-            _log(f"geometry {path}: {exc}")
-            return {"path": path, "ok": False, "error": str(exc)}
+            _input_error(errors, args.command, path, exc)
+            continue
         record = {
             "path": path,
-            "ok": True,
+            "ok": True,  # always true; kept for readers of the key
             "n_sites": len(s),
             "volume": sizes[0],
             "volume_per_atom": sizes[1],
@@ -590,28 +599,22 @@ def cmd_geometry(args: argparse.Namespace, config: dict) -> Outcome:
                 {"site_i": i, "site_j": j, "image": image, "distance": d}
                 for i, j, image, d in zip(*(c.tolist() for c in columns))
             ]
-        return record
-
-    reports = [inspect(p) for p in args.paths if p in blobs]
-    if not any(r["ok"] for r in reports):
+        reports.append(record)
+    if not reports:
         raise _NoInput("no input could be inspected")
 
     def table(art: dict) -> str:
-        lines = []
-        for r in art["files"]:
-            if r["ok"]:
-                lines.append(
-                    f"{r['path']}: sites={r['n_sites']} "
-                    f"min_dist={r['min_pair_distance']:.4f} "
-                    f"vpa={r['volume_per_atom']:.3f} "
-                    f"neighbors={r['n_neighbor_entries']}"
-                )
-            else:
-                lines.append(f"{r['path']}: {r.get('error', 'parse failure')}")
+        lines = [
+            f"{r['path']}: sites={r['n_sites']} "
+            f"min_dist={r['min_pair_distance']:.4f} "
+            f"vpa={r['volume_per_atom']:.3f} "
+            f"neighbors={r['n_neighbor_entries']}"
+            for r in art["files"]
+        ]
+        lines += [f"{e['path']}: {e['error']}" for e in art["errors"]]
         return "\n".join(lines) + "\n"
 
-    body = {"files": reports, "unreadable": [e["path"] for e in unreadable]}
-    return manifest, body, table
+    return manifest, {"files": reports, "errors": errors}, table
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,9 @@ def test_validate_unreadable_mixed(tmp_path, capsys):
     assert code == 0
     artifact = json.loads(out)
     assert len(artifact["files"]) == 1
-    assert artifact["unreadable"] == [str(tmp_path / "missing.cif")]
+    [error] = artifact["errors"]
+    assert error["path"] == str(tmp_path / "missing.cif")
+    assert "No such file" in error["error"]
 
 
 def test_validate_no_readable_inputs(tmp_path, capsys):
@@ -607,6 +609,14 @@ def test_mmtg_bad_pairs_file(tmp_path, capsys):
         code, _, err = run_cli(capsys, "mmtg", "--pairs", str(pairs))
         assert code == 1, text
         assert err.startswith("catloop mmtg: bad pairs file"), text
+    pairs.write_text("[]")
+    code, _, err = run_cli(capsys, "mmtg", "--pairs", str(pairs))
+    assert (code, err) == (1, "catloop mmtg: the pairs file holds no pairs\n")
+    # an unreadable side file is a usage error, even beside positional losses
+    missing = str(tmp_path / "missing.json")
+    code, _, err = run_cli(capsys, "mmtg", "3", "1", "--pairs", missing)
+    assert code == 1
+    assert err.startswith("catloop mmtg: cannot read pairs file: ")
 
 
 @pytest.mark.parametrize("argv", [["grpo", "groups.jsonl"], ["mmtg", "1", "2"]])
@@ -891,9 +901,9 @@ def test_geometry_mixed(tmp_path, capsys):
         capsys, "geometry", str(good), str(bad), "--format", "json"
     )
     assert code == 0
-    recs = {r["path"]: r for r in json.loads(out)["files"]}
-    assert recs[str(good)]["ok"] is True
-    assert recs[str(bad)]["ok"] is False
+    artifact = json.loads(out)
+    assert [(r["path"], r["ok"]) for r in artifact["files"]] == [(str(good), True)]
+    assert artifact["errors"] == [{"path": str(bad), "error": "parse failure: SYNTAX"}]
 
 
 def test_geometry_degenerate_cell_is_a_file_error(tmp_path, capsys):
@@ -905,10 +915,11 @@ def test_geometry_degenerate_cell_is_a_file_error(tmp_path, capsys):
         capsys, "geometry", str(good), str(tiny), "--format", "json"
     )
     assert code == 0
-    recs = {r["path"]: r for r in json.loads(out)["files"]}
-    assert recs[str(good)]["ok"] is True
-    assert recs[str(tiny)]["ok"] is False
-    assert "cell volume below" in recs[str(tiny)]["error"]
+    artifact = json.loads(out)
+    assert [(r["path"], r["ok"]) for r in artifact["files"]] == [(str(good), True)]
+    [error] = artifact["errors"]
+    assert error["path"] == str(tiny)
+    assert "cell volume below" in error["error"]
     code, _, err = run_cli(capsys, "geometry", str(tiny))
     assert code == 2
     assert "no input could be inspected" in err
@@ -1032,9 +1043,20 @@ def test_manifest_records_each_section_as_built(
         "weights": built("weights", RewardWeights),
         "phys": built("phys", PhysConfig),
     }
-    # one section each, recorded at the top level
-    assert manifest_config(capsys, "grpo", "groups.jsonl") == built("grpo", GrpoConfig)
-    assert manifest_config(capsys, "mmtg", "2", "1") == built("mmtg", MmtgConfig)
+    # a snapshot fed back as --config reproduces the run
+    for argv, cls, key in (
+        (["grpo", "groups.jsonl"], GrpoConfig, "groups"),
+        (["mmtg", "2", "1"], MmtgConfig, "results"),
+    ):
+        _, out, _ = run_cli(capsys, *argv, "--config", "cfg.json", "--format", "json")
+        artifact = json.loads(out)
+        snapshot = artifact["manifest"]["config"]
+        assert snapshot == {argv[0]: built(argv[0], cls)}
+        (tmp_path / "snapshot.json").write_text(json.dumps(snapshot))
+        _, again, _ = run_cli(
+            capsys, *argv, "--config", "snapshot.json", "--format", "json"
+        )
+        assert json.loads(again)[key] == artifact[key]
 
 
 def test_artifacts_byte_identical_across_runs(tmp_path, capsys):
@@ -1122,14 +1144,10 @@ def test_non_finite_item_leaves_the_others(tmp_path, monkeypatch, capsys, comman
             {"line": 2, "error": "result is not finite: a sum overflows"}
         ]
     elif command == "geometry":
-        ok, *big = art["files"]
+        [ok] = art["files"]
         assert (ok["path"], ok["ok"], ok["volume"]) == ("ok.cif", True, 64.0)
-        assert big == [
-            {
-                "path": path,
-                "ok": False,
-                "error": "result is not finite: the cell is too large",
-            }
+        assert art["errors"] == [
+            {"path": path, "error": "result is not finite: the cell is too large"}
             for path in ("big.cif", "bigger.cif")
         ]
     else:  # the physics score clamps, so validate scores both files
@@ -1141,12 +1159,67 @@ def test_geometry_table_lists_failed_files(tmp_path, monkeypatch, capsys):
     (tmp_path / "big.cif").write_text(BIG_CIF)
     (tmp_path / "bad.cif").write_text("not a cif\n")
     monkeypatch.chdir(tmp_path)
-    code, out, _ = run_cli(capsys, "geometry", "ok.cif", "big.cif", "bad.cif")
+    code, out, _ = run_cli(
+        capsys, "geometry", "ok.cif", "big.cif", "missing.cif", "bad.cif"
+    )
     assert code == 0
-    assert out.splitlines()[1:] == [
+    lines = out.splitlines()
+    assert lines[0].startswith("ok.cif: sites=1 ")
+    assert lines[1].startswith("missing.cif: [Errno 2] ")
+    assert lines[2:] == [
         "big.cif: result is not finite: the cell is too large",
-        "bad.cif: parse failure",
+        "bad.cif: parse failure: SYNTAX",
     ]
+
+
+# ---------------------------------------------------------------------------
+# inputs a command cannot use
+
+
+@pytest.mark.parametrize("command", ["validate", "geometry", "textify"])
+def test_each_input_is_listed_once(tmp_path, monkeypatch, capsys, cu_slab, command):
+    structure, meta, _ = cu_slab
+    files = {
+        "good.cif": serialize_cif(structure),
+        "junk.cif": "junk",
+        "tiny.cif": MINIMAL_CIF.replace("4.0", "0.005"),
+        "big.cif": BIG_CIF,
+        "targets.json": json.dumps({"good.cif": {"Cu": 8, "H": 1}}),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        sidecar = json.dumps(meta.to_json_dict())  # so textify parses each CIF
+        (tmp_path / name).with_suffix(".meta.json").write_text(sidecar)
+    monkeypatch.chdir(tmp_path)
+    inputs = ["good.cif", "junk.cif", "missing.cif", "tiny.cif"]
+    flags = []
+    if command == "geometry":
+        inputs.append("big.cif")
+    if command == "validate":  # the targets file is scored like any input
+        inputs.append("targets.json")
+        flags = ["--targets-file", "targets.json"]
+    code, out, err = run_cli(capsys, command, *inputs, *flags, "--format", "json")
+    assert code == 0
+    art = json.loads(out)
+    used = [r["path"] for r in art["systems" if command == "textify" else "files"]]
+    errors = art["errors"]
+    failed = [e["path"] for e in errors]
+    assert sorted(used + failed) == sorted(inputs)
+    assert all(set(e) == {"path", "error"} for e in errors)
+    assert all(isinstance(v, str) for e in errors for v in e.values())
+    # unreadable inputs first, the others in input order
+    assert failed == ["missing.cif"] + [
+        p for p in inputs if p in failed and p != "missing.cif"
+    ]
+    assert "unreadable" not in art
+    logged = [LOG_LINE.sub("", line, count=1) for line in err.splitlines()]
+    assert [line for line in logged if not line.startswith(f"{command} manifest ")] == [
+        f"{command} {e['path']}: {e['error']}" for e in errors
+    ]
+    if command == "validate":
+        assert len(used) == 4 and "PF" in art["files"][-1]["reward"]["failure_flags"]
+    else:
+        assert used == ["good.cif"]
 
 
 # ---------------------------------------------------------------------------

@@ -48,12 +48,12 @@ SEARCH_DIGESTS = {
     2: "e24467030900ff9d8e5be90d2021070a716673dee5ffba3cc5028d63efe9613f",
 }
 DEFECT_SEARCH_DIGEST = "4c22534ede40a9c971ebf361158743df74e9d4805a10dbd9857af1e16953c92a"
-VALIDATE_DIGEST = "e42086324e37a5aa5ea3ca6b55f76184409acba80971824a9596e3233077b619"
+VALIDATE_DIGEST = "98e2efe9b73744241af7ee47ecbba2260ce98ed87e62ee6747ce903107cc0f4a"
 PARSE_DIGEST = "009a071abf1197f8e882544c591fab275fa351a5da7cbb838254a94780959311"
-GEOMETRY_DIGEST = "7f11e0e36a20a58e43ec489018bba42ffc9113da2f4e0b8ab8da17c2b9c170db"
+GEOMETRY_DIGEST = "6256995eb94fcacc39413d02ec3471d63c76d92e67579392a9f6653f06120819"
 TEXTIFY_DIGEST = "8a1fe360bbb51ba0043858ca7b30d38f4ebba81ff7bd9684f378eb837f182850"
-GRPO_DIGEST = "3761f2d0531985f177fe3c1fffff15af536e8a9aadc02b13279fd3cd608c7be0"
-MMTG_DIGEST = "1c42ca059ab30440bdbf290fc56944272d463b6061f1509e3b75906f64c4d2e8"
+GRPO_DIGEST = "5b42d33ad9edd45c97551f4d6d96f2d7b621c9651e85e7fde799299d51de14c7"
+MMTG_DIGEST = "ab50de2baf4f774d81e968e113b2a2997cfc48498936f5ead24b958d3a429f25"
 
 # Parse corpus: generated files at 6, 64 and 128 sites, then seeded text
 # edits of the 6- and 64-site files.  The snippets hit every tokenizer rule
