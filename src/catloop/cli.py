@@ -10,9 +10,11 @@ Subcommands:
 * ``geometry``  - periodic distances and neighbor summaries for CIF files
 
 Shared flags: ``--config`` (JSON), ``--out`` (artifact directory),
-``--format`` (json or table).  ``--seed`` belongs to ``search``, the only
-command that draws random numbers.  An artifact is one line of compact
-JSON with sorted keys, ending in a newline; pipe it through
+``--format`` (json or table).  Every setting comes only from the config
+file, so each has one source; the seed is the ``search`` section's.  One
+reader reads the config, ``--targets-file`` and ``--pairs``; a side file
+that cannot be read or decoded is a usage error.  An artifact is one line
+of compact JSON with sorted keys, ending in a newline; pipe it through
 ``python -m json.tool`` or ask for ``--format table`` to read it.  Every
 artifact embeds a run manifest: command, effective config, sha256 of each
 input file, tool version, seed (null for every command but ``search``),
@@ -25,8 +27,8 @@ byte-identical artifacts.
 ``validate``, ``geometry`` and ``textify`` report each input they cannot
 use as a ``{"path", "error"}`` record under ``errors`` (unreadable inputs
 first, the others in input order) and log it to stderr as
-``<command> <path>: <error>``.  ``grpo`` reads lines, so its error records
-are ``{"line", "error"}``.
+``<command> <path>: <error>``.  A path listed twice is read and reported
+once.  ``grpo`` reads lines, so its error records are ``{"line", "error"}``.
 
 `main` builds the argument parser once per process and reuses it, so
 repeated in-process calls pay for argparse set-up only once.
@@ -115,37 +117,20 @@ class _Parser(argparse.ArgumentParser):
 # config plumbing
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from None
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise CliError(f"config {path} is not valid JSON/UTF-8: {exc}") from None
-    if not isinstance(obj, dict):
-        raise CliError(f"config {path} must hold a JSON object")
-    return obj
-
-
-def _configured(config: dict, name: str, cls, **flags):
-    """`cls` built from the config's `name` object, updated by non-None flags."""
+def _configured(config: dict, name: str, cls):
+    """`cls` built from the config's `name` object."""
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise CliError(f"bad {name} config: expected a JSON object, got {section!r}")
-    section = {**section, **{k: v for k, v in flags.items() if v is not None}}
     try:
         return cls(**section)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad {name} config: {exc}") from None
 
 
-def _neighbor_scale(config: dict, override: float | None = None) -> float:
-    """The neighbor cutoff scale: `override`, else the config's, else the default."""
-    scale = override
-    if scale is None:
-        scale = config.get("neighbor_scale", DEFAULT_NEIGHBOR_SCALE)
+def _neighbor_scale(config: dict) -> float:
+    """The neighbor cutoff scale: the config's, else the default."""
+    scale = config.get("neighbor_scale", DEFAULT_NEIGHBOR_SCALE)
     if not (finite_number(scale) and scale > 0):
         raise CliError(
             f"bad neighbor_scale config: {scale!r} is not a finite number above 0"
@@ -266,14 +251,14 @@ def _emit(
         sys.stdout.write(table(artifact))
 
 
-def _read_side_file(path: str, what: str, blobs: dict[str, bytes]) -> object:
-    """The JSON value in the side file `path`; its bytes go into `blobs`.
+def _read_side_file(path: str, what: str) -> tuple[bytes, object]:
+    """The bytes of the side file `path` and the JSON value they hold.
 
     A side file that cannot be read or decoded is a usage error.
     """
     try:
-        blobs[path] = Path(path).read_bytes()
-        return json.loads(blobs[path].decode("utf-8"))
+        data = Path(path).read_bytes()
+        return data, json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise CliError(f"cannot read {what}: {exc}") from None
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
@@ -293,14 +278,15 @@ def _parse_failure(outcome: ParseOutcome) -> str:
 def _read_inputs(
     command: str, paths: Sequence[str]
 ) -> tuple[dict[str, bytes], list[dict]]:
-    """Read every path; returns (name -> bytes, the command's error records).
+    """Read each distinct path; returns (name -> bytes, the error records).
 
+    `blobs` keeps the input order, and a path listed twice is read once.
     Each unreadable path gets an `_input_error` record.  Raises `_NoInput`
     when no path could be read.
     """
     blobs: dict[str, bytes] = {}
     errors: list[dict] = []
-    for p in paths:
+    for p in dict.fromkeys(paths):
         try:
             blobs[p] = Path(p).read_bytes()
         except OSError as exc:
@@ -318,11 +304,13 @@ def cmd_validate(args: argparse.Namespace, config: dict) -> Outcome:
     weights = _configured(config, "weights", RewardWeights)
     phys = _configured(config, "phys", PhysConfig)
     blobs, errors = _read_inputs(args.command, args.paths)
-    paths = [p for p in args.paths if p in blobs]
+    paths = list(blobs)
 
     per_file_targets: dict[str, dict[str, int]] = {}
     if args.targets_file:
-        table = _read_side_file(args.targets_file, "targets file", blobs)
+        blobs[args.targets_file], table = _read_side_file(
+            args.targets_file, "targets file"
+        )
         if not isinstance(table, dict):
             raise CliError("bad targets file: top level must be an object")
         for name, comp in table.items():
@@ -383,7 +371,7 @@ def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
     if not isinstance(separator, str):
         raise CliError(f"bad separator config: expected a string, got {separator!r}")
     blobs, errors = _read_inputs(args.command, args.paths)
-    paths = [p for p in args.paths if p in blobs]
+    paths = list(blobs)
 
     sidecars: dict[str, bytes] = {}
     for p in paths:
@@ -434,7 +422,7 @@ def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
 
 
 def cmd_grpo(args: argparse.Namespace, config: dict) -> Outcome:
-    cfg = _configured(config, "grpo", GrpoConfig, beta=args.beta, epsilon=args.epsilon)
+    cfg = _configured(config, "grpo", GrpoConfig)
     blobs, _errors = _read_inputs(args.command, [args.groups])
     manifest = _manifest(args, {"grpo": asdict(cfg)}, blobs)
 
@@ -474,12 +462,12 @@ def cmd_grpo(args: argparse.Namespace, config: dict) -> Outcome:
 def cmd_mmtg(args: argparse.Namespace, config: dict) -> Outcome:
     if args.losses and len(args.losses) != 2:
         raise CliError("provide exactly two losses")
-    cfg = _configured(config, "mmtg", MmtgConfig, gating=args.gating)
+    cfg = _configured(config, "mmtg", MmtgConfig)
 
     pairs: list[tuple[float, float]] = []
     blobs: dict[str, bytes] = {}
     if args.pairs:
-        data = _read_side_file(args.pairs, "pairs file", blobs)
+        blobs[args.pairs], data = _read_side_file(args.pairs, "pairs file")
         try:
             if not isinstance(data, list):
                 raise ValueError("expected an array of [a, b] pairs")
@@ -519,9 +507,7 @@ def cmd_mmtg(args: argparse.Namespace, config: dict) -> Outcome:
 
 
 def cmd_search(args: argparse.Namespace, config: dict) -> Outcome:
-    cfg = _configured(config, "search", SearchConfig, seed=args.seed)
-    if not sum(cfg.target_composition.values()):
-        raise CliError("search config needs at least one atom in target_composition")
+    cfg = _configured(config, "search", SearchConfig)
     generator = _configured(config, "generator", MutationGenerator)
     predictor = _configured(config, "predictor", PairPotentialSurrogate)
     weights = _configured(config, "weights", RewardWeights)
@@ -564,12 +550,12 @@ def cmd_search(args: argparse.Namespace, config: dict) -> Outcome:
 
 
 def cmd_geometry(args: argparse.Namespace, config: dict) -> Outcome:
-    scale = _neighbor_scale(config, args.scale)
+    scale = _neighbor_scale(config)
     blobs, errors = _read_inputs(args.command, args.paths)
     manifest = _manifest(args, {"neighbor_scale": scale}, blobs)
 
     reports = []
-    for path in [p for p in args.paths if p in blobs]:
+    for path in blobs:
         outcome = parse_cif(blobs[path])
         if not outcome.ok:
             _input_error(errors, args.command, path, _parse_failure(outcome))
@@ -663,10 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grpo", help="advantages and loss for logged groups")
     p.add_argument("groups", help="JSONL file of candidate groups")
-    p.add_argument("--beta", type=float, default=None, help="KL coefficient")
-    p.add_argument(
-        "--epsilon", type=float, default=None, help="z-score denominator epsilon"
-    )
     _add_common(p)
     p.set_defaults(func=cmd_grpo)
 
@@ -675,19 +657,16 @@ def build_parser() -> argparse.ArgumentParser:
         "losses", nargs="*", type=float, metavar="LOSS",
         help="two task losses",
     )
-    p.add_argument("--gating", type=float, default=None, help="gating in (0, 1]")
     p.add_argument("--pairs", help="JSON file with an array of [a, b] pairs")
     _add_common(p)
     p.set_defaults(func=cmd_mmtg)
 
     p = sub.add_parser("search", help="run the closed-loop exemplar search")
-    p.add_argument("--seed", type=int, default=None, help="seed override")
     _add_common(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("geometry", help="periodic geometry summaries")
     p.add_argument("paths", nargs="+", help="CIF files to inspect")
-    p.add_argument("--scale", type=float, default=None, help="neighbor cutoff scale")
     p.add_argument(
         "--neighbors", action="store_true", help="include full neighbor lists"
     )
@@ -707,7 +686,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         # each result is checked for being finite, so numpy's floating-point
         # warnings would only repeat that check on stderr
         with np.errstate(all="ignore"):
-            manifest, body, table = args.func(args, _load_config(args.config))
+            config = {}
+            if args.config is not None:
+                _, config = _read_side_file(args.config, "config")
+                if not isinstance(config, dict):
+                    raise CliError("bad config: top level must be an object")
+            manifest, body, table = args.func(args, config)
             _emit({"manifest": manifest, **body}, args, table)
     except CliError as exc:
         print(f"catloop {args.command}: {exc}", file=sys.stderr)

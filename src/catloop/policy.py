@@ -221,14 +221,14 @@ def group_from_json_dict(obj: dict) -> CandidateGroup:
                       "reward": float}, ...]}
 
     The z-score epsilon is not part of a group: `GrpoConfig.epsilon` (the
-    ``--epsilon`` flag) sets it, so a record with an "epsilon" key is an
-    error.
+    ``grpo`` config's ``epsilon``) sets it, so a record with an "epsilon"
+    key is an error.
     """
     if not isinstance(obj, dict):
         raise ValueError("group record must be a JSON object")
     if "epsilon" in obj:
         raise ValueError(
-            "group record key 'epsilon' is not supported; set it with --epsilon"
+            "group record key 'epsilon' is not supported; set it in the grpo config"
         )
     try:
         prompt_id = obj["prompt_id"]

@@ -367,7 +367,7 @@ class SearchConfig:
     """Knobs of the closed loop; weights must sum to 1."""
 
     target_energy: float
-    target_composition: Mapping[str, int] = field(default_factory=dict)
+    target_composition: Mapping[str, int]
     seed: int = 0
     iterations: int = 10
     candidates_per_iteration: int = 16
@@ -405,6 +405,8 @@ class SearchConfig:
         if not self.success_tolerance > 0.0:
             raise ValueError("success_tolerance must be positive")
         counts = check_composition(self.target_composition, "target_composition")
+        if not sum(counts.values()):
+            raise ValueError("target_composition needs at least one atom")
         object.__setattr__(self, "target_composition", counts)
 
 

@@ -480,7 +480,7 @@ def test_criterion_8_reproducible_artifacts(tmp_path, capsys):
             "validate": ["validate", *cifs, "--target", "Cu:3,O:1"],
             "geometry": ["geometry", *cifs, "--neighbors"],
             "textify": ["textify", str(slab)],
-            "grpo": ["grpo", str(groups), "--beta", "0.1"],
+            "grpo": ["grpo", str(groups)],
             "mmtg": ["mmtg", "2", "1"],
             "search": ["search", "--config", str(search_cfg)],
         }

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
+import argparse
 import json
 import re
 from dataclasses import asdict
@@ -26,6 +27,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_config(tmp_path, config):
+    """Write `config` as the JSON file cfg.json; returns its path as a string."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return str(cfg)
 
 
 def write_clean_corpus(tmp_path, n=6, comp=TARGET):
@@ -232,7 +240,9 @@ def test_validate_chunked_equals_each_file_alone(tmp_path, capsys):
         p = tmp_path / f"f{k}.cif"
         p.write_text(text)
         paths.append(str(p))
-    paths.append(paths[64])  # one path listed twice, in two chunks
+    # the same text under a second name, in another chunk
+    (tmp_path / "f64_again.cif").write_text(texts[64])
+    paths.append(str(tmp_path / "f64_again.cif"))
     argv = ("--target", "Cu:4,O:2")
     together = _validate_files(capsys, *paths, *argv)
     alone = [_validate_files(capsys, p, *argv)[0] for p in paths]
@@ -281,6 +291,36 @@ def test_validate_no_readable_inputs(tmp_path, capsys):
     code, _, err = run_cli(capsys, "validate", str(tmp_path / "nope.cif"))
     assert code == 2
     assert "no readable" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "ok.cif"],
+        ["textify", "slab.cif"],
+        ["grpo", "groups.jsonl"],
+        ["mmtg", "2.0", "1.0"],
+        ["search"],
+        ["geometry", "ok.cif"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_config_read_errors_exit_1(tmp_path, capsys, argv):
+    # the config is read like --targets-file and --pairs, before any input
+    cfg = tmp_path / "cfg.json"
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"catloop {argv[0]}: cannot read config: ")
+    for data, message in (
+        (b'{"grpo": "\xff"}', "bad config: "),
+        (b'{"grpo": ', "bad config: "),
+        (b"[1, 2]", "bad config: top level must be an object\n"),
+    ):
+        cfg.write_bytes(data)
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (1, ""), data
+        assert err.startswith(f"catloop {argv[0]}: {message}"), data
+        assert "Traceback" not in err
 
 
 def test_validate_bad_config(tmp_path, capsys):
@@ -468,9 +508,9 @@ GROUP_LINE = json.dumps(
 def test_grpo_jsonl(tmp_path, capsys):
     groups = tmp_path / "groups.jsonl"
     groups.write_text(GROUP_LINE + "\n{broken\n" + GROUP_LINE + "\n")
+    cfg = write_config(tmp_path, {"grpo": {"beta": 0.1, "epsilon": 0}})
     code, out, _ = run_cli(
-        capsys, "grpo", str(groups), "--beta", "0.1", "--epsilon", "0",
-        "--format", "json",
+        capsys, "grpo", str(groups), "--config", cfg, "--format", "json"
     )
     assert code == 0
     artifact = json.loads(out)
@@ -483,7 +523,8 @@ def test_grpo_jsonl(tmp_path, capsys):
 def test_grpo_table_output(tmp_path, capsys):
     groups = tmp_path / "groups.jsonl"
     groups.write_text(GROUP_LINE + "\n")
-    code, out, _ = run_cli(capsys, "grpo", str(groups), "--epsilon", "0")
+    cfg = write_config(tmp_path, {"grpo": {"epsilon": 0}})
+    code, out, _ = run_cli(capsys, "grpo", str(groups), "--config", cfg)
     assert code == 0
     assert out == "g1: K=2 loss=-0.750000 advantages=1.0000,-1.0000\n"
 
@@ -497,7 +538,7 @@ def test_grpo_epsilon_key_is_a_line_error(tmp_path, capsys):
     artifact = json.loads(out)
     assert len(artifact["groups"]) == 1
     assert artifact["errors"][0]["line"] == 2
-    assert "--epsilon" in artifact["errors"][0]["error"]
+    assert "set it in the grpo config" in artifact["errors"][0]["error"]
 
 
 def test_grpo_bool_reward_is_a_line_error(tmp_path, capsys):
@@ -527,16 +568,8 @@ def test_grpo_missing_file(tmp_path, capsys):
     assert code == 2
 
 
-def test_grpo_bad_beta(tmp_path, capsys):
-    groups = tmp_path / "groups.jsonl"
-    groups.write_text(GROUP_LINE + "\n")
-    code, _, err = run_cli(capsys, "grpo", str(groups), "--beta", "-1")
-    assert code == 1
-    assert "grpo config" in err
-
-
 @pytest.mark.parametrize(
-    "values", [{"beta": True}, {"beta": "0.1"}, {"epsilon": False}]
+    "values", [{"beta": True}, {"beta": "0.1"}, {"epsilon": False}, {"beta": -1}]
 )
 def test_grpo_bad_config_values_exit_1(tmp_path, capsys, values):
     groups = tmp_path / "groups.jsonl"
@@ -633,13 +666,9 @@ def test_mmtg_negative_loss(capsys):
     assert code == 1
 
 
-def test_mmtg_bad_gating(capsys):
-    code, _, err = run_cli(capsys, "mmtg", "2", "1", "--gating", "0")
-    assert code == 1
-    assert "mmtg config" in err
-
-
-@pytest.mark.parametrize("values", [{"gating": True}, {"gating": "1"}])
+@pytest.mark.parametrize(
+    "values", [{"gating": True}, {"gating": "1"}, {"gating": 0}]
+)
 def test_mmtg_bad_config_values_exit_1(tmp_path, capsys, values):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mmtg": values}))
@@ -689,14 +718,28 @@ def test_search_runs_and_reports(tmp_path, capsys):
 
 
 def test_search_seed_override_changes_manifest(tmp_path, capsys):
+    # the seed comes from the config's search.seed alone
     cfg = search_config_file(tmp_path)
     _, out_a, _ = run_cli(capsys, "search", "--config", str(cfg), "--format", "json")
-    _, out_b, _ = run_cli(
-        capsys, "search", "--config", str(cfg), "--seed", "5", "--format", "json"
-    )
+    cfg = search_config_file(tmp_path, seed=5)
+    _, out_b, _ = run_cli(capsys, "search", "--config", str(cfg), "--format", "json")
     a, b = json.loads(out_a), json.loads(out_b)
     assert a["manifest"]["id"] != b["manifest"]["id"]
     assert b["manifest"]["seed"] == 5
+
+
+# each command's options: none of them shadows a config key
+OPTIONS = {
+    "validate": {"--target", "--targets-file"},
+    "textify": set(),
+    "grpo": set(),
+    "mmtg": {"--pairs"},
+    "search": set(),
+    "geometry": {"--neighbors"},
+}
+# settings held only by the config: --seed would be search.seed, --beta and
+# --epsilon grpo's, --gating mmtg's and --scale the neighbor_scale key
+SETTING_FLAGS = ("--seed", "--beta", "--epsilon", "--gating", "--scale")
 
 
 @pytest.mark.parametrize(
@@ -707,15 +750,29 @@ def test_search_seed_override_changes_manifest(tmp_path, capsys):
         ["grpo", "groups.jsonl"],
         ["mmtg", "2.0", "1.0"],
         ["geometry", "ok.cif"],
+        ["search"],
     ],
     ids=lambda argv: argv[0],
 )
 def test_only_search_takes_seed(capsys, argv):
-    # no other command draws a random number, so none takes a seed
-    code, out, err = run_cli(capsys, *argv, "--seed", "1")
-    assert (code, out) == (1, "")
-    assert err.startswith("usage: catloop")
-    assert err.endswith("error: unrecognized arguments: --seed 1\n")
+    # search takes its seed from search.seed, and no command takes a flag
+    # for a setting: each setting has one source, the config file
+    for flag in SETTING_FLAGS:
+        code, out, err = run_cli(capsys, *argv, flag, "1")
+        assert (code, out) == (1, ""), flag
+        assert err.startswith("usage: catloop"), flag
+        assert err.endswith(f"error: unrecognized arguments: {flag} 1\n"), flag
+        assert "Traceback" not in err
+    [sub] = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {
+        opt for a in sub.choices[argv[0]]._actions for opt in a.option_strings
+    }
+    assert options == {"-h", "--help", "--config", "--out", "--format"} | OPTIONS[
+        argv[0]
+    ]
 
 
 def test_search_requires_target_composition(tmp_path, capsys):
@@ -732,8 +789,8 @@ def test_search_zero_atom_target_exits_1(tmp_path, capsys, composition):
     code, out, err = run_cli(capsys, "search", "--config", str(cfg))
     assert code == 1 and out == ""
     assert err == (
-        "catloop search: search config needs at least one atom in "
-        "target_composition\n"
+        "catloop search: bad search config: target_composition needs at least "
+        "one atom\n"
     )
 
 
@@ -869,8 +926,8 @@ def test_geometry_neighbors_flag(tmp_path, capsys):
     p = tmp_path / "ok.cif"
     p.write_text(MINIMAL_CIF)
     code, out, _ = run_cli(
-        capsys, "geometry", str(p), "--neighbors", "--scale", "1.6",
-        "--format", "json",
+        capsys, "geometry", str(p), "--neighbors", "--format", "json",
+        "--config", write_config(tmp_path, {"neighbor_scale": 1.6}),
     )
     assert code == 0
     rec = json.loads(out)["files"][0]
@@ -927,7 +984,8 @@ def test_geometry_degenerate_cell_is_a_file_error(tmp_path, capsys):
 
 def test_geometry_logs_why_no_file_was_inspected(tmp_path, capsys, slab_files):
     cif_path, _ = slab_files
-    code, out, err = run_cli(capsys, "geometry", str(cif_path), "--scale", "1e6")
+    cfg = write_config(tmp_path, {"neighbor_scale": 1e6})
+    code, out, err = run_cli(capsys, "geometry", str(cif_path), "--config", cfg)
     assert code == 2
     assert out == ""
     assert f"geometry {cif_path}: " in err
@@ -947,7 +1005,6 @@ def test_geometry_logs_why_no_file_was_inspected(tmp_path, capsys, slab_files):
         (["geometry", "--neighbors"], {"neighbor_scale": -1}, "bad neighbor_scale"),
         (["textify"], {"neighbor_scale": 0}, "bad neighbor_scale"),
         (["textify"], {"neighbor_scale": -1}, "bad neighbor_scale"),
-        (["geometry", "--scale", "0"], {}, "bad neighbor_scale"),
     ],
 )
 def test_inspection_bad_config_exits_1(
@@ -1103,12 +1160,13 @@ def group_line(prompt_id: str, logp: list[float]) -> str:
 HUGE_LOGP_LINE = group_line("g1", [-1e308, -1e308])
 BIG_CIF = MINIMAL_CIF.replace("4.0", "1e150")  # its volume overflows
 BIGGER_CIF = MINIMAL_CIF.replace("4.0", "1e155")  # so does a lattice row's length
+CFG_GATING = {"cfg.json": json.dumps({"mmtg": {"gating": 0.001}})}
 
 
 @pytest.mark.parametrize(
     "argv, files, code",
     [
-        (["mmtg", "1e308", "1e308", "--gating", "0.001"], {}, 1),
+        (["mmtg", "1e308", "1e308", "--config", "cfg.json"], CFG_GATING, 1),
         (["grpo", "groups.jsonl"], {"groups.jsonl": HUGE_LOGP_LINE}, 2),
         (["geometry", "big.cif"], {"big.cif": BIG_CIF}, 2),
     ],
@@ -1198,7 +1256,9 @@ def test_each_input_is_listed_once(tmp_path, monkeypatch, capsys, cu_slab, comma
     if command == "validate":  # the targets file is scored like any input
         inputs.append("targets.json")
         flags = ["--targets-file", "targets.json"]
-    code, out, err = run_cli(capsys, command, *inputs, *flags, "--format", "json")
+    # a path listed twice is read, used and reported once
+    argv = [*inputs, "good.cif", "missing.cif", *flags]
+    code, out, err = run_cli(capsys, command, *argv, "--format", "json")
     assert code == 0
     art = json.loads(out)
     used = [r["path"] for r in art["systems" if command == "textify" else "files"]]

@@ -159,6 +159,7 @@ def search_artifact(capsys, seed: int, search: dict | None = None, **sections) -
         "search": {
             "target_energy": float(PairPotentialSurrogate().predict(probe)),
             "target_composition": CU4O2,
+            "seed": seed,
             "iterations": 10,
             "candidates_per_iteration": 16,
             "pool_capacity": 8,
@@ -169,10 +170,7 @@ def search_artifact(capsys, seed: int, search: dict | None = None, **sections) -
     }
     with open("search.json", "w") as fh:
         json.dump(config, fh, sort_keys=True)
-    return _run(
-        capsys, "search", "--config", "search.json", "--seed", str(seed),
-        "--format", "json",
-    )
+    return _run(capsys, "search", "--config", "search.json", "--format", "json")
 
 
 def validate_artifact(capsys) -> bytes:
@@ -256,16 +254,20 @@ def grpo_artifact(capsys) -> bytes:
     lines[1:1] = ["{broken", ""]
     with open("groups.jsonl", "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    with open("grpo.json", "w") as fh:
+        json.dump({"grpo": {"beta": 0.05}}, fh)
     return _run(
-        capsys, "grpo", "groups.jsonl", "--beta", "0.05", "--format", "json"
+        capsys, "grpo", "groups.jsonl", "--config", "grpo.json", "--format", "json"
     )
 
 
 def mmtg_artifact(capsys) -> bytes:
     with open("pairs.json", "w") as fh:
         json.dump([[2.0, 1.0], [0.0, 3.0], [0.25, 0.75], [1e-3, 7.5]], fh)
+    with open("mmtg.json", "w") as fh:
+        json.dump({"mmtg": {"gating": 0.5}}, fh)
     return _run(
-        capsys, "mmtg", "3", "1", "--pairs", "pairs.json", "--gating", "0.5",
+        capsys, "mmtg", "3", "1", "--pairs", "pairs.json", "--config", "mmtg.json",
         "--format", "json",
     )
 

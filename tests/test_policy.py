@@ -325,9 +325,9 @@ def test_group_from_json_dict():
 
 
 def test_group_from_json_dict_rejects_epsilon():
-    # the z-score epsilon has one source, GrpoConfig.epsilon (--epsilon)
+    # the z-score epsilon has one source, GrpoConfig.epsilon (the grpo config)
     for epsilon in (0.0, 0.25, None):
-        with pytest.raises(ValueError, match="--epsilon"):
+        with pytest.raises(ValueError, match="set it in the grpo config"):
             group_from_json_dict({**record(), "epsilon": epsilon})
 
 

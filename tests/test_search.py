@@ -461,6 +461,11 @@ def test_search_config_validation():
         base_config(pool_capacity=2.5)
     with pytest.raises(ValueError):
         base_config(target_composition=["Cu"])
+    for empty in ({}, {"Cu": 0}):
+        with pytest.raises(ValueError, match="needs at least one atom"):
+            base_config(target_composition=empty)
+    with pytest.raises(TypeError, match="target_composition"):
+        SearchConfig(target_energy=0.0)  # a target is required
     cfg = base_config(seed=np.int64(3), iterations=np.int32(2),
                       target_composition={"Cu": np.int64(4), "O": 2})
     assert type(cfg.seed) is int and type(cfg.iterations) is int  # JSON-safe
