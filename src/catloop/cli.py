@@ -183,8 +183,13 @@ def _sha256_bytes(data: bytes) -> str:
 def _canonical_json(obj: object) -> str:
     """Compact JSON with sorted keys: the artifact form and the manifest id's."""
     # no `indent`: it would switch json to its pure-Python encoder; NaN and
-    # infinity are not JSON, so they raise ValueError
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    # infinity are not JSON, so they raise ValueError.  No cycle check: an
+    # artifact is a tree the command builds and the config comes from
+    # `json.loads`, so no value can contain itself
+    return json.dumps(
+        obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+        check_circular=False,
+    )
 
 
 def build_manifest(
@@ -327,9 +332,11 @@ def cmd_validate(args: argparse.Namespace, config: dict) -> Outcome:
 
     def score_one(k: int, outcome: ParseOutcome) -> tuple[dict, RewardBreakdown]:
         path = paths[k]
-        target = per_file_targets.get(
-            path, per_file_targets.get(Path(path).name, uniform_target)
-        )
+        target = uniform_target
+        if per_file_targets:  # by the path as given, else by its file name
+            target = per_file_targets.get(
+                path, per_file_targets.get(Path(path).name, uniform_target)
+            )
         if target is None:
             # default: score the file against its own composition
             target = composition_of(outcome.structure) if outcome.ok else {}

@@ -11,8 +11,14 @@ or per pair, filter it.  The slab bound (`_slab_spacings`) sizes the offset
 grid and then, per pair and axis, skips every image it rules out, so only
 images that can lie within the cutoff are measured.  A cell below
 `DEGENERATE_VOLUME`, or needing more than `MAX_IMAGES` offsets for a
-cutoff, raises `DegenerateCellError`.  Pairs and neighbor lists come back
-as a `PairTable`, one array per column and one row per pair.
+cutoff, raises `DegenerateCellError`.  Before any image mask, the bound
+drops every site pair that has no image within it on some axis.  Where the
+pair triangle fits one mask block (all 6-site work) that prune runs inside
+the block.  A longer triangle (128 sites at a bond cutoff, 64 at 6 A, the
+larger slabs) is pruned once, before any mask, one axis at a time: the
+axis with the tightest bound first, each later axis only on the pairs the
+earlier ones kept.  Pairs and neighbor lists come back as a `PairTable`,
+one array per column and one row per pair.
 
 The kernel builds several tables in one pass: structures with the same site
 count and offset reach are stacked along a leading axis, so each cell
@@ -195,6 +201,54 @@ def _offset_grid(
     return offsets, axes
 
 
+@lru_cache(maxsize=16)  # `_site_pairs` keeps <= _BLOCK_ROWS pairs: 1 MiB each at most
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n), read-only: every caller shares them."""
+    sites = np.arange(n)
+    pi, pj = np.nonzero(np.less_equal.outer(sites, sites))
+    for a in (pi, pj):
+        a.setflags(write=False)
+    return pi, pj
+
+
+def _site_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_triangle(n)`, kept in its cache only if it has at most `_BLOCK_ROWS` pairs."""
+    if n * (n + 1) // 2 <= _BLOCK_ROWS:
+        return _triangle(n)
+    return _triangle.__wrapped__(n)
+
+
+def _near_pairs(
+    frac: np.ndarray, bound: np.ndarray, pi: np.ndarray, pj: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (pi, pj), in order, that some structure sees within `bound`, per axis.
+
+    `frac` (B, N, 3) and `bound` (B, 3) as in `_stacked_pass`.  Axes are
+    tested one at a time, the tightest bound first, each on the pairs the
+    earlier axes kept, in blocks of at most `_BLOCK_ROWS` (structure, pair)
+    cells.  A pair dropped has no image within its bound, so no table loses
+    a row.
+    """
+    limits = bound.max(axis=0)
+    # |d - rint(d)| <= 0.5, so an axis whose bounds all reach 0.5 rejects no pair
+    order = [k for k in np.argsort(limits).tolist() if limits[k] < 0.5]
+    if not order:
+        return pi, pj
+    axes = frac.transpose(2, 0, 1)  # (3, B, N): one row of sites per structure
+    step = max(1, _BLOCK_ROWS // len(frac))
+    kept_i, kept_j = [], []
+    for start in range(0, len(pi), step):
+        bi, bj = pi[start : start + step], pj[start : start + step]
+        for k in order:
+            f = axes[k]
+            d = np.take(f, bj, axis=1) - np.take(f, bi, axis=1)
+            near = (np.abs(d - np.rint(d)) <= bound[:, k, None]).any(axis=0)
+            bi, bj = bi[near], bj[near]
+        kept_i.append(bi)
+        kept_j.append(bj)
+    return np.concatenate(kept_i), np.concatenate(kept_j)
+
+
 def _stacked_pass(
     structures: list[Structure],
     matrices: np.ndarray,
@@ -207,14 +261,15 @@ def _stacked_pass(
     `matrices` (B, 3, 3) and `bound` (B, 3) hold each structure's cell and
     slab bound; the offset grid of `reach` serves them all.  The masks are
     laid out (structures, pairs, images), and a block of them holds at most
-    `_BLOCK_ROWS` cells over the whole batch.  Only the images a structure
-    keeps are measured, with one product per structure and block.
+    `_BLOCK_ROWS` cells over the whole batch.  A site-pair triangle longer
+    than one such block is pruned first, once (`_near_pairs`); a shorter one
+    is pruned inside its single block.  Only the images a structure keeps
+    are measured, with one product per structure and block.
     """
     frac = np.stack([s.frac for s in structures])
     offsets, axes = _offset_grid(reach)
     g = len(offsets)
-    sites = np.arange(frac.shape[1])
-    pi, pj = np.nonzero(np.less_equal.outer(sites, sites))  # np.triu_indices(n)
+    pi, pj = _site_pairs(frac.shape[1])
     chunk = max(1, _BLOCK_ROWS // (g * len(pi)))
     parts: list[list] = [[] for _ in structures]
     for lo in range(0, len(structures), chunk):
@@ -223,17 +278,22 @@ def _stacked_pass(
         bs = len(fr)
         bnd_axes = bnd.T[:, :, None, None]  # per axis, broadcast as (bs, 1, 1)
         step = max(1, _BLOCK_ROWS // (g * bs))
-        for start in range(0, len(pi), step):
-            bi, bj = pi[start : start + step], pj[start : start + step]
+        one_step = len(pi) <= step
+        # never empty: a self pair (delta 0) passes any bound, so every
+        # structure gets at least one part below
+        ci, cj = (pi, pj) if one_step else _near_pairs(fr, bnd, pi, pj)
+        for start in range(0, len(ci), step):
+            bi, bj = ci[start : start + step], cj[start : start + step]
             # `take` and `compress` give the C-ordered arrays that `fr[:, bj]`
             # and `delta[:, near]` would, without numpy's slow fancy-indexing
             # path for a middle axis
             delta = np.take(fr, bj, axis=1) - np.take(fr, bi, axis=1)
-            # a pair that no member sees within its bound on every axis has
-            # no image to measure (three ANDs beat np.all over a length-3 axis)
-            within = np.abs(delta - np.rint(delta)) <= bnd[:, None]
-            near = (within[..., 0] & within[..., 1] & within[..., 2]).any(axis=0)
-            bi, bj, delta = bi[near], bj[near], np.compress(near, delta, axis=1)
+            if one_step:
+                # a pair that no member sees within its bound on every axis has
+                # no image to measure (three ANDs beat np.all over a length-3 axis)
+                within = np.abs(delta - np.rint(delta)) <= bnd[:, None]
+                near = (within[..., 0] & within[..., 1] & within[..., 2]).any(axis=0)
+                bi, bj, delta = bi[near], bj[near], np.compress(near, delta, axis=1)
             ax = [
                 np.abs(d[..., None] + a) <= lim
                 for d, a, lim in zip(delta.transpose(2, 0, 1), axes, bnd_axes)

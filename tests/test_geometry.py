@@ -59,10 +59,10 @@ def covalent(structure, scale):
     return pair_tuples(table)
 
 
-def covalent_oracle(structure, scale):
+def covalent_oracle(structure, scale, box=9):
     """`brute_force_pairs` at the pair cutoffs scale * (r_i + r_j)."""
     r = np.array([COVALENT_RADII[e] for e in structure.elements])
-    return brute_force_pairs(structure, scale * (r[:, None] + r[None, :]))
+    return brute_force_pairs(structure, scale * (r[:, None] + r[None, :]), box)
 
 
 def test_pairs_match_brute_force_on_skewed_cells():
@@ -111,15 +111,29 @@ def test_cutoff_spanning_several_cells():
     assert all(len({image[k] for image in images}) >= 4 for k in range(3))
 
 
-def test_pruning_on_64_site_structure():
-    rng = np.random.default_rng(37)
-    species = [["Cu", "O"][k] for k in rng.integers(0, 2, size=64)]
-    s = make_structure(
-        species, rng.random((64, 3)), lengths=(12, 13, 14), angles=(85, 100, 75)
+def many_site_structure(n, slab=False):
+    """`n` random Cu/O sites in a skewed bulk cell, or in a slab cell (c >> a, b)."""
+    rng = np.random.default_rng(37 + n + slab)
+    species = [["Cu", "O"][k] for k in rng.integers(0, 2, size=n)]
+    frac = rng.random((n, 3))
+    if slab:  # sites in the lower 40% of c, vacuum above, as in `inspect_slabs`
+        frac[:, 2] *= 0.4
+        return make_structure(species, frac, lengths=(7.5, 11.0, 36.0))
+    edge = (n * 11.0) ** (1 / 3)  # about 11 cubic angstroms per site
+    return make_structure(
+        species, frac, lengths=(edge, 1.08 * edge, 1.16 * edge), angles=(85, 100, 75)
     )
+
+
+@pytest.mark.parametrize("n, slab", [(64, False), (128, False), (128, True)])
+def test_pruning_on_many_site_structures(n, slab):
+    # a 128-site triangle spans several mask blocks, so it is pruned up front
+    s = many_site_structure(n, slab)
     for scale in (0.75, 1.2):
         got = covalent(dataclasses.replace(s), scale)
-        assert got and got == covalent_oracle(s, scale)
+        assert got and got == covalent_oracle(s, scale, box=3)
+    got = pairs(dataclasses.replace(s), 6.0)
+    assert got and got == brute_force_pairs(s, 6.0, box=3)
 
 
 def test_zero_pair_cutoff_skips_coincident_atoms():
@@ -226,6 +240,42 @@ def test_shared_pass_tables_equal_tables_built_alone(monkeypatch, cutoff, block_
             assert np.array_equal(getattr(have, col), getattr(want, col))
         assert have.distance.tobytes() == want.distance.tobytes()
     assert not any("_pair_group" in s.__dict__ for s in group)
+
+
+@pytest.mark.parametrize("cutoff", [1.98, 6.0])
+def test_shared_pass_of_pre_pruned_members(monkeypatch, cutoff):
+    # small blocks: each 128-site triangle is pruned in several blocks before
+    # its image masks, one member per chunk
+    first = many_site_structure(128)
+    frac = np.random.default_rng(53).random((128, 3))
+    members = [first, dataclasses.replace(first, frac=frac)]  # one offset reach
+    alone = [geometry._pair_table(dataclasses.replace(s), cutoff) for s in members]
+    monkeypatch.setattr(geometry, "_BLOCK_ROWS", 2048)
+    group = [dataclasses.replace(s) for s in members]
+    with shared_pair_pass(group):
+        got = [geometry._pair_table(group[0], cutoff)]
+        assert "_pair_table" in group[1].__dict__  # built in the same pass
+        got.append(geometry._pair_table(group[1], cutoff))
+    for want, have in zip(alone, got):
+        assert len(have) == len(want) > 0
+        for col in ("i", "j", "image"):
+            assert np.array_equal(getattr(have, col), getattr(want, col))
+        assert have.distance.tobytes() == want.distance.tobytes()
+
+
+def test_triangle_cache_is_read_only_and_bounded():
+    for n in (1, 6, 128):
+        pi, pj = geometry._site_pairs(n)
+        want_i, want_j = np.triu_indices(n)
+        assert np.array_equal(pi, want_i) and np.array_equal(pj, want_j)
+        assert not pi.flags.writeable and not pj.flags.writeable
+        assert geometry._site_pairs(n)[0] is pi  # cached
+    # 362 sites have 65,703 pairs, over the limit of 65,536: built, not kept
+    before = geometry._triangle.cache_info().currsize
+    pi, pj = geometry._site_pairs(362)
+    assert np.array_equal(pi, np.triu_indices(362)[0])
+    assert geometry._site_pairs(362)[0] is not pi
+    assert geometry._triangle.cache_info().currsize == before
 
 
 def test_shared_pass_ungroups_on_exception():
