@@ -24,11 +24,12 @@ built object, keyed by the section name that ``--config`` reads it from).
 Wall-clock time goes only to stderr, so identical manifest inputs produce
 byte-identical artifacts.
 
-``validate``, ``geometry`` and ``textify`` report each input they cannot
-use as a ``{"path", "error"}`` record under ``errors`` (unreadable inputs
-first, the others in input order) and log it to stderr as
-``<command> <path>: <error>``.  A path listed twice is read and reported
-once.  ``grpo`` reads lines, so its error records are ``{"line", "error"}``.
+``validate``, ``geometry`` and ``textify`` score their CIFs a chunk at a
+time (`reward._score_in_chunks`).  Each input they cannot use is a
+``{"path", "error"}`` record under ``errors`` (unreadable inputs first, the
+others in input order; a parse failure before other faults), logged to
+stderr as ``<command> <path>: <error>``.  A path listed twice is read once.
+``grpo`` reads lines, so its error records are ``{"line", "error"}``.
 
 `main` builds the argument parser once per process and reuses it, so
 repeated in-process calls pay for argparse set-up only once.
@@ -59,11 +60,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .cif import ParseOutcome, composition_of, parse_cif
+from .cif import ParseOutcome, Structure, composition_of
 from .elements import check_composition, finite_number
 from .geometry import (
     DEFAULT_NEIGHBOR_SCALE,
-    DegenerateCellError,
     build_neighbor_list,
     min_pair_distance,
     volume_per_atom,
@@ -276,10 +276,6 @@ def _input_error(errors: list[dict], command: str, path: str, error: object) -> 
     _log(f"{command} {path}: {error}")
 
 
-def _parse_failure(outcome: ParseOutcome) -> str:
-    return "parse failure: " + ", ".join(outcome.defect_codes())
-
-
 def _read_inputs(
     command: str, paths: Sequence[str]
 ) -> tuple[dict[str, bytes], list[dict]]:
@@ -299,6 +295,31 @@ def _read_inputs(
     if not blobs:
         raise _NoInput("no readable input files")
     return blobs, errors
+
+
+def _each_structure(
+    command: str,
+    blobs: dict[str, bytes],
+    errors: list[dict],
+    one: Callable[[str, Structure], dict],
+) -> list[dict]:
+    """`one(path, structure)` for each input that parses, in input order.
+
+    Parsed and scored a chunk at a time by `_score_in_chunks`.  A parse
+    failure, or a `ValueError` from `one`, is the input's `_input_error`.
+    """
+    paths = list(blobs)
+
+    def score(k: int, outcome: ParseOutcome) -> dict | None:
+        try:
+            if not outcome.ok:
+                raise ValueError("parse failure: " + ", ".join(outcome.defect_codes()))
+            return one(paths[k], outcome.structure)
+        except ValueError as exc:
+            _input_error(errors, command, paths[k], exc)
+            return None
+
+    return [r for r in _score_in_chunks(list(blobs.values()), score) if r is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -378,45 +399,38 @@ def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
     if not isinstance(separator, str):
         raise CliError(f"bad separator config: expected a string, got {separator!r}")
     blobs, errors = _read_inputs(args.command, args.paths)
-    paths = list(blobs)
-
-    sidecars: dict[str, bytes] = {}
-    for p in paths:
+    inputs = dict(blobs)  # the CIFs and every sidecar read, for the manifest
+    sidecars: dict[str, object] = {}  # CIF path -> sidecar JSON, or its ValueError
+    for p in blobs:
         meta_path = str(Path(p).with_suffix("")) + ".meta.json"
         try:
-            sidecars[p] = blobs[meta_path] = Path(meta_path).read_bytes()
-        except OSError:
-            pass
+            inputs[meta_path] = Path(meta_path).read_bytes()
+            sidecars[p] = json.loads(inputs[meta_path].decode("utf-8"))
+        except FileNotFoundError:
+            sidecars[p] = ValueError("missing sidecar metadata")
+        except OSError as exc:
+            sidecars[p] = ValueError(f"cannot read sidecar {meta_path}: {exc}")
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            sidecars[p] = ValueError(f"bad sidecar {meta_path}: {exc}")
 
     cfg_snapshot = {"neighbor_scale": scale, "separator": separator}
-    manifest = _manifest(args, cfg_snapshot, blobs)
+    manifest = _manifest(args, cfg_snapshot, inputs)
 
-    systems = []
-    for p in paths:
-        if p not in sidecars:
-            _input_error(errors, args.command, p, "missing sidecar metadata")
-            continue
-        outcome = parse_cif(blobs[p])
-        if not outcome.ok:
-            _input_error(errors, args.command, p, _parse_failure(outcome))
-            continue
-        try:
-            meta = SystemMetadata.from_json_dict(json.loads(sidecars[p].decode()))
-            text = to_system_text(
-                outcome.structure, meta, scale=scale, separator=separator
-            )
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
-            _input_error(errors, args.command, p, exc)
-            continue
-        systems.append(
-            {
-                "path": p,
-                "adsorbate_part": text.adsorbate_part,
-                "surface_part": text.surface_part,
-                "configuration_part": text.configuration_part,
-                "text": text.joined,
-            }
-        )
+    def textify_one(path: str, structure: Structure) -> dict:
+        meta = sidecars[path]
+        if isinstance(meta, ValueError):
+            raise meta
+        meta = SystemMetadata.from_json_dict(meta)
+        text = to_system_text(structure, meta, scale=scale, separator=separator)
+        return {
+            "path": path,
+            "adsorbate_part": text.adsorbate_part,
+            "surface_part": text.surface_part,
+            "configuration_part": text.configuration_part,
+            "text": text.joined,
+        }
+
+    systems = _each_structure(args.command, blobs, errors, textify_one)
     if not systems:
         raise _NoInput("no system could be textified")
     if args.out:
@@ -561,22 +575,12 @@ def cmd_geometry(args: argparse.Namespace, config: dict) -> Outcome:
     blobs, errors = _read_inputs(args.command, args.paths)
     manifest = _manifest(args, {"neighbor_scale": scale}, blobs)
 
-    reports = []
-    for path in blobs:
-        outcome = parse_cif(blobs[path])
-        if not outcome.ok:
-            _input_error(errors, args.command, path, _parse_failure(outcome))
-            continue
-        s = outcome.structure
-        try:
-            nl = build_neighbor_list(s, scale=scale)
-            sizes = (s.lattice.volume, volume_per_atom(s))
-            if not all(map(math.isfinite, sizes)):
-                raise OverflowError("result is not finite: the cell is too large")
-            sizes += (min_pair_distance(s),)  # finite for a finite volume
-        except (DegenerateCellError, OverflowError) as exc:
-            _input_error(errors, args.command, path, exc)
-            continue
+    def inspect_one(path: str, s: Structure) -> dict:
+        nl = build_neighbor_list(s, scale=scale)
+        sizes = (s.lattice.volume, volume_per_atom(s))
+        if not all(map(math.isfinite, sizes)):
+            raise ValueError("result is not finite: the cell is too large")
+        sizes += (min_pair_distance(s),)  # finite for a finite volume
         record = {
             "path": path,
             "ok": True,  # always true; kept for readers of the key
@@ -592,7 +596,9 @@ def cmd_geometry(args: argparse.Namespace, config: dict) -> Outcome:
                 {"site_i": i, "site_j": j, "image": image, "distance": d}
                 for i, j, image, d in zip(*(c.tolist() for c in columns))
             ]
-        reports.append(record)
+        return record
+
+    reports = _each_structure(args.command, blobs, errors, inspect_one)
     if not reports:
         raise _NoInput("no input could be inspected")
 

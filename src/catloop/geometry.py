@@ -24,10 +24,10 @@ The kernel builds several tables in one pass: structures with the same site
 count and offset reach are stacked along a leading axis, so each cell
 matrix and slab bound broadcasts over its own pairs.  A structure asked
 about alone is a batch of one.  Inside `shared_pair_pass`, the first miss of
-a member builds that cutoff for every member without a table.  The search
-(per generation) and `catloop validate` (per chunk of 64 files) score
-through `reward._score_in_chunks`, which opens one such pass per chunk, so
-a chunk shares one pass instead of building one table per candidate.
+a member builds that cutoff for every same-size member without a table, so
+distinct sizes cost what lone calls cost.  The search (per generation) and
+every CIF command (per chunk of 64 files) score through
+`reward._score_in_chunks`, which opens one such pass per chunk.
 Every table is bit-identical to the one the structure would build alone.
 `covalent_pairs` alone turns covalent radii (Cordero et al., Dalton Trans.
 2008) into pair cutoffs, for the physics score and the neighbor list.
@@ -113,15 +113,16 @@ def _pair_table(structure: Structure, cutoff: float) -> PairTable:
 
     Ordered as in `iter_periodic_pairs`; memoized like `Lattice.matrix`,
     beside the cutoff it was built for.  Inside `shared_pair_pass`, a miss
-    also builds this cutoff for every member of the group that has no table
-    yet, in the same pass.
+    also builds this cutoff for every same-size member of the group that
+    has no table yet, in the same pass.
     """
     memo_cutoff, memo = structure.__dict__.get("_pair_table", (-np.inf, None))
     if cutoff <= memo_cutoff:
         return memo
+    n = len(structure)
     siblings = [
         s for s in structure.__dict__.get("_pair_group", ())
-        if s is not structure and "_pair_table" not in s.__dict__
+        if s is not structure and len(s) == n and "_pair_table" not in s.__dict__
     ]
     _build_tables([structure, *siblings], cutoff)
     return structure.__dict__["_pair_table"][1]
@@ -132,9 +133,10 @@ def shared_pair_pass(structures: Iterable[Structure]) -> Iterator[None]:
     """Group `structures` so that their pair tables are built together.
 
     Inside the scope, the first `_pair_table` miss of a member builds that
-    cutoff for every member without a table, one stacked pass per site
-    count.  The grouping is removed on exit, also on an exception, so no
-    structure keeps its siblings alive.
+    cutoff for every member of its size without a table, in one stacked
+    pass.  Another size needs its own pass, maybe at a larger cutoff, so it
+    waits for its own miss.  The grouping is removed on exit, also on an
+    exception, so no structure keeps its siblings alive.
     """
     group = tuple(structures)
     for s in group:
@@ -147,12 +149,12 @@ def shared_pair_pass(structures: Iterable[Structure]) -> Iterator[None]:
 
 
 def _build_tables(structures: list[Structure], cutoff: float) -> None:
-    """Build and memoize the `cutoff` tables of `structures`.
+    """Build and memoize the `cutoff` tables of same-size `structures`.
 
     The first structure asked: a degenerate cell or a cutoff over the image
     budget raises for it.  Any other structure with a degenerate cell, or
     whose offset reach differs from the first one's, is skipped and builds
-    (or raises) on its own call.  The rest share one offset grid.
+    (or raises) on its own call.  The rest share one stacked pass.
     """
     matrices = np.array([s.lattice.matrix for s in structures])
     degenerate = (np.abs(np.linalg.det(matrices)) < DEGENERATE_VOLUME).tolist()
@@ -173,16 +175,12 @@ def _build_tables(structures: list[Structure], cutoff: float) -> None:
     # a pair or image whose fractional displacement exceeds `bound` on any
     # axis lies beyond the cutoff (`_slab_spacings`), so it is never measured
     bound = cutoff / spacings * (1.0 + _BOUND_SLACK)
-    by_sites: dict[int, list[int]] = {}
-    for k, s in enumerate(structures):
-        if reaches[k] == reaches[0]:
-            by_sites.setdefault(len(s), []).append(k)
-    for ks in by_sites.values():
-        rows = slice(None) if len(ks) == len(structures) else ks  # a view if all
-        _stacked_pass(
-            [structures[k] for k in ks], matrices[rows], bound[rows],
-            (int(a), int(b), int(c)), cutoff,
-        )
+    ks = [k for k, r in enumerate(reaches) if r == reaches[0]]
+    rows = slice(None) if len(ks) == len(structures) else ks  # a view if all
+    _stacked_pass(
+        [structures[k] for k in ks], matrices[rows], bound[rows],
+        (int(a), int(b), int(c)), cutoff,
+    )
 
 
 @lru_cache(maxsize=8)  # at most 8 x 2.4 MB at the image budget; a few KB in practice
@@ -221,28 +219,24 @@ def _site_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _near_pairs(
     frac: np.ndarray, bound: np.ndarray, pi: np.ndarray, pj: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (pi, pj), in order, that some structure sees within `bound`, per axis.
+    """The pairs (pi, pj), in order, that one structure sees within `bound`, per axis.
 
-    `frac` (B, N, 3) and `bound` (B, 3) as in `_stacked_pass`.  Axes are
-    tested one at a time, the tightest bound first, each on the pairs the
-    earlier axes kept, in blocks of at most `_BLOCK_ROWS` (structure, pair)
-    cells.  A pair dropped has no image within its bound, so no table loses
-    a row.
+    `frac` (N, 3) and `bound` (3,) are one structure's rows of the arrays in
+    `_stacked_pass`.  Axes are tested one at a time, the tightest bound
+    first, each on the pairs the earlier axes kept, in blocks of at most
+    `_BLOCK_ROWS` pairs, which bounds the work arrays at any site count.  A
+    pair dropped has no image within its bound, so the table loses no row.
     """
-    limits = bound.max(axis=0)
-    # |d - rint(d)| <= 0.5, so an axis whose bounds all reach 0.5 rejects no pair
-    order = [k for k in np.argsort(limits).tolist() if limits[k] < 0.5]
+    # |d - rint(d)| <= 0.5, so an axis whose bound reaches 0.5 rejects no pair
+    order = [k for k in np.argsort(bound).tolist() if bound[k] < 0.5]
     if not order:
         return pi, pj
-    axes = frac.transpose(2, 0, 1)  # (3, B, N): one row of sites per structure
-    step = max(1, _BLOCK_ROWS // len(frac))
     kept_i, kept_j = [], []
-    for start in range(0, len(pi), step):
-        bi, bj = pi[start : start + step], pj[start : start + step]
+    for start in range(0, len(pi), _BLOCK_ROWS):
+        bi, bj = pi[start : start + _BLOCK_ROWS], pj[start : start + _BLOCK_ROWS]
         for k in order:
-            f = axes[k]
-            d = np.take(f, bj, axis=1) - np.take(f, bi, axis=1)
-            near = (np.abs(d - np.rint(d)) <= bound[:, k, None]).any(axis=0)
+            d = frac[bj, k] - frac[bi, k]
+            near = np.abs(d - np.rint(d)) <= bound[k]
             bi, bj = bi[near], bj[near]
         kept_i.append(bi)
         kept_j.append(bj)
@@ -280,8 +274,9 @@ def _stacked_pass(
         step = max(1, _BLOCK_ROWS // (g * bs))
         one_step = len(pi) <= step
         # never empty: a self pair (delta 0) passes any bound, so every
-        # structure gets at least one part below
-        ci, cj = (pi, pj) if one_step else _near_pairs(fr, bnd, pi, pj)
+        # structure gets at least one part below.  A triangle longer than
+        # one block has g * len(pi) > _BLOCK_ROWS, so its chunk is bs == 1
+        ci, cj = (pi, pj) if one_step else _near_pairs(fr[0], bnd[0], pi, pj)
         for start in range(0, len(ci), step):
             bi, bj = ci[start : start + step], cj[start : start + step]
             # `take` and `compress` give the C-ordered arrays that `fr[:, bj]`

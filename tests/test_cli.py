@@ -414,6 +414,46 @@ def test_textify_missing_sidecar(tmp_path, capsys):
     assert "missing sidecar" in err
 
 
+@pytest.mark.parametrize(
+    "sidecar, message",
+    [
+        (b"{not json", "bad sidecar {}: Expecting property name enclosed in"),
+        (b"\xff\xfe", "bad sidecar {}: 'utf-8' codec can't decode byte 0xff"),
+        (None, "cannot read sidecar {}: [Errno 21] Is a directory"),
+    ],
+    ids=["json", "utf8", "directory"],
+)
+def test_textify_unusable_sidecar_is_named(
+    tmp_path, capsys, slab_files, sidecar, message
+):
+    cif_path, _ = slab_files
+    meta_path = tmp_path / "slab.meta.json"
+    meta_path.unlink()
+    if sidecar is None:
+        meta_path.mkdir()
+    else:
+        meta_path.write_bytes(sidecar)
+    code, _, err = run_cli(capsys, "textify", str(cif_path))
+    assert code == 2
+    assert f"textify {cif_path}: {message.format(meta_path)}" in err
+    assert "missing sidecar" not in err
+
+
+def test_textify_parse_failure_comes_before_a_missing_sidecar(
+    tmp_path, capsys, slab_files
+):
+    cif_path, _ = slab_files
+    junk = tmp_path / "junk.cif"  # no junk.meta.json either
+    junk.write_text("junk")
+    code, out, _ = run_cli(
+        capsys, "textify", str(cif_path), str(junk), "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["errors"] == [
+        {"path": str(junk), "error": "parse failure: SYNTAX"}
+    ]
+
+
 def test_textify_mixed_inputs(tmp_path, capsys, slab_files):
     cif_path, _ = slab_files
     bare = tmp_path / "bare.cif"
@@ -993,6 +1033,22 @@ def test_geometry_logs_why_no_file_was_inspected(tmp_path, capsys, slab_files):
     assert err.splitlines()[-1].endswith("no input could be inspected")
 
 
+def test_geometry_same_size_corpus_shares_one_pass(tmp_path, monkeypatch, capsys):
+    paths = write_clean_corpus(tmp_path, n=64)
+    stacked = geometry._stacked_pass
+    calls = []
+    monkeypatch.setattr(
+        geometry, "_stacked_pass",
+        lambda structures, *rest: calls.append(len(structures))
+        or stacked(structures, *rest),
+    )
+    code, out, _ = run_cli(
+        capsys, "geometry", *paths, "--neighbors", "--format", "json"
+    )
+    assert code == 0 and len(json.loads(out)["files"]) == 64
+    assert calls == [64]
+
+
 @pytest.mark.parametrize(
     "argv, config, message",
     [
@@ -1280,6 +1336,68 @@ def test_each_input_is_listed_once(tmp_path, monkeypatch, capsys, cu_slab, comma
         assert len(used) == 4 and "PF" in art["files"][-1]["reward"]["failure_flags"]
     else:
         assert used == ["good.cif"]
+
+
+def _used_and_errors(capsys, command, paths, *flags):
+    """The records and error records of one run; from the log if it exits 2."""
+    code, out, err = run_cli(capsys, command, *paths, *flags, "--format", "json")
+    if code == 2:  # no artifact: every input is an error, logged in order
+        logged = [LOG_LINE.sub("", line, count=1) for line in err.splitlines()]
+        return [], [
+            {"path": p, "error": line.removeprefix(f"{command} {p}: ")}
+            for line in logged for p in paths if line.startswith(f"{command} {p}: ")
+        ]
+    assert code == 0
+    art = json.loads(out)
+    return art["systems" if command == "textify" else "files"], art["errors"]
+
+
+@pytest.mark.parametrize("command", ["geometry", "textify"])
+def test_mixed_list_equals_one_file_runs(tmp_path, monkeypatch, capsys, cu_slab, command):
+    """Sizes, compositions and failures mixed over two chunks, as if alone."""
+    structure, slab_meta, _ = cu_slab
+    gen = MutationGenerator()
+    files = {"slab.cif": (serialize_cif(structure), slab_meta.to_json_dict())}
+    for seed in range(24):
+        for comp in (TARGET, {"Zn": 4, "O": 2}, {"Cu": 16, "O": 8}):
+            name = f"{''.join(comp)}{sum(comp.values())}_{seed}.cif"
+            meta = {"adsorbate": [0], "surface_top": [1, 2],
+                    "catalyst_composition": comp, "miller": [1, 0, 0]}
+            files[name] = (gen.propose(None, comp, seed), meta)
+    one_site = {"adsorbate": [0], "surface_top": [],
+                "catalyst_composition": {"Cu": 1}, "miller": [1, 0, 0]}
+    specials = {
+        "junk.cif": ("junk", one_site),
+        "junk_bare.cif": ("junk", None),
+        "tiny.cif": (MINIMAL_CIF.replace("4.0", "0.005"), one_site),
+        "big.cif": (BIG_CIF, one_site),
+        "bare.cif": (MINIMAL_CIF, None),
+    }
+    names = list(files)
+    for k, (name, spec) in enumerate(specials.items()):
+        files[name] = spec
+        names.insert(7 + 15 * k, name)  # in both chunks of 64
+    for name, (text, meta) in files.items():
+        (tmp_path / name).write_text(text)
+        if meta is not None:
+            (tmp_path / name).with_suffix(".meta.json").write_text(json.dumps(meta))
+    monkeypatch.chdir(tmp_path)
+    flags = ["--neighbors"] if command == "geometry" else []
+    together = _used_and_errors(capsys, command, names, *flags)
+    alone = ([], [])
+    for name in names:
+        used, errors = _used_and_errors(capsys, command, [name], *flags)
+        alone[0].extend(used)
+        alone[1].extend(errors)
+    assert together == alone
+    assert len(names) > 64 and len(together[0]) > 64
+    messages = [e["error"] for e in together[1]]
+    assert messages.count("parse failure: SYNTAX") == 2
+    assert any("cell volume below" in m for m in messages)
+    if command == "textify":
+        assert messages.count("missing sidecar metadata") == 1
+    else:
+        assert "result is not finite: the cell is too large" in messages
 
 
 # ---------------------------------------------------------------------------

@@ -226,9 +226,9 @@ def test_shared_pass_tables_equal_tables_built_alone(monkeypatch, cutoff, block_
     assert len(set(reaches)) >= 3
     with shared_pair_pass(group):
         first = table_or_error(group[0], cutoff)
-        # one pass built every member with the first one's reach, of any size
+        # one pass built every member with the first one's site count and reach
         assert ["_pair_table" in s.__dict__ for s in group] == [
-            r == reaches[0] for r in reaches
+            len(s) == len(group[0]) and r == reaches[0] for s, r in zip(group, reaches)
         ]
         got = [first] + [table_or_error(s, cutoff) for s in group[1:]]
     for want, have in zip(alone, got):
@@ -240,6 +240,34 @@ def test_shared_pass_tables_equal_tables_built_alone(monkeypatch, cutoff, block_
             assert np.array_equal(getattr(have, col), getattr(want, col))
         assert have.distance.tobytes() == want.distance.tobytes()
     assert not any("_pair_group" in s.__dict__ for s in group)
+
+
+def test_shared_pass_miss_builds_only_same_size_siblings():
+    # one cell, so every member has the same offset reach; only the size differs
+    rng = np.random.default_rng(47)
+    members = [
+        make_structure(["Cu", "O", "Zn", "Pt"][:n] * 2, rng.random((2 * n, 3)),
+                       lengths=(7.0, 7.5, 8.0))
+        for n in (1, 2, 3, 4, 1)
+    ]
+    cutoff = 3.0
+    alone = [geometry._pair_table(dataclasses.replace(s), cutoff) for s in members]
+    group = [dataclasses.replace(s) for s in members]
+    assert len({offset_reach(s, cutoff) for s in group}) == 1
+    with shared_pair_pass(group):
+        got = [geometry._pair_table(group[1], cutoff)]
+        assert ["_pair_table" in s.__dict__ for s in group] == [
+            False, True, False, False, False
+        ]
+        got = [geometry._pair_table(group[0], cutoff)] + got
+        # the first 2-site miss built the other 2-site member too
+        assert "_pair_table" in group[4].__dict__
+        assert "_pair_table" not in group[2].__dict__
+        got += [geometry._pair_table(s, cutoff) for s in group[2:]]
+    for want, have in zip(alone, got):
+        for col in ("i", "j", "image"):
+            assert np.array_equal(getattr(have, col), getattr(want, col))
+        assert have.distance.tobytes() == want.distance.tobytes()
 
 
 @pytest.mark.parametrize("cutoff", [1.98, 6.0])
