@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -231,10 +230,12 @@ class Lattice:
 
 def wrap_fractional(value: float | np.ndarray) -> float | np.ndarray:
     """Wrap fractional coordinates, a number or an array, into [0, 1)."""
-    w = np.mod(value, 1.0)
+    w = np.mod(value, 1.0)  # never negative for a finite value
     # guard the x mod 1.0 == 1.0 rounding corner
-    w = np.where((w >= 1.0) | (w < 0.0), 0.0, w)
-    return w if w.ndim else float(w)
+    if w.ndim:
+        w[w >= 1.0] = 0.0
+        return w
+    return 0.0 if w >= 1.0 else float(w)
 
 
 def _check_writable(values: tuple[str, ...], what: str) -> None:
@@ -357,28 +358,29 @@ def _tokenize(
     texts: list[str] = []
     token_lines: list[int] = []
     reserved: list[int] = []
-    i = 0
-    n = len(lines)
-    while i < n:
-        line = lines[i]
-        lineno = i + 1
-        i += 1
+    not_plain, is_reserved = _NOT_PLAIN_RE.search, _RESERVED_RE.match
+    numbered = enumerate(lines, 1)
+    for lineno, line in numbered:
         if line.startswith(";"):
-            # multiline text field: collect until a line starting with ';'
-            j = next((j for j in range(i, n) if lines[j].startswith(";")), None)
-            if j is None:
+            # multiline text field: its lines run to the next line starting
+            # with ';', which closes it and is read no further
+            field = [line[1:]]
+            for _, line in numbered:
+                if line.startswith(";"):
+                    break
+                field.append(line)
+            else:
                 defects.append(
                     Defect(DefectCode.SYNTAX, "unterminated text field", lineno)
                 )
                 break
-            texts.append("\n".join([line[1:], *lines[i:j]]).strip())
-            i = j + 1
-        elif line.isascii() and _NOT_PLAIN_RE.search(line) is None:
+            texts.append("\n".join(field).strip())
+        elif line.isascii() and not_plain(line) is None:
             words = line.split()
             if "_" in line:
-                reserved += [
-                    len(texts) + k for k, w in enumerate(words) if _RESERVED_RE.match(w)
-                ]
+                for k, word in enumerate(words, len(texts)):
+                    if is_reserved(word):
+                        reserved.append(k)
             texts += words
         else:
             for quoted, word, bare, stop in _TOKEN_RE.findall(line):
@@ -447,16 +449,15 @@ def _parse_document(
     n = len(texts)
     reserved.append(n)  # sentinel: every run of values ends at a reserved index
 
-    def next_reserved(k: int) -> int:
-        return reserved[bisect_left(reserved, k)]
-
     # locate the data block header
-    start = next(
-        (k for k in reserved[:-1] if texts[k].lower().startswith("data_")), None
+    r = next(
+        (r for r, k in enumerate(reserved[:-1]) if texts[k].lower().startswith("data_")),
+        None,
     )
-    if start is None:
+    if r is None:
         defects.append(Defect(DefectCode.SYNTAX, "missing data block header", 0))
         return None
+    start = reserved[r]
     if start > 0:
         defects.append(
             Defect(
@@ -471,9 +472,11 @@ def _parse_document(
     loops: list[CifLoop] = []
     tag_lines: dict[str, int] = {}
 
-    i = start + 1
+    # `reserved[r]` is the first reserved index at or after `i`: both only
+    # move forward, so one pointer replaces a search per token
+    i, r = start + 1, r + 1
     while i < n:
-        j = next_reserved(i)
+        j = reserved[r]
         for k in range(i, j):
             defects.append(
                 Defect(
@@ -490,12 +493,12 @@ def _parse_document(
             defects.append(Defect(DefectCode.SYNTAX, "multiple data blocks", line))
             break
         if word == "loop_":
-            i += 1
+            i, r = i + 1, r + 1
             # column tags: the reserved words after loop_ that start with `_`
             columns: list[str] = []
-            while i < n and texts[i].startswith("_") and next_reserved(i) == i:
+            while reserved[r] == i < n and texts[i].startswith("_"):
                 columns.append(texts[i].lower())
-                i += 1
+                i, r = i + 1, r + 1
             if not columns:
                 defects.append(
                     Defect(DefectCode.SYNTAX, "loop without column tags", line)
@@ -509,7 +512,7 @@ def _parse_document(
                         line,
                     )
                 )
-            end = next_reserved(i)
+            end = reserved[r]
             ncol = len(columns)
             if end == i:
                 defects.append(
@@ -532,7 +535,8 @@ def _parse_document(
             i = end
             continue
         # a tag: its value is the next token unless that is reserved too
-        if next_reserved(i + 1) > i + 1:
+        r += 1
+        if reserved[r] > i + 1:
             if word in scalars:
                 defects.append(
                     Defect(DefectCode.SYNTAX, f"duplicate tag {word}", line)

@@ -266,7 +266,8 @@ def _read_side_file(path: str, what: str) -> tuple[bytes, object]:
         return data, json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise CliError(f"cannot read {what}: {exc}") from None
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+    # JSONDecodeError, UnicodeDecodeError, or nesting past the recursion limit
+    except (RecursionError, ValueError) as exc:
         raise CliError(f"bad {what}: {exc}") from None
 
 
@@ -410,7 +411,8 @@ def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
             sidecars[p] = ValueError("missing sidecar metadata")
         except OSError as exc:
             sidecars[p] = ValueError(f"cannot read sidecar {meta_path}: {exc}")
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        # JSONDecodeError, UnicodeDecodeError, or nesting past the recursion limit
+        except (RecursionError, ValueError) as exc:
             sidecars[p] = ValueError(f"bad sidecar {meta_path}: {exc}")
 
     cfg_snapshot = {"neighbor_scale": scale, "separator": separator}

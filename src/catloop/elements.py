@@ -96,6 +96,8 @@ def normalize_symbol(token: str) -> str | None:
     preferring the longest match and normalizing case.  Returns None when no
     element matches.
     """
+    if token in COVALENT_RADII:  # already a symbol: its own longest match
+        return token
     run = []
     for ch in token:
         if ch.isalpha():

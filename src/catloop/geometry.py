@@ -17,13 +17,17 @@ pair triangle fits one mask block (all 6-site work) that prune runs inside
 the block.  A longer triangle (128 sites at a bond cutoff, 64 at 6 A, the
 larger slabs) is pruned once, before any mask, one axis at a time: the
 axis with the tightest bound first, each later axis only on the pairs the
-earlier ones kept.  Pairs and neighbor lists come back as a `PairTable`,
-one array per column and one row per pair.
+earlier ones kept; when every axis bound is below 1, the self pairs go
+too, since no nonzero offset is in reach.  Pairs and neighbor lists come
+back as a `PairTable`, one array per column and one row per pair.
 
 The kernel builds several tables in one pass: structures with the same site
 count and offset reach are stacked along a leading axis, so each cell
-matrix and slab bound broadcasts over its own pairs.  A structure asked
-about alone is a batch of one.  Inside `shared_pair_pass`, the first miss of
+matrix and slab bound broadcasts over its own pairs.  The rows the masks
+keep are measured in one step for the whole block, with one 2D product per
+structure, and each structure's rows are a read-only slice of the block's
+columns.  A structure asked about alone is a batch of one and skips that
+bookkeeping.  Inside `shared_pair_pass`, the first miss of
 a member builds that cutoff for every same-size member without a table, so
 distinct sizes cost what lone calls cost.  The search (per generation) and
 every CIF command (per chunk of 64 files) score through
@@ -229,11 +233,17 @@ def _near_pairs(
     """
     # |d - rint(d)| <= 0.5, so an axis whose bound reaches 0.5 rejects no pair
     order = [k for k in np.argsort(bound).tolist() if bound[k] < 0.5]
-    if not order:
+    # a self pair's delta is 0, so below 1 on every axis only its zero
+    # offset is in reach, and that one is never a row
+    no_self = bool(bound.max() < 1.0)
+    if not (order or no_self):
         return pi, pj
     kept_i, kept_j = [], []
     for start in range(0, len(pi), _BLOCK_ROWS):
         bi, bj = pi[start : start + _BLOCK_ROWS], pj[start : start + _BLOCK_ROWS]
+        if no_self:
+            other = bi != bj
+            bi, bj = bi[other], bj[other]
         for k in order:
             d = frac[bj, k] - frac[bi, k]
             near = np.abs(d - np.rint(d)) <= bound[k]
@@ -258,7 +268,10 @@ def _stacked_pass(
     `_BLOCK_ROWS` cells over the whole batch.  A site-pair triangle longer
     than one such block is pruned first, once (`_near_pairs`); a shorter one
     is pruned inside its single block.  Only the images a structure keeps
-    are measured, with one product per structure and block.
+    are measured: one gather, `sqrt` and cutoff test per block, with one
+    product per structure and block.  A block's rows come structure by
+    structure, so each structure's part is a slice of the block's columns;
+    they are read-only, so no member can write into a sibling's table.
     """
     frac = np.stack([s.frac for s in structures])
     offsets, axes = _offset_grid(reach)
@@ -273,9 +286,8 @@ def _stacked_pass(
         bnd_axes = bnd.T[:, :, None, None]  # per axis, broadcast as (bs, 1, 1)
         step = max(1, _BLOCK_ROWS // (g * bs))
         one_step = len(pi) <= step
-        # never empty: a self pair (delta 0) passes any bound, so every
-        # structure gets at least one part below.  A triangle longer than
-        # one block has g * len(pi) > _BLOCK_ROWS, so its chunk is bs == 1
+        # a triangle longer than one block has g * len(pi) > _BLOCK_ROWS, so
+        # its chunk is bs == 1, and its pruned pairs may be none at all
         ci, cj = (pi, pj) if one_step else _near_pairs(fr[0], bnd[0], pi, pj)
         for start in range(0, len(ci), step):
             bi, bj = ci[start : start + step], cj[start : start + step]
@@ -296,21 +308,43 @@ def _stacked_pass(
             hit = ax[0][..., :, None, None] & ax[1][..., None, :, None]
             hit = (hit & ax[2][..., None, None, :]).reshape(bs, len(bi), g)
             hit[:, bi == bj, : g // 2 + 1] = False  # the zero offset sits at g // 2
-            for b in range(bs):
-                p, k = np.nonzero(hit[b])
-                # (delta + offset) @ matrix, not delta @ M + offset @ M: the two
-                # round differently, and a distance must not depend on the
-                # cutoff asked for.  The product is a 2D one per structure, as
-                # alone: BLAS fuses multiply-adds that numpy's own `*` and `+`
-                # do not, so no element-wise form matches it bit for bit.
-                cart = (delta[b, p] + offsets[k]) @ mats[b]
-                dist = np.sqrt((cart * cart).sum(axis=1))  # np.linalg.norm's sum
-                keep = dist <= cutoff
-                p, k = p[keep], k[keep]
-                parts[lo + b].append((bi[p], bj[p], offsets[k], dist[keep]))
+            # row q of the block is member q // len(bi), pair q % len(bi); the
+            # rows come member by member, so each member's rows are one slice
+            q, k = np.nonzero(hit.reshape(-1, g))
+            disp = np.take(delta.reshape(-1, 3), q, axis=0) + offsets[k]
+            # (delta + offset) @ matrix, not delta @ M + offset @ M: the two
+            # round differently, and a distance must not depend on the cutoff
+            # asked for.  The product is a 2D one per structure, as alone:
+            # BLAS fuses multiply-adds that numpy's own `*` and `+` do not, so
+            # no element-wise form matches it bit for bit.  A lone build
+            # (bs == 1) skips the member bookkeeping.
+            if bs == 1:
+                cart = disp @ mats[0]
+            else:
+                cart = np.empty_like(disp)
+                for b, (a, e) in enumerate(_member_slices(q, len(bi), bs)):
+                    np.matmul(disp[a:e], mats[b], out=cart[a:e])
+            dist = np.sqrt((cart * cart).sum(axis=1))  # np.linalg.norm's sum
+            keep = dist <= cutoff
+            q, k, dist = q[keep], k[keep], dist[keep]
+            p = q if bs == 1 else q % len(bi)
+            cols = (bi[p], bj[p], offsets[k], dist)
+            for c in cols:  # each member's slices are views of these
+                c.setflags(write=False)
+            if bs == 1:
+                parts[lo].append(cols)
+            else:
+                for b, (a, e) in enumerate(_member_slices(q, len(bi), bs)):
+                    parts[lo + b].append(tuple(c[a:e] for c in cols))
     for s, part in zip(structures, parts):
-        table = PairTable(*(np.concatenate(c) for c in zip(*part)))
-        s.__dict__["_pair_table"] = (cutoff, table)
+        cols = part[0] if len(part) == 1 else [np.concatenate(c) for c in zip(*part)]
+        s.__dict__["_pair_table"] = (cutoff, PairTable(*cols) if part else _EMPTY)
+
+
+def _member_slices(q: np.ndarray, n_pairs: int, bs: int) -> list[tuple[int, int]]:
+    """Each member's (start, stop) in the sorted block rows `q` of `_stacked_pass`."""
+    cuts = np.searchsorted(q, np.arange(bs + 1) * n_pairs).tolist()
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def min_image_distance(structure: Structure, i: int, j: int) -> float:
@@ -374,8 +408,11 @@ def covalent_pairs(structure: Structure, scale: float) -> tuple[PairTable, np.nd
     if scale <= 0.0:
         _check_cell(structure)
         return _EMPTY, np.empty(0)
+    r_max = max(COVALENT_RADII[e] for e in set(structure.elements))
+    table = _pair_table(structure, scale * (2.0 * r_max))
+    if not len(table):
+        return table, np.empty(0)
     r = _covalent_radii(structure)
-    table = _pair_table(structure, scale * (2.0 * float(np.max(r))))
     rsum = r[table.i] + r[table.j]
     keep = table.distance <= scale * rsum
     return _select(table, keep), rsum[keep]

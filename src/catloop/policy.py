@@ -260,7 +260,7 @@ def group_from_json_line(line: str) -> CandidateGroup:
     """Parse one JSONL line into a group; raises ValueError on bad records."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
     return group_from_json_dict(obj)
 

@@ -191,21 +191,22 @@ def _distance_factor(
     """Worst-pair credit (0 at hard overlap, 1 at full), its note, no-overlap verdict."""
     # only pairs inside full credit can lose credit
     t, rsum = covalent_pairs(structure, cfg.full_credit_fraction)
+    if not len(t):
+        return 1.0, [], True
     lo = cfg.hard_overlap_fraction * rsum
     overlap = t.distance <= lo
     hard_pass = not overlap.any()
-    if len(t):
-        hi = cfg.full_credit_fraction * rsum
-        credit = np.where(overlap, 0.0, (t.distance - lo) / (hi - lo))
-        # the worst pair is the first one at the smallest credit below 1
-        k = int(np.argmin(credit))
-        if credit[k] < 1.0:
-            factor, i, j = float(credit[k]), int(t.i[k]), int(t.j[k])
-            elems = structure.elements
-            return factor, [
-                f"closest pair {elems[i]}{i}-{elems[j]}{j} at {t.distance[k]:.3f} A "
-                f"scores {factor:.3f}"
-            ], hard_pass
+    hi = cfg.full_credit_fraction * rsum
+    credit = np.where(overlap, 0.0, (t.distance - lo) / (hi - lo))
+    # the worst pair is the first one at the smallest credit below 1
+    k = int(np.argmin(credit))
+    if credit[k] < 1.0:
+        factor, i, j = float(credit[k]), int(t.i[k]), int(t.j[k])
+        elems = structure.elements
+        return factor, [
+            f"closest pair {elems[i]}{i}-{elems[j]}{j} at {t.distance[k]:.3f} A "
+            f"scores {factor:.3f}"
+        ], hard_pass
     return 1.0, [], hard_pass
 
 

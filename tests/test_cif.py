@@ -391,6 +391,25 @@ def test_wrap_fractional_array_matches_scalar():
     ]
 
 
+def test_wrap_fractional_matches_the_where_form():
+    def where_form(value):
+        w = np.mod(value, 1.0)
+        w = np.where((w >= 1.0) | (w < 0.0), 0.0, w)
+        return w if w.ndim else float(w)
+
+    corners = [-0.0, -1e-20, 1 - 2**-53, math.nan, 1e300, -1e300, 1.0, -1.0]
+    rng = np.random.default_rng(67)
+    arrays = [np.array(corners)] + [
+        rng.normal(scale=10.0 ** rng.integers(-20, 20), size=(int(rng.integers(1, 9)), 3))
+        for _ in range(200)
+    ]
+    with np.errstate(invalid="ignore"):  # nan mod 1
+        for c in corners:
+            assert wrap_fractional(c).hex() == where_form(c).hex()
+        for a in arrays:
+            assert wrap_fractional(a.copy()).tobytes() == where_form(a).tobytes()
+
+
 def test_structure_validation():
     with pytest.raises(ValueError):
         Structure(CUBIC, (), (), np.empty((0, 3)))

@@ -21,6 +21,8 @@ from catloop.search import (
 from conftest import BAD_COMPOSITIONS, BAD_SIDECAR_INTEGERS, MINIMAL_CIF
 
 TARGET = {"Cu": 4, "O": 2}
+# JSON nested past Python's recursion limit: `json.loads` raises RecursionError
+TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
 
 
 def run_cli(capsys, *argv):
@@ -315,6 +317,7 @@ def test_config_read_errors_exit_1(tmp_path, capsys, argv):
         (b'{"grpo": "\xff"}', "bad config: "),
         (b'{"grpo": ', "bad config: "),
         (b"[1, 2]", "bad config: top level must be an object\n"),
+        (TOO_DEEP, "bad config: maximum recursion depth exceeded"),
     ):
         cfg.write_bytes(data)
         code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
@@ -419,9 +422,10 @@ def test_textify_missing_sidecar(tmp_path, capsys):
     [
         (b"{not json", "bad sidecar {}: Expecting property name enclosed in"),
         (b"\xff\xfe", "bad sidecar {}: 'utf-8' codec can't decode byte 0xff"),
+        (TOO_DEEP, "bad sidecar {}: maximum recursion depth exceeded"),
         (None, "cannot read sidecar {}: [Errno 21] Is a directory"),
     ],
-    ids=["json", "utf8", "directory"],
+    ids=["json", "utf8", "nesting", "directory"],
 )
 def test_textify_unusable_sidecar_is_named(
     tmp_path, capsys, slab_files, sidecar, message
@@ -593,6 +597,20 @@ def test_grpo_bool_reward_is_a_line_error(tmp_path, capsys):
     assert artifact["errors"] == [
         {"line": 2, "error": "member 0: reward must be a finite number, got True"}
     ]
+
+
+def test_grpo_deeply_nested_line_is_a_line_error(tmp_path, capsys):
+    groups = tmp_path / "groups.jsonl"
+    groups.write_bytes(GROUP_LINE.encode() + b"\n" + TOO_DEEP + b"\n")
+    code, out, err = run_cli(capsys, "grpo", str(groups), "--format", "json")
+    assert code == 0
+    artifact = json.loads(out)
+    assert len(artifact["groups"]) == 1
+    assert [e["line"] for e in artifact["errors"]] == [2]
+    assert artifact["errors"][0]["error"].startswith(
+        "invalid JSON: maximum recursion depth exceeded"
+    )
+    assert "Traceback" not in err
 
 
 def test_grpo_all_bad_lines(tmp_path, capsys):

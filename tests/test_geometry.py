@@ -291,6 +291,60 @@ def test_shared_pass_of_pre_pruned_members(monkeypatch, cutoff):
         assert have.distance.tobytes() == want.distance.tobytes()
 
 
+def six_site_members(n):
+    """`n` six-site members of one offset reach at 2 and at 6 A: the first has
+    no pair within 2 A, the second a coincident pair, the rest are random."""
+    rng = np.random.default_rng(61)
+    species = ["Cu", "O"] * 3
+    spread = [(0, 0, 0), (0.5, 0, 0), (0, 0.5, 0), (0, 0, 0.5), (0.5, 0.5, 0), (0.5, 0.5, 0.5)]
+    coincident = rng.random((6, 3))
+    coincident[3] = coincident[0]
+    members = [
+        make_structure(species, spread, lengths=(5.8, 5.9, 6.0)),
+        make_structure(species, coincident, lengths=(5.8, 5.9, 6.0)),
+    ]
+    members += [
+        make_structure(species, rng.random((6, 3)), lengths=rng.uniform(5.6, 6.0, size=3))
+        for _ in range(n - 2)
+    ]
+    return members
+
+
+@pytest.mark.parametrize("cutoff", [2.0, 6.0])
+@pytest.mark.parametrize("batch", [1, 16, 64])
+def test_shared_pass_members_get_their_own_rows(cutoff, batch):
+    members = six_site_members(64)
+    alone = [geometry._pair_table(dataclasses.replace(s), cutoff) for s in members]
+    assert (len(alone[0]) == 0) == (cutoff == 2.0)
+    assert 0.0 in alone[1].distance.tolist()
+    group = [dataclasses.replace(s) for s in members]
+    for lo in range(0, len(group), batch):
+        with shared_pair_pass(group[lo : lo + batch]):
+            geometry._pair_table(group[lo], cutoff)
+            # the first miss built every member of the batch
+            assert all("_pair_table" in s.__dict__ for s in group[lo : lo + batch])
+    for s, want in zip(group, alone):
+        have = geometry._pair_table(s, cutoff)
+        for col in ("i", "j", "image", "distance"):
+            got = getattr(have, col)
+            assert got.tobytes() == getattr(want, col).tobytes()
+            assert got.dtype == getattr(want, col).dtype
+            # a member's columns may be views of its pass's arrays: none can
+            # be written, so no member can change a sibling's table
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[...] = 0
+
+
+def test_near_pairs_drops_self_pairs_only_below_one_on_every_axis():
+    pi, pj = geometry._site_pairs(4)
+    frac = np.zeros((4, 3))  # every pair is in reach on every axis
+    kept = geometry._near_pairs(frac, np.array([0.9, 0.6, 0.9]), pi, pj)
+    assert list(zip(*kept)) == [(i, j) for i, j in zip(pi, pj) if i != j]
+    kept = geometry._near_pairs(frac, np.array([0.9, 0.6, 1.0]), pi, pj)
+    assert list(zip(*kept)) == list(zip(pi, pj))
+
+
 def test_triangle_cache_is_read_only_and_bounded():
     for n in (1, 6, 128):
         pi, pj = geometry._site_pairs(n)

@@ -321,3 +321,16 @@ def test_parse_outcome_digest():
         sha.update(json.dumps(dump_outcome(parse_cif(text))).encode())
         sha.update(b"\n")
     assert sha.hexdigest() == PARSE_DIGEST
+
+
+# every separator `str.splitlines` cuts at, besides "\n" itself
+LINE_BREAKS = (
+    "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+)
+
+
+def test_every_line_break_reads_as_a_newline():
+    for text in parse_corpus():
+        want = dump_outcome(parse_cif(text))
+        for brk in LINE_BREAKS:
+            assert dump_outcome(parse_cif(text.replace("\n", brk))) == want, (brk, text)

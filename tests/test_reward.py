@@ -1,12 +1,13 @@
 """Multi-term reward: sub-scores, weights, flags, and worked examples."""
 
+import dataclasses
 import gc
 import weakref
 
 import numpy as np
 import pytest
 
-from catloop import reward
+from catloop import geometry, reward
 from catloop.cif import parse_cif, serialize_cif
 from catloop.elements import COVALENT_RADII
 from catloop.reward import (
@@ -215,6 +216,32 @@ def reference_physics(structure, cfg=DEFAULT_PHYS):
     v_factor, _ = reward._volume_factor(structure, cfg)
     tied = [c for c in credits if c == factor < 1.0]
     return factor * v_factor, notes, tied, hard_pass
+
+
+def test_no_pair_inside_full_credit_matches_the_general_path():
+    # Cu and O 3.46 A apart in a 4 A cube: beyond full credit (1.49 A) and
+    # beyond the 1.98 A table cutoff, so the memoized table has no row
+    text = serialize_cif(make_structure(["Cu", "O"], [(0, 0, 0), (0.5, 0.5, 0.5)]))
+    fresh, filtered = parse_cif(text).structure, parse_cif(text).structure
+    assert len(geometry.covalent_pairs(filtered, 2.0)[0]) > 0  # a memo with rows
+    results = [geometry.covalent_pairs(s, DEFAULT_PHYS.full_credit_fraction)
+               for s in (fresh, filtered)]
+    assert len(fresh.__dict__["_pair_table"][1]) == 0  # the early return's case
+    (t, rsum), (want, want_rsum) = results
+    for col in ("i", "j", "image", "distance"):
+        have, ref = getattr(t, col), getattr(want, col)
+        assert (have.dtype, have.shape) == (ref.dtype, ref.shape)
+    assert (rsum.dtype, rsum.shape) == (want_rsum.dtype, want_rsum.shape) == (
+        np.dtype(float), (0,)
+    )
+    want_score, want_notes, _, want_pass = reference_physics(fresh)
+    assert (want_score, want_notes, want_pass) == (1.0, [], True)
+    for s in (fresh, filtered):
+        assert reward._distance_factor(s, DEFAULT_PHYS) == (1.0, [], True)
+    got = pvcp(text, {"Cu": 1, "O": 1})
+    assert (got.s_phys, got.hard_pass, got.diagnostics) == (1.0, True, ())
+    outcome = dataclasses.replace(parse_cif(text), structure=filtered)
+    assert pvcp_from_outcome(outcome, {"Cu": 1, "O": 1}) == got
 
 
 def grid_structure(rng):
