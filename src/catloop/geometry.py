@@ -12,25 +12,22 @@ grid and then, per pair and axis, skips every image it rules out, so only
 images that can lie within the cutoff are measured.  A cell below
 `DEGENERATE_VOLUME`, or needing more than `MAX_IMAGES` offsets for a
 cutoff, raises `DegenerateCellError`.  Before any image mask, the bound
-drops every site pair that has no image within it on some axis.  Where the
-pair triangle fits one mask block (all 6-site work) that prune runs inside
-the block.  A longer triangle (128 sites at a bond cutoff, 64 at 6 A, the
-larger slabs) is pruned once, before any mask, one axis at a time: the
-axis with the tightest bound first, each later axis only on the pairs the
-earlier ones kept; when every axis bound is below 1, the self pairs go
-too, since no nonzero offset is in reach.  Pairs and neighbor lists come
+drops every site pair that has no image within it on some axis: inside the
+mask block where the pairs fit one (all 6-site work), else once, one axis
+at a time, the tightest first (128 sites at a bond cutoff, 64 at 6 A, the
+larger slabs).  When every axis bound is below 1, the self pairs are never
+listed, since no nonzero offset is in reach.  Pairs and neighbor lists come
 back as a `PairTable`, one array per column and one row per pair.
 
-The kernel builds several tables in one pass: structures with the same site
-count and offset reach are stacked along a leading axis, so each cell
-matrix and slab bound broadcasts over its own pairs.  The rows the masks
-keep are measured in one step for the whole block, with one 2D product per
-structure, and each structure's rows are a read-only slice of the block's
-columns.  A structure asked about alone is a batch of one and skips that
-bookkeeping.  Inside `shared_pair_pass`, the first miss of
-a member builds that cutoff for every same-size member without a table, so
-distinct sizes cost what lone calls cost.  The search (per generation) and
-every CIF command (per chunk of 64 files) score through
+The kernel builds several tables in one pass (`_flat_pass`): the site pairs
+of all its structures form one flat list, member by member, whatever their
+sizes, and each row carries its member's slab bound and cutoff.  The rows
+the masks keep are measured in one step per block, with one 2D product per
+structure, and each structure's rows are a read-only slice of the pass's
+columns.  Inside `shared_pair_pass`, the first miss of a member builds
+every member without a table, each at the cutoff its own query would ask
+for, in one pass per offset reach.  The search (per generation) and every
+CIF command (per chunk of 64 files) score through
 `reward._score_in_chunks`, which opens one such pass per chunk.
 Every table is bit-identical to the one the structure would build alone.
 `covalent_pairs` alone turns covalent radii (Cordero et al., Dalton Trans.
@@ -41,8 +38,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator
+from functools import lru_cache, partial
+from itertools import accumulate, groupby
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -52,7 +50,7 @@ from .elements import COVALENT_RADII
 DEGENERATE_VOLUME = 1e-6  # cubic angstroms
 DEFAULT_NEIGHBOR_SCALE = 1.2
 MAX_IMAGES = 100_000  # lattice offsets one enumeration may lay out
-_BLOCK_ROWS = 1 << 16  # cells of one block's (structures x pairs x images) mask
+_BLOCK_ROWS = 1 << 16  # cells of one block's (pairs x images) mask
 _BOUND_SLACK = 1e-9  # keeps a bound's own image despite rounding
 
 
@@ -112,23 +110,28 @@ def _select(t: PairTable, keep: np.ndarray) -> PairTable:
     return PairTable(t.i[keep], t.j[keep], t.image[keep], t.distance[keep])
 
 
-def _pair_table(structure: Structure, cutoff: float) -> PairTable:
+def _pair_table(
+    structure: Structure,
+    cutoff: float,
+    cutoff_of: Callable[[Structure], float] | None = None,
+) -> PairTable:
     """Every periodic pair within `cutoff` or a larger memoized cutoff.
 
     Ordered as in `iter_periodic_pairs`; memoized like `Lattice.matrix`,
     beside the cutoff it was built for.  Inside `shared_pair_pass`, a miss
-    also builds this cutoff for every same-size member of the group that
-    has no table yet, in the same pass.
+    also builds every member of the group that has no table yet, each at
+    its own cutoff: `cutoff_of(member)`, the rule the asking query applies,
+    or `cutoff` when the rule is a constant.
     """
     memo_cutoff, memo = structure.__dict__.get("_pair_table", (-np.inf, None))
     if cutoff <= memo_cutoff:
         return memo
-    n = len(structure)
     siblings = [
         s for s in structure.__dict__.get("_pair_group", ())
-        if s is not structure and len(s) == n and "_pair_table" not in s.__dict__
+        if s is not structure and "_pair_table" not in s.__dict__
     ]
-    _build_tables([structure, *siblings], cutoff)
+    rule = cutoff_of or (lambda s: cutoff)
+    _build_tables([structure, *siblings], [cutoff, *map(rule, siblings)])
     return structure.__dict__["_pair_table"][1]
 
 
@@ -136,11 +139,10 @@ def _pair_table(structure: Structure, cutoff: float) -> PairTable:
 def shared_pair_pass(structures: Iterable[Structure]) -> Iterator[None]:
     """Group `structures` so that their pair tables are built together.
 
-    Inside the scope, the first `_pair_table` miss of a member builds that
-    cutoff for every member of its size without a table, in one stacked
-    pass.  Another size needs its own pass, maybe at a larger cutoff, so it
-    waits for its own miss.  The grouping is removed on exit, also on an
-    exception, so no structure keeps its siblings alive.
+    Inside the scope, the first `_pair_table` miss of a member builds every
+    member without a table, each at its own cutoff by the asking query's
+    rule, in one flat pass per offset reach.  The grouping is removed on
+    exit, also on an exception, so no structure keeps its siblings alive.
     """
     group = tuple(structures)
     for s in group:
@@ -152,39 +154,46 @@ def shared_pair_pass(structures: Iterable[Structure]) -> Iterator[None]:
             s.__dict__.pop("_pair_group", None)
 
 
-def _build_tables(structures: list[Structure], cutoff: float) -> None:
-    """Build and memoize the `cutoff` tables of same-size `structures`.
+def _build_tables(structures: list[Structure], cutoffs: list[float]) -> None:
+    """Build and memoize each structure's table at its own cutoff.
 
     The first structure asked: a degenerate cell or a cutoff over the image
     budget raises for it.  Any other structure with a degenerate cell, or
-    whose offset reach differs from the first one's, is skipped and builds
-    (or raises) on its own call.  The rest share one stacked pass.
+    over the budget at its own cutoff, is skipped and builds (or raises) on
+    its own call.  The rest are built in one `_flat_pass` per distinct
+    offset reach: reaches of (k, 1, 1) and (1, k, 1) each fit the budget,
+    but a grid spanning both would not.
     """
     matrices = np.array([s.lattice.matrix for s in structures])
     degenerate = (np.abs(np.linalg.det(matrices)) < DEGENERATE_VOLUME).tolist()
     if degenerate[0]:
         raise DegenerateCellError(_SMALL_CELL)
     if any(degenerate):  # a singular matrix would fail `_slab_spacings`
-        structures = [s for s, bad in zip(structures, degenerate) if not bad]
-        matrices = matrices[np.logical_not(degenerate)]
+        keep = [k for k, bad in enumerate(degenerate) if not bad]
+        structures = [structures[k] for k in keep]
+        cutoffs = [cutoffs[k] for k in keep]
+        matrices = matrices[keep]
+    cut = np.array(cutoffs, dtype=float)[:, None]
     spacings = _slab_spacings(matrices)
-    reach = np.ceil(cutoff / spacings + 0.5)
-    reaches = reach.tolist()
-    a, b, c = reaches[0]
-    n_images = (2.0 * a + 1.0) * (2.0 * b + 1.0) * (2.0 * c + 1.0)
-    if not n_images <= MAX_IMAGES:  # also catches a NaN cutoff
-        raise DegenerateCellError(
-            f"{n_images:.4g} lattice images within {cutoff:.4g} A (limit {MAX_IMAGES})"
-        )
     # a pair or image whose fractional displacement exceeds `bound` on any
     # axis lies beyond the cutoff (`_slab_spacings`), so it is never measured
-    bound = cutoff / spacings * (1.0 + _BOUND_SLACK)
-    ks = [k for k, r in enumerate(reaches) if r == reaches[0]]
-    rows = slice(None) if len(ks) == len(structures) else ks  # a view if all
-    _stacked_pass(
-        [structures[k] for k in ks], matrices[rows], bound[rows],
-        (int(a), int(b), int(c)), cutoff,
-    )
+    bound = cut / spacings * (1.0 + _BOUND_SLACK)
+    passes: dict[tuple[int, int, int], list[int]] = {}
+    for k, (a, b, c) in enumerate(np.ceil(cut / spacings + 0.5).tolist()):
+        n_images = (2.0 * a + 1.0) * (2.0 * b + 1.0) * (2.0 * c + 1.0)
+        if n_images <= MAX_IMAGES:
+            passes.setdefault((int(a), int(b), int(c)), []).append(k)
+        elif k == 0:  # also a NaN cutoff
+            raise DegenerateCellError(
+                f"{n_images:.4g} lattice images within {cutoffs[0]:.4g} A"
+                f" (limit {MAX_IMAGES})"
+            )
+    for reach, ks in passes.items():
+        ks.sort(key=lambda k: len(structures[k]))  # `_pair_blocks` tiles each run of a size
+        _flat_pass(
+            [structures[k] for k in ks], [cutoffs[k] for k in ks],
+            matrices[ks], bound[ks], reach,
+        )
 
 
 @lru_cache(maxsize=8)  # at most 8 x 2.4 MB at the image budget; a few KB in practice
@@ -204,147 +213,126 @@ def _offset_grid(
 
 
 @lru_cache(maxsize=16)  # `_site_pairs` keeps <= _BLOCK_ROWS pairs: 1 MiB each at most
-def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n), read-only: every caller shares them."""
+def _triangle(n: int, self_pairs: bool) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 0 if self_pairs else 1), read-only: every caller shares them."""
     sites = np.arange(n)
-    pi, pj = np.nonzero(np.less_equal.outer(sites, sites))
+    upper = np.less_equal if self_pairs else np.less
+    pi, pj = np.nonzero(upper.outer(sites, sites))
     for a in (pi, pj):
         a.setflags(write=False)
     return pi, pj
 
 
-def _site_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_triangle(n)`, kept in its cache only if it has at most `_BLOCK_ROWS` pairs."""
+def _site_pairs(n: int, self_pairs: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """`_triangle(n, self_pairs)`, cached only if it has at most `_BLOCK_ROWS` pairs."""
     if n * (n + 1) // 2 <= _BLOCK_ROWS:
-        return _triangle(n)
-    return _triangle.__wrapped__(n)
+        return _triangle(n, self_pairs)
+    return _triangle.__wrapped__(n, self_pairs)
 
 
-def _near_pairs(
-    frac: np.ndarray, bound: np.ndarray, pi: np.ndarray, pj: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (pi, pj), in order, that one structure sees within `bound`, per axis.
+def _pair_blocks(
+    first: np.ndarray, sizes: list[int], self_reach: list[bool]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """A pass's flat pair list, as (member, i, j) blocks of `_BLOCK_ROWS // 8` rows at most.
 
-    `frac` (N, 3) and `bound` (3,) are one structure's rows of the arrays in
-    `_stacked_pass`.  Axes are tested one at a time, the tightest bound
-    first, each on the pairs the earlier axes kept, in blocks of at most
-    `_BLOCK_ROWS` pairs, which bounds the work arrays at any site count.  A
-    pair dropped has no image within its bound, so the table loses no row.
+    Member by member, each member's `_site_pairs` in order, numbered as rows
+    of the members' stacked `frac`, where member m starts at `first[m]`.  A
+    run of members with one triangle is tiled, and a long triangle spans
+    several blocks.  Self pairs are listed only where `self_reach` holds:
+    with a bound below 1 on every axis, only the zero offset is in a self
+    pair's reach, and that one is never a row.
     """
-    # |d - rint(d)| <= 0.5, so an axis whose bound reaches 0.5 rejects no pair
-    order = [k for k in np.argsort(bound).tolist() if bound[k] < 0.5]
-    # a self pair's delta is 0, so below 1 on every axis only its zero
-    # offset is in reach, and that one is never a row
-    no_self = bool(bound.max() < 1.0)
-    if not (order or no_self):
-        return pi, pj
-    kept_i, kept_j = [], []
-    for start in range(0, len(pi), _BLOCK_ROWS):
-        bi, bj = pi[start : start + _BLOCK_ROWS], pj[start : start + _BLOCK_ROWS]
-        if no_self:
-            other = bi != bj
-            bi, bj = bi[other], bj[other]
-        for k in order:
-            d = frac[bj, k] - frac[bi, k]
-            near = np.abs(d - np.rint(d)) <= bound[k]
-            bi, bj = bi[near], bj[near]
-        kept_i.append(bi)
-        kept_j.append(bj)
-    return np.concatenate(kept_i), np.concatenate(kept_j)
+    block = max(1, _BLOCK_ROWS // 8)  # a float column per block: a mask block's bytes
+    m1 = 0
+    for (n, self_pairs), run in groupby(zip(sizes, self_reach)):
+        m0, m1 = m1, m1 + sum(1 for _ in run)
+        pi, pj = _site_pairs(n, self_pairs)
+        per = max(1, block // max(1, len(pi)))  # members per block
+        for a in range(m0, m1, per):
+            at = first[a : min(a + per, m1), None]
+            for lo in range(0, len(pi), block):
+                i, j = pi[lo : lo + block], pj[lo : lo + block]
+                member = np.arange(a, a + len(at)).repeat(len(i))
+                yield member, (i + at).ravel(), (j + at).ravel()
 
 
-def _stacked_pass(
+def _flat_pass(
     structures: list[Structure],
+    cutoffs: list[float],
     matrices: np.ndarray,
     bound: np.ndarray,
     reach: tuple[int, int, int],
-    cutoff: float,
 ) -> None:
-    """Memoize the `cutoff` tables of same-size structures, stacked.
+    """Memoize each structure's table at its own cutoff, in one pass.
 
     `matrices` (B, 3, 3) and `bound` (B, 3) hold each structure's cell and
-    slab bound; the offset grid of `reach` serves them all.  The masks are
-    laid out (structures, pairs, images), and a block of them holds at most
-    `_BLOCK_ROWS` cells over the whole batch.  A site-pair triangle longer
-    than one such block is pruned first, once (`_near_pairs`); a shorter one
-    is pruned inside its single block.  Only the images a structure keeps
-    are measured: one gather, `sqrt` and cutoff test per block, with one
-    product per structure and block.  A block's rows come structure by
-    structure, so each structure's part is a slice of the block's columns;
-    they are read-only, so no member can write into a sibling's table.
+    slab bound; the offset grid of `reach` serves them all.  The mask rows
+    are the flat pair list of `_pair_blocks`, and each row carries its
+    member's bound and cutoff.  Rows stay in member order, so each member's
+    table is a slice of the pass's columns; they are read-only, so no
+    member can write into a sibling's table.
     """
-    frac = np.stack([s.frac for s in structures])
     offsets, axes = _offset_grid(reach)
     g = len(offsets)
-    pi, pj = _site_pairs(frac.shape[1])
-    chunk = max(1, _BLOCK_ROWS // (g * len(pi)))
-    parts: list[list] = [[] for _ in structures]
-    for lo in range(0, len(structures), chunk):
-        rows = slice(lo, lo + chunk)
-        fr, mats, bnd = frac[rows], matrices[rows], bound[rows]
-        bs = len(fr)
-        bnd_axes = bnd.T[:, :, None, None]  # per axis, broadcast as (bs, 1, 1)
-        step = max(1, _BLOCK_ROWS // (g * bs))
-        one_step = len(pi) <= step
-        # a triangle longer than one block has g * len(pi) > _BLOCK_ROWS, so
-        # its chunk is bs == 1, and its pruned pairs may be none at all
-        ci, cj = (pi, pj) if one_step else _near_pairs(fr[0], bnd[0], pi, pj)
-        for start in range(0, len(ci), step):
-            bi, bj = ci[start : start + step], cj[start : start + step]
-            # `take` and `compress` give the C-ordered arrays that `fr[:, bj]`
-            # and `delta[:, near]` would, without numpy's slow fancy-indexing
-            # path for a middle axis
-            delta = np.take(fr, bj, axis=1) - np.take(fr, bi, axis=1)
-            if one_step:
-                # a pair that no member sees within its bound on every axis has
-                # no image to measure (three ANDs beat np.all over a length-3 axis)
-                within = np.abs(delta - np.rint(delta)) <= bnd[:, None]
-                near = (within[..., 0] & within[..., 1] & within[..., 2]).any(axis=0)
-                bi, bj, delta = bi[near], bj[near], np.compress(near, delta, axis=1)
-            ax = [
-                np.abs(d[..., None] + a) <= lim
-                for d, a, lim in zip(delta.transpose(2, 0, 1), axes, bnd_axes)
-            ]
-            hit = ax[0][..., :, None, None] & ax[1][..., None, :, None]
-            hit = (hit & ax[2][..., None, None, :]).reshape(bs, len(bi), g)
-            hit[:, bi == bj, : g // 2 + 1] = False  # the zero offset sits at g // 2
-            # row q of the block is member q // len(bi), pair q % len(bi); the
-            # rows come member by member, so each member's rows are one slice
-            q, k = np.nonzero(hit.reshape(-1, g))
-            disp = np.take(delta.reshape(-1, 3), q, axis=0) + offsets[k]
+    step = max(1, _BLOCK_ROWS // g)
+    cut = np.array(cutoffs, dtype=float)
+    sizes = [len(s) for s in structures]
+    frac = np.concatenate([s.frac for s in structures])
+    first = np.array([0, *accumulate(sizes[:-1])])  # each member's first row of `frac`
+    # |d - rint(d)| <= 0.5, so an axis whose bounds all reach 0.5 prunes
+    # nothing; the others are tested with the tightest first
+    low = bound.min(axis=0).tolist()
+    order = sorted((k for k in range(3) if low[k] < 0.5), key=low.__getitem__)
+    parts = []
+    for m, fi, fj in _pair_blocks(first, sizes, (bound.max(axis=1) >= 1.0).tolist()):
+        # |d - rint(d)| is a pair's nearest image offset on an axis, so a pair
+        # beyond its bound there has no row.  Within one mask block, every
+        # axis is tested at once; a longer list is pruned first, axis by
+        # axis, each later axis only on the pairs the earlier ones kept
+        one_step = len(m) <= step
+        for k in [] if one_step else order:
+            d = frac[:, k].take(fj) - frac[:, k].take(fi)
+            near = np.abs(d - np.rint(d)) <= bound[:, k].take(m)
+            m, fi, fj = (a.compress(near) for a in (m, fi, fj))
+        delta = frac.take(fj, axis=0) - frac.take(fi, axis=0)
+        bnd = bound.take(m, axis=0)
+        if one_step and order:
+            within = np.abs(delta - np.rint(delta)) <= bnd
+            near = within[:, 0] & within[:, 1] & within[:, 2]  # beats np.all
+            m, fi, fj, delta, bnd = (a.compress(near, axis=0) for a in (m, fi, fj, delta, bnd))
+        for lo in range(0, len(m), step):
+            bm, bi, bj, d, b = (a[lo : lo + step] for a in (m, fi, fj, delta, bnd))
+            ax = [np.abs(dk[:, None] + a) <= bk[:, None] for dk, a, bk in zip(d.T, axes, b.T)]
+            hit = ax[0][:, :, None, None] & ax[1][:, None, :, None]
+            hit = (hit & ax[2][:, None, None, :]).reshape(len(d), g)
+            hit[bi == bj, : g // 2 + 1] = False  # the zero offset sits at g // 2
+            p, k = np.nonzero(hit)
+            disp = d.take(p, axis=0) + offsets[k]
+            pm = bm.take(p)
             # (delta + offset) @ matrix, not delta @ M + offset @ M: the two
             # round differently, and a distance must not depend on the cutoff
-            # asked for.  The product is a 2D one per structure, as alone:
-            # BLAS fuses multiply-adds that numpy's own `*` and `+` do not, so
-            # no element-wise form matches it bit for bit.  A lone build
-            # (bs == 1) skips the member bookkeeping.
-            if bs == 1:
-                cart = disp @ mats[0]
-            else:
-                cart = np.empty_like(disp)
-                for b, (a, e) in enumerate(_member_slices(q, len(bi), bs)):
-                    np.matmul(disp[a:e], mats[b], out=cart[a:e])
+            # asked for.  The product is a 2D one per member, as alone: BLAS
+            # fuses multiply-adds that numpy's own `*` and `+` do not, so no
+            # element-wise form matches it bit for bit.
+            cart = np.empty_like(disp)
+            lo_m, hi_m = int(bm[0]), int(bm[-1]) + 1
+            cuts = pm.searchsorted(np.arange(lo_m, hi_m + 1)).tolist()
+            for mm, a, e in zip(range(lo_m, hi_m), cuts, cuts[1:]):
+                np.matmul(disp[a:e], matrices[mm], out=cart[a:e])
             dist = np.sqrt((cart * cart).sum(axis=1))  # np.linalg.norm's sum
-            keep = dist <= cutoff
-            q, k, dist = q[keep], k[keep], dist[keep]
-            p = q if bs == 1 else q % len(bi)
-            cols = (bi[p], bj[p], offsets[k], dist)
-            for c in cols:  # each member's slices are views of these
-                c.setflags(write=False)
-            if bs == 1:
-                parts[lo].append(cols)
-            else:
-                for b, (a, e) in enumerate(_member_slices(q, len(bi), bs)):
-                    parts[lo + b].append(tuple(c[a:e] for c in cols))
-    for s, part in zip(structures, parts):
-        cols = part[0] if len(part) == 1 else [np.concatenate(c) for c in zip(*part)]
-        s.__dict__["_pair_table"] = (cutoff, PairTable(*cols) if part else _EMPTY)
-
-
-def _member_slices(q: np.ndarray, n_pairs: int, bs: int) -> list[tuple[int, int]]:
-    """Each member's (start, stop) in the sorted block rows `q` of `_stacked_pass`."""
-    cuts = np.searchsorted(q, np.arange(bs + 1) * n_pairs).tolist()
-    return list(zip(cuts[:-1], cuts[1:]))
+            keep = dist <= cut.take(pm)
+            p, k = p[keep], k[keep]
+            parts.append((pm[keep], bi[p], bj[p], offsets[k], dist[keep]))
+    empty = (_EMPTY.i, _EMPTY.i, _EMPTY.j, _EMPTY.image, _EMPTY.distance)
+    cols = parts[0] if len(parts) == 1 else map(np.concatenate, zip(empty, *parts))
+    member, i, j, *cols = cols
+    at = first.take(member)
+    cols = [i - at, j - at, *cols]  # each member's own site numbers
+    for c in cols:  # each member's slices are views of these
+        c.setflags(write=False)
+    cuts = member.searchsorted(np.arange(len(structures) + 1)).tolist()
+    for s, c, a, e in zip(structures, cutoffs, cuts, cuts[1:]):
+        s.__dict__["_pair_table"] = (c, PairTable(*(col[a:e] for col in cols)))
 
 
 def min_image_distance(structure: Structure, i: int, j: int) -> float:
@@ -375,9 +363,14 @@ def min_pair_distance(structure: Structure) -> float:
     # self-image distance, so a table at that cutoff is never empty.
     _, table = structure.__dict__.get("_pair_table", (None, None))
     if table is None or not len(table):
-        bound = float(np.min(np.linalg.norm(_check_cell(structure), axis=1)))
-        table = _pair_table(structure, bound * (1.0 + _BOUND_SLACK))
+        table = _pair_table(structure, _row_cutoff(structure), _row_cutoff)
     return float(np.min(table.distance))
+
+
+def _row_cutoff(structure: Structure) -> float:
+    """The shortest lattice row, as a cutoff that keeps its self-image."""
+    bound = float(np.min(np.linalg.norm(structure.lattice.matrix, axis=1)))
+    return bound * (1.0 + _BOUND_SLACK)
 
 
 def volume_per_atom(structure: Structure) -> float:
@@ -408,14 +401,19 @@ def covalent_pairs(structure: Structure, scale: float) -> tuple[PairTable, np.nd
     if scale <= 0.0:
         _check_cell(structure)
         return _EMPTY, np.empty(0)
-    r_max = max(COVALENT_RADII[e] for e in set(structure.elements))
-    table = _pair_table(structure, scale * (2.0 * r_max))
+    cutoff_of = partial(_covalent_cutoff, scale=scale)
+    table = _pair_table(structure, cutoff_of(structure), cutoff_of)
     if not len(table):
         return table, np.empty(0)
     r = _covalent_radii(structure)
     rsum = r[table.i] + r[table.j]
     keep = table.distance <= scale * rsum
     return _select(table, keep), rsum[keep]
+
+
+def _covalent_cutoff(structure: Structure, scale: float) -> float:
+    """scale * 2 * max(r): the widest covalent pair cutoff of `structure`."""
+    return scale * (2.0 * max(COVALENT_RADII[e] for e in set(structure.elements)))
 
 
 def build_neighbor_list(

@@ -323,10 +323,9 @@ def _score_in_chunks(
 
     The texts are parsed `_SCORE_CHUNK` at a time, and each chunk is scored
     inside one `shared_pair_pass`, so the first pair-table miss of a chunk
-    builds that cutoff for every same-size member at once; the search and
-    every CIF command score through here.  A chunk's
-    structures are released before the next chunk is parsed, unless
-    `score` keeps them.
+    builds every member's table at once, each at its own cutoff; the search
+    and every CIF command score through here.  A chunk's structures are
+    released before the next chunk is parsed, unless `score` keeps them.
     """
     results: list[_R] = []
     for lo in range(0, len(texts), _SCORE_CHUNK):

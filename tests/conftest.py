@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from catloop import geometry
 from catloop.cif import Lattice, Structure
 from catloop.elements import SYMBOLS
 from catloop.textify import SystemMetadata
@@ -20,6 +21,21 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """Every pair-kernel pass the test makes, in order, as (members, cutoffs,
+    offset reach)."""
+    passes = []
+    flat_pass = geometry._flat_pass
+
+    def record(structures, cutoffs, matrices, bound, reach):
+        passes.append((list(structures), list(cutoffs), reach))
+        return flat_pass(structures, cutoffs, matrices, bound, reach)
+
+    monkeypatch.setattr(geometry, "_flat_pass", record)
+    return passes
 
 
 def make_structure(

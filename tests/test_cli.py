@@ -1,13 +1,14 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
 import argparse
+import itertools
 import json
 import re
 from dataclasses import asdict
 
 import pytest
 
-from catloop import __version__, geometry
+from catloop import __version__
 from catloop.cif import parse_cif, serialize_cif
 from catloop.cli import build_parser, main, parse_composition_arg
 from catloop.policy import GrpoConfig, MmtgConfig
@@ -38,12 +39,13 @@ def write_config(tmp_path, config):
     return str(cfg)
 
 
-def write_clean_corpus(tmp_path, n=6, comp=TARGET):
+def write_clean_corpus(tmp_path, n=6, comps=(TARGET,)):
+    """`n` generated files cycling through the compositions `comps`, file k from seed k."""
     gen = MutationGenerator()
     paths = []
     for seed in range(n):
         p = tmp_path / f"cand_{seed}.cif"
-        p.write_text(gen.propose(None, comp, seed))
+        p.write_text(gen.propose(None, comps[seed % len(comps)], seed))
         paths.append(str(p))
     return paths
 
@@ -259,19 +261,37 @@ def test_validate_chunked_equals_each_file_alone(tmp_path, capsys):
 
 @pytest.mark.parametrize("n, passes", [(64, 1), (130, 3)])
 def test_validate_builds_one_pair_pass_per_chunk(
-    tmp_path, monkeypatch, capsys, n, passes
+    tmp_path, capsys, kernel_passes, n, passes
 ):
     paths = write_clean_corpus(tmp_path, n=n)
-    build = geometry._build_tables
-    calls = []
-    monkeypatch.setattr(
-        geometry, "_build_tables",
-        lambda structures, cutoff: calls.append(len(structures))
-        or build(structures, cutoff),
-    )
     files = _validate_files(capsys, *paths)
     assert len(files) == n and all(f["reward"]["total"] == 1.0 for f in files)
-    assert len(calls) == passes and sum(calls) == n
+    assert len(kernel_passes) == passes
+    assert sum(len(members) for members, _, _ in kernel_passes) == n
+
+
+# eight compositions of 4-9 sites: each needs its own covalent cutoff
+MIXED_TARGETS = [
+    {"Cu": 4, "O": 2}, {"Zn": 4, "O": 2}, {"Ni": 3, "O": 3}, {"Pt": 2, "O": 2},
+    {"Cu": 6, "O": 3}, {"Pd": 4, "C": 2}, {"Fe": 2, "O": 3}, {"Co": 3, "O": 4},
+]
+
+
+def test_validate_mixed_corpus_builds_each_file_once(tmp_path, capsys, kernel_passes):
+    paths = write_clean_corpus(tmp_path, n=192, comps=MIXED_TARGETS)
+    together = _validate_files(capsys, *paths)
+    built = [s for members, _, _ in kernel_passes for s in members]
+    assert len({id(s) for s in built}) == len(built) == 192
+    # every pass lies inside one 64-file chunk, and a chunk makes at most
+    # one pass per offset reach
+    ends = list(itertools.accumulate(len(members) for members, _, _ in kernel_passes))
+    assert {64, 128, 192} <= set(ends)
+    keys = [((end - 1) // 64, reach) for end, (_, _, reach) in zip(ends, kernel_passes)]
+    assert len(set(keys)) == len(keys)
+    # seven cutoffs: Cu4O2 and Cu6O3 share Cu's
+    assert len({c for _, cutoffs, _ in kernel_passes for c in cutoffs}) == 7
+    alone = [_validate_files(capsys, p)[0] for p in paths]
+    assert together == alone
 
 
 def test_validate_unreadable_mixed(tmp_path, capsys):
@@ -1051,20 +1071,26 @@ def test_geometry_logs_why_no_file_was_inspected(tmp_path, capsys, slab_files):
     assert err.splitlines()[-1].endswith("no input could be inspected")
 
 
-def test_geometry_same_size_corpus_shares_one_pass(tmp_path, monkeypatch, capsys):
+def test_geometry_same_size_corpus_shares_one_pass(tmp_path, capsys, kernel_passes):
     paths = write_clean_corpus(tmp_path, n=64)
-    stacked = geometry._stacked_pass
-    calls = []
-    monkeypatch.setattr(
-        geometry, "_stacked_pass",
-        lambda structures, *rest: calls.append(len(structures))
-        or stacked(structures, *rest),
-    )
     code, out, _ = run_cli(
         capsys, "geometry", *paths, "--neighbors", "--format", "json"
     )
     assert code == 0 and len(json.loads(out)["files"]) == 64
-    assert calls == [64]
+    assert [len(members) for members, _, _ in kernel_passes] == [64]
+
+
+def test_geometry_mixed_elements_share_one_pass(tmp_path, capsys, kernel_passes):
+    # Zn's covalent cutoff is wider than Cu's: each file is built once, at
+    # its own cutoff, in the first miss's pass
+    paths = write_clean_corpus(tmp_path, n=64, comps=({"Zn": 4, "O": 2}, TARGET))
+    argv = ("--neighbors", "--format", "json")
+    code, out, _ = run_cli(capsys, "geometry", *paths, *argv)
+    assert code == 0
+    [(members, cutoffs, _)] = kernel_passes
+    assert len(members) == 64 and len(set(cutoffs)) == 2
+    alone = [json.loads(run_cli(capsys, "geometry", p, *argv)[1]) for p in paths]
+    assert json.loads(out)["files"] == [a["files"][0] for a in alone]
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 from catloop import geometry
 from catloop.cif import Lattice
 from catloop.geometry import (
+    MAX_IMAGES,
     DegenerateCellError,
     build_neighbor_list,
     covalent_pairs,
@@ -166,7 +167,7 @@ def batch_members(rng):
 
     At 6 A the 5.2-5.8 A and 4.2 A cells have offset reach (2, 2, 2), the
     12.5-14 A cells (1, 1, 1) and the 25-degree cell (4, 4, 2); two cells
-    are degenerate and one needs more than MAX_IMAGES images.
+    are degenerate and two need more than MAX_IMAGES images.
     """
     out = []
     for n, span in ((3, (5.2, 5.8)), (1, (5.2, 5.8)), (5, (5.2, 5.8)),
@@ -188,6 +189,9 @@ def batch_members(rng):
         make_structure(["O"], [(0, 0, 0)], lengths=(1.0, 1.0, 5e-324),
                        angles=(30, 30, 30)),
         make_structure(["Cu", "O"], [(0, 0, 0), (0.5, 0.5, 0.5)], lengths=(0.2,) * 3),
+        # over the budget at its own covalent cutoff at scale 1.2 (Cs: 2.44 A),
+        # where the Cu/O cell above fits it
+        make_structure(["Cs", "H"], [(0, 0, 0), (0.5, 0.5, 0.5)], lengths=(0.2,) * 3),
         # a wider slab bound than the first member's, with a pair that only
         # this member's own bound keeps
         make_structure(["Cu", "O"], [(0, 0, 0), (0.4, 0, 0)], lengths=(4.2,) * 3),
@@ -205,32 +209,66 @@ def offset_reach(structure, cutoff):
     return tuple(np.ceil(cutoff / spacings + 0.5))
 
 
-def table_or_error(structure, cutoff):
+def own_cutoff(query, structure):
+    """The cutoff `query` builds `structure`'s table at: its own rule's."""
+    kind, x = query
+    if kind == "pairs":
+        return x
+    return x * (2.0 * max(COVALENT_RADII[e] for e in structure.elements))
+
+
+def fits_budget(structure, cutoff):
+    reach = offset_reach(structure, cutoff)
+    return reach is not None and np.prod(2.0 * np.array(reach) + 1.0) <= MAX_IMAGES
+
+
+def table_or_error(query, structure):
+    kind, x = query
     try:
-        return geometry._pair_table(structure, cutoff)
+        if kind == "pairs":
+            return geometry._pair_table(structure, x)
+        return covalent_pairs(structure, x)[0]
     except DegenerateCellError as exc:
         return str(exc)
 
 
 @pytest.mark.parametrize("block_rows", [None, 64])
-@pytest.mark.parametrize("cutoff", [6.0, 2.0])
-def test_shared_pass_tables_equal_tables_built_alone(monkeypatch, cutoff, block_rows):
+@pytest.mark.parametrize(
+    "query, errors",
+    [
+        (("pairs", 6.0), {"volume", "lattice"}),
+        (("pairs", 2.0), {"volume"}),
+        # mixed elements: every member asks at its own covalent cutoff
+        (("covalent", 0.75), {"volume"}),
+        (("covalent", 1.2), {"volume", "lattice"}),
+    ],
+    ids=["6.0", "2.0", "covalent-0.75", "covalent-1.2"],
+)
+def test_shared_pass_tables_equal_tables_built_alone(
+    monkeypatch, kernel_passes, query, errors, block_rows
+):
     members = batch_members(np.random.default_rng(43))
-    alone = [table_or_error(dataclasses.replace(s), cutoff) for s in members]
-    errors = {err.split()[1] for err in alone if isinstance(err, str)}
-    assert errors == ({"volume", "lattice"} if cutoff == 6.0 else {"volume"})
-    if block_rows is not None:  # many chunks and blocks over the batch
+    alone = [table_or_error(query, dataclasses.replace(s)) for s in members]
+    cutoffs = [own_cutoff(query, s) for s in members]
+    assert len(set(cutoffs)) > 1 or query[0] == "pairs"
+    # alone, a member raises exactly when its own cutoff does not fit
+    fits = [fits_budget(s, c) for s, c in zip(members, cutoffs)]
+    assert [not isinstance(t, str) for t in alone] == fits
+    assert {err.split()[1] for err in alone if isinstance(err, str)} == errors
+    if block_rows is not None:  # many blocks over the batch
         monkeypatch.setattr(geometry, "_BLOCK_ROWS", block_rows)
     group = [dataclasses.replace(s) for s in members]  # no memoized tables
-    reaches = [offset_reach(s, cutoff) for s in group]
-    assert len(set(reaches)) >= 3
+    reaches = [offset_reach(s, c) for s, c in zip(group, cutoffs)]
+    assert len({r for r, ok in zip(reaches, fits) if ok}) >= 3
+    kernel_passes.clear()
     with shared_pair_pass(group):
-        first = table_or_error(group[0], cutoff)
-        # one pass built every member with the first one's site count and reach
-        assert ["_pair_table" in s.__dict__ for s in group] == [
-            len(s) == len(group[0]) and r == reaches[0] for s, r in zip(group, reaches)
-        ]
-        got = [first] + [table_or_error(s, cutoff) for s in group[1:]]
+        first = table_or_error(query, group[0])
+        # the first miss built every member that fits at its own cutoff, in
+        # one pass per offset reach; a degenerate or over-budget one waits
+        assert ["_pair_table" in s.__dict__ for s in group] == fits
+        got = [first] + [table_or_error(query, s) for s in group[1:]]
+    passes = sorted(tuple(map(float, reach)) for _, _, reach in kernel_passes)
+    assert passes == sorted({r for r, ok in zip(reaches, fits) if ok})
     for want, have in zip(alone, got):
         if isinstance(want, str):  # the same error as alone, on its own call
             assert have == want
@@ -242,8 +280,8 @@ def test_shared_pass_tables_equal_tables_built_alone(monkeypatch, cutoff, block_
     assert not any("_pair_group" in s.__dict__ for s in group)
 
 
-def test_shared_pass_miss_builds_only_same_size_siblings():
-    # one cell, so every member has the same offset reach; only the size differs
+def test_shared_pass_miss_builds_every_member_without_a_table(kernel_passes):
+    # one cell, so every member has the same offset reach; the sizes differ
     rng = np.random.default_rng(47)
     members = [
         make_structure(["Cu", "O", "Zn", "Pt"][:n] * 2, rng.random((2 * n, 3)),
@@ -254,16 +292,18 @@ def test_shared_pass_miss_builds_only_same_size_siblings():
     alone = [geometry._pair_table(dataclasses.replace(s), cutoff) for s in members]
     group = [dataclasses.replace(s) for s in members]
     assert len({offset_reach(s, cutoff) for s in group}) == 1
+    geometry._pair_table(group[3], 1.0)  # a narrower table than the group asks for
+    kernel_passes.clear()
     with shared_pair_pass(group):
         got = [geometry._pair_table(group[1], cutoff)]
-        assert ["_pair_table" in s.__dict__ for s in group] == [
-            False, True, False, False, False
-        ]
+        # the first miss built every other member, whatever its size, but
+        # left the one that had a table
+        [(built, _, _)] = kernel_passes
+        assert sorted(map(id, built)) == sorted(id(group[k]) for k in (0, 1, 2, 4))
+        assert group[3].__dict__["_pair_table"][0] == 1.0
         got = [geometry._pair_table(group[0], cutoff)] + got
-        # the first 2-site miss built the other 2-site member too
-        assert "_pair_table" in group[4].__dict__
-        assert "_pair_table" not in group[2].__dict__
         got += [geometry._pair_table(s, cutoff) for s in group[2:]]
+    assert [len(built) for built, _, _ in kernel_passes] == [4, 1]
     for want, have in zip(alone, got):
         for col in ("i", "j", "image"):
             assert np.array_equal(getattr(have, col), getattr(want, col))
@@ -272,8 +312,8 @@ def test_shared_pass_miss_builds_only_same_size_siblings():
 
 @pytest.mark.parametrize("cutoff", [1.98, 6.0])
 def test_shared_pass_of_pre_pruned_members(monkeypatch, cutoff):
-    # small blocks: each 128-site triangle is pruned in several blocks before
-    # its image masks, one member per chunk
+    # small blocks: each 128-site triangle spans several pair blocks, each
+    # pruned axis by axis before its image masks
     first = many_site_structure(128)
     frac = np.random.default_rng(53).random((128, 3))
     members = [first, dataclasses.replace(first, frac=frac)]  # one offset reach
@@ -336,13 +376,21 @@ def test_shared_pass_members_get_their_own_rows(cutoff, batch):
                 got[...] = 0
 
 
-def test_near_pairs_drops_self_pairs_only_below_one_on_every_axis():
-    pi, pj = geometry._site_pairs(4)
-    frac = np.zeros((4, 3))  # every pair is in reach on every axis
-    kept = geometry._near_pairs(frac, np.array([0.9, 0.6, 0.9]), pi, pj)
-    assert list(zip(*kept)) == [(i, j) for i, j in zip(pi, pj) if i != j]
-    kept = geometry._near_pairs(frac, np.array([0.9, 0.6, 1.0]), pi, pj)
-    assert list(zip(*kept)) == list(zip(pi, pj))
+@pytest.mark.parametrize("block_rows", [None, 64])
+def test_pair_blocks_list_self_pairs_only_where_in_reach(monkeypatch, block_rows):
+    if block_rows is not None:  # blocks of 8 rows: every triangle is split
+        monkeypatch.setattr(geometry, "_BLOCK_ROWS", block_rows)
+    sizes, self_reach = [4, 4, 1, 6, 6, 6], [True, False, False, True, True, False]
+    first = np.array([0, *itertools.accumulate(sizes[:-1])])
+    blocks = list(geometry._pair_blocks(first, sizes, self_reach))
+    assert all(len(m) <= geometry._BLOCK_ROWS // 8 for m, _, _ in blocks)
+    rows = [tuple(row) for b in blocks for row in zip(*(a.tolist() for a in b))]
+    want = [
+        (m, i + first[m], j + first[m])
+        for m, (n, self_pairs) in enumerate(zip(sizes, self_reach))
+        for i, j in zip(*np.triu_indices(n, 0 if self_pairs else 1))
+    ]
+    assert rows == want
 
 
 def test_triangle_cache_is_read_only_and_bounded():
@@ -352,6 +400,8 @@ def test_triangle_cache_is_read_only_and_bounded():
         assert np.array_equal(pi, want_i) and np.array_equal(pj, want_j)
         assert not pi.flags.writeable and not pj.flags.writeable
         assert geometry._site_pairs(n)[0] is pi  # cached
+        strict = geometry._site_pairs(n, self_pairs=False)
+        assert all(np.array_equal(a, b) for a, b in zip(strict, np.triu_indices(n, 1)))
     # 362 sites have 65,703 pairs, over the limit of 65,536: built, not kept
     before = geometry._triangle.cache_info().currsize
     pi, pj = geometry._site_pairs(362)

@@ -630,7 +630,7 @@ def test_initialize_pool_failing_predictor_raises():
         )
 
 
-def test_refine_step_builds_one_shared_pass(monkeypatch):
+def test_refine_step_builds_one_shared_pass(kernel_passes):
     # the 16 candidates share one kernel run at the surrogate's 6 A, and no
     # structure keeps its generation's grouping afterwards
     cfg = base_config(target_composition={"Cu": 4, "O": 2}, pool_capacity=4,
@@ -638,15 +638,11 @@ def test_refine_step_builds_one_shared_pass(monkeypatch):
     rng = np.random.default_rng(2)
     gen, pred = MutationGenerator(), PairPotentialSurrogate()
     pool, _ = initialize_pool(gen, pred, cfg, rng)
-    build = geometry._build_tables
-    calls = []
-    monkeypatch.setattr(
-        geometry, "_build_tables",
-        lambda structures, cutoff: calls.append((len(structures), cutoff))
-        or build(structures, cutoff),
-    )
+    kernel_passes.clear()
     log = refine_step(pool, gen, pred, cfg, rng, 1)
-    assert calls == [(16, 6.0)]
+    assert [(len(members), set(cutoffs)) for members, cutoffs, _ in kernel_passes] == [
+        (16, {6.0})
+    ]
     assert len(log.candidate_scores) == 16 and min(log.candidate_scores) > 0.0
     assert not any("_pair_group" in e.structure.__dict__ for e in pool.entries)
 
