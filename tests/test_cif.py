@@ -14,6 +14,7 @@ from catloop.cif import (
     Lattice,
     Structure,
     _number_column,
+    _quote,
     _tokenize,
     composition_of,
     frac_circle_distance,
@@ -532,6 +533,32 @@ def test_serialized_values_re_parse(minimal_cif, label, symbol):
     out = parse_cif(serialize_cif(s))
     assert out.ok and out.defects == ()
     assert structures_close(s, out.structure)
+
+
+def _quote_by_regex(value: str) -> str:
+    """`_quote` as it was before its alphanumeric shortcut: the reference."""
+    if value.splitlines() == [value]:
+        m = _TOKEN_RE.match(value)
+        if m is not None and m[3] == value and value[0] != ";":
+            return value
+        for quote in "'\"":
+            if quote not in value:
+                return f"{quote}{value}{quote}"
+    return f"\n;{value}\n;\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        # alphanumeric, ASCII or not: the shortcut writes these bare
+        "Cu1", "O", "1", "P1", "loop", "data", "Å1", "½", "²", "Ⅻ", "Ｃｕ１",
+        # not alphanumeric: the regex path decides
+        ";a", "_a", "data_x", "loop_", "#a", "'a", "a b", "P 1",
+    ],
+)
+def test_quote_equals_the_regex_path(value):
+    assert _quote(value) == _quote_by_regex(value)
+    assert _tokenize(_quote(value).splitlines(), [])[0] == [value]
 
 
 def test_round_trip_random_structures():

@@ -1,6 +1,7 @@
 """Closed-loop search: surrogates, defect injection, the pool, and the loop."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import time
@@ -345,6 +346,28 @@ def test_injection_rates_recovered():
     # independent Bernoulli draws: observed rate within ~3 sigma
     assert abs(hits["syntax"] / n - 0.15) < 3 * math.sqrt(0.15 * 0.85 / n)
     assert abs(hits["overlap"] / n - 0.4) < 3 * math.sqrt(0.4 * 0.6 / n)
+
+
+# SHA-256 over `propose` texts, each followed by a NUL, in the loop order of
+# the test below.  The generator's bytes feed every search digest and the
+# validate corpora, so a change here is a deliberate re-baseline.
+PROPOSE_DIGEST = "68aae109677bfa34d8fea7bbae96b5f78efacc5d5fc5f6b126068abebbc17986"
+
+
+def test_propose_bytes_are_pinned():
+    criterion_6 = DefectRates(
+        syntax=0.10, missing_field=0.15, composition=0.20, overlap=0.25
+    )
+    sha = hashlib.sha256()
+    for target in ({"Cu": 4, "O": 2}, {"Cu": 43, "O": 21}, {"Pt": 2, "O": 2, "H": 1}):
+        exemplar = parse_cif(MutationGenerator().propose(None, target, 1000)).structure
+        for rates in (DefectRates(), criterion_6):
+            gen = MutationGenerator(defect_rates=rates)
+            for ex in (None, exemplar):
+                for seed in range(250):
+                    sha.update(gen.propose(ex, target, seed).encode())
+                    sha.update(b"\0")
+    assert sha.hexdigest() == PROPOSE_DIGEST
 
 
 # ---------------------------------------------------------------------------
