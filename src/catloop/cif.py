@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -164,14 +163,15 @@ class Lattice:
             v = getattr(self, name)
             if not (math.isfinite(v) and 0.0 < v < 180.0):
                 raise ValueError(f"cell angle {name}={v!r} must lie in (0, 180)")
-        if self._volume_factor_sq() <= 0.0:
-            raise ValueError("cell angles do not define a positive-volume cell")
-
-    def _volume_factor_sq(self) -> float:
         ca = math.cos(math.radians(self.alpha))
         cb = math.cos(math.radians(self.beta))
         cg = math.cos(math.radians(self.gamma))
-        return 1.0 - ca * ca - cb * cb - cg * cg + 2.0 * ca * cb * cg
+        # (V / abc)^2, computed once here for `matrix` and `volume`; a plain
+        # attribute, since a `cached_property` costs more than the formula
+        vfac_sq = 1.0 - ca * ca - cb * cb - cg * cg + 2.0 * ca * cb * cg
+        if vfac_sq <= 0.0:
+            raise ValueError("cell angles do not define a positive-volume cell")
+        object.__setattr__(self, "_volume_factor_sq", vfac_sq)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -180,7 +180,7 @@ class Lattice:
         cb = math.cos(math.radians(self.beta))
         cg = math.cos(math.radians(self.gamma))
         sg = math.sin(math.radians(self.gamma))
-        vfac = math.sqrt(self._volume_factor_sq())
+        vfac = math.sqrt(self._volume_factor_sq)
         m = np.array(
             [
                 [self.a, 0.0, 0.0],
@@ -194,7 +194,7 @@ class Lattice:
     @property
     def volume(self) -> float:
         """Cell volume in cubic angstroms."""
-        return self.a * self.b * self.c * math.sqrt(self._volume_factor_sq())
+        return self.a * self.b * self.c * math.sqrt(self._volume_factor_sq)
 
     @property
     def lengths(self) -> tuple[float, float, float]:
@@ -268,12 +268,13 @@ class Structure:
 
     def __post_init__(self) -> None:
         labels, elements = tuple(self.labels), tuple(self.elements)
-        # a C-ordered copy, also of a transposed array: the caller's array
-        # must not change a memoized pair table
-        frac = np.array(self.frac, dtype=float, order="C")
-        if not labels:
+        # C order, also for a transposed array; `wrap_fractional` below makes
+        # the copy, so the caller's array cannot change a memoized pair table
+        frac = np.asarray(self.frac, dtype=float, order="C")
+        n_sites = len(labels)
+        if not n_sites:
             raise ValueError("structure must contain at least one site")
-        if len(elements) != len(labels) or frac.shape != (len(labels), 3):
+        if len(elements) != n_sites or frac.shape != (n_sites, 3):
             raise ValueError("labels, elements and frac need the same number of sites")
         for element in elements:
             if element not in COVALENT_RADII:
@@ -281,7 +282,7 @@ class Structure:
         if not all(labels):
             raise ValueError("site label must be non-empty")
         sg = self.space_group_symbol
-        if sg is not None and (sg != sg.strip() or sg in ("", *_PLACEHOLDERS)):
+        if sg is not None and (not sg or sg != sg.strip() or sg in _PLACEHOLDERS):
             raise ValueError(f"space group symbol {sg!r} is empty, padded or '?'/'.'")
         _check_writable(labels if sg is None else (*labels, sg), "label or space group")
         if not np.isfinite(frac).all():
@@ -303,8 +304,10 @@ class Structure:
 
 def composition_of(structure: Structure) -> dict[str, int]:
     """Element -> count for the structure, keys sorted alphabetically."""
-    counts = Counter(structure.elements)
-    return {el: counts[el] for el in sorted(counts)}
+    counts = dict.fromkeys(sorted(set(structure.elements)), 0)
+    for element in structure.elements:
+        counts[element] += 1
+    return counts
 
 
 @dataclass(frozen=True)
@@ -795,6 +798,10 @@ def _quote(value: str) -> str:
     break, becomes a text field on lines of its own.  `value` is never
     empty: `Structure` refuses empty labels and space-group symbols.
     """
+    # no space, tab, quote, `#`, `;`, `_` or line break is alphanumeric, so
+    # `_TOKEN_RE` reads such a value whole as a bare token
+    if value.isalnum():
+        return value
     if value.splitlines() == [value]:  # non-empty and on one line
         m = _TOKEN_RE.match(value)
         if m is not None and m[3] == value and value[0] != ";":
@@ -803,6 +810,17 @@ def _quote(value: str) -> str:
             if quote not in value:
                 return f"{quote}{value}{quote}"
     return f"\n;{value}\n;\n"
+
+
+# the block header, cell and space-group lines; the site loop's header; one
+# site row.  `%.9f` writes the same digits as `{:.9f}`, and formats faster.
+_HEAD_TEMPLATE = (
+    "data_%s\n"
+    + "".join(f"{tag} %.9f\n" for tag in CELL_TAGS)
+    + "_symmetry_space_group_name_H-M %s\n"
+)
+_LOOP_HEAD = "loop_\n" + "".join(f"{tag}\n" for tag in SITE_TAGS)
+_SITE_ROW = "%s %s %.9f %.9f %.9f\n"
 
 
 def serialize_cif(structure: Structure) -> str:
@@ -815,22 +833,27 @@ def serialize_cif(structure: Structure) -> str:
     """
     comp = composition_of(structure)
     lat = structure.lattice
-    lines = ["data_" + "".join(f"{el}{n}" for el, n in comp.items())]
-    for tag, value in zip(CELL_TAGS, (*lat.lengths, *lat.angles)):
-        lines.append(f"{tag} {value:.9f}")
     sg = structure.space_group_symbol
-    lines.append(
-        "_symmetry_space_group_name_H-M " + (_quote(sg) if sg is not None else "?")
-    )
+    parts = [
+        _HEAD_TEMPLATE % (
+            "".join([f"{el}{n}" for el, n in comp.items()]),
+            lat.a, lat.b, lat.c, lat.alpha, lat.beta, lat.gamma,
+            "?" if sg is None else _quote(sg),
+        )
+    ]
     if structure.space_group_number is not None:
-        lines.append(f"_symmetry_Int_Tables_number {structure.space_group_number}")
-    lines.append("loop_")
-    lines.extend(SITE_TAGS)
-    for label, element, (x, y, z) in zip(
-        structure.labels, structure.elements, structure.frac.tolist()
-    ):
-        lines.append(f"{_quote(label)} {element} {x:.9f} {y:.9f} {z:.9f}")
-    return "\n".join(lines) + "\n"
+        parts.append(f"_symmetry_Int_Tables_number {structure.space_group_number}\n")
+    parts.append(_LOOP_HEAD)
+    labels = structure.labels
+    if not "".join(labels).isalnum():  # else `_quote` leaves every label bare
+        labels = map(_quote, labels)
+    parts += [
+        _SITE_ROW % (label, element, x, y, z)
+        for label, element, (x, y, z) in zip(
+            labels, structure.elements, structure.frac.tolist()
+        )
+    ]
+    return "".join(parts)
 
 
 def frac_circle_distance(

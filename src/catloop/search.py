@@ -287,24 +287,16 @@ class MutationGenerator:
             beta=90.0,
             gamma=90.0,
         )
-        labels, frac = [], []
-        counts: dict[str, int] = {}
-        for el, cell in zip(symbols, chosen):
-            idx = (
-                cell // (dims[1] * dims[2]),
-                (cell // dims[2]) % dims[1],
-                cell % dims[2],
-            )
-            # jitter of at most 0.05 * spacing per cartesian axis keeps
-            # distinct grid cells at least 0.9 * spacing apart
-            frac.append(
-                [(idx[k] + 0.5 + rng.uniform(-0.05, 0.05)) / dims[k] for k in range(3)]
-            )
-            counts[el] = counts.get(el, 0) + 1
-            labels.append(f"{el}{counts[el]}")
+        idx = np.array(np.unravel_index(chosen, dims)).T  # grid cell per site
+        # jitter of at most 0.05 * spacing per cartesian axis keeps distinct
+        # grid cells at least 0.9 * spacing apart; one (n, 3) draw is the
+        # same stream, site by site and axis by axis, as 3n scalar draws
+        frac = (idx + 0.5 + rng.uniform(-0.05, 0.05, size=(n, 3))) / dims
         return Structure(
             lattice=lattice,
-            labels=tuple(labels),
+            labels=tuple(
+                f"{el}{k}" for el in sorted(target) for k in range(1, target[el] + 1)
+            ),
             elements=tuple(symbols),
             frac=frac,
             space_group_symbol="P 1",
@@ -313,15 +305,18 @@ class MutationGenerator:
 
     def _mutate(self, exemplar: Structure, rng: np.random.Generator) -> Structure:
         amp = self.coord_jitter * rng.random()
-        n = len(exemplar)
-        shifts = rng.uniform(-amp, amp, size=(n, 3))
+        shifts = rng.uniform(-amp, amp, size=exemplar.frac.shape)
         lat_amp = self.lattice_jitter * rng.random()
-        factors = 1.0 + rng.uniform(-lat_amp, lat_amp, size=3)
+        fa, fb, fc = (1.0 + rng.uniform(-lat_amp, lat_amp, size=3)).tolist()
         lat = exemplar.lattice
-        lattice = replace(
-            lat, a=lat.a * factors[0], b=lat.b * factors[1], c=lat.c * factors[2]
+        return Structure(
+            Lattice(lat.a * fa, lat.b * fb, lat.c * fc, lat.alpha, lat.beta, lat.gamma),
+            exemplar.labels,
+            exemplar.elements,
+            exemplar.frac + shifts,
+            exemplar.space_group_symbol,
+            exemplar.space_group_number,
         )
-        return replace(exemplar, lattice=lattice, frac=exemplar.frac + shifts)
 
 
 def _corrupt_composition(structure: Structure) -> Structure:
