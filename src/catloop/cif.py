@@ -271,10 +271,9 @@ class Structure:
         # C order, also for a transposed array; `wrap_fractional` below makes
         # the copy, so the caller's array cannot change a memoized pair table
         frac = np.asarray(self.frac, dtype=float, order="C")
-        n_sites = len(labels)
-        if not n_sites:
+        if not labels:
             raise ValueError("structure must contain at least one site")
-        if len(elements) != n_sites or frac.shape != (n_sites, 3):
+        if len(elements) != len(labels) or frac.shape != (len(labels), 3):
             raise ValueError("labels, elements and frac need the same number of sites")
         for element in elements:
             if element not in COVALENT_RADII:
@@ -831,29 +830,19 @@ def serialize_cif(structure: Structure) -> str:
     A structure without a space group is written with the CIF unknown-value
     marker `?` so the tag stays present.
     """
-    comp = composition_of(structure)
-    lat = structure.lattice
-    sg = structure.space_group_symbol
-    parts = [
-        _HEAD_TEMPLATE % (
-            "".join([f"{el}{n}" for el, n in comp.items()]),
-            lat.a, lat.b, lat.c, lat.alpha, lat.beta, lat.gamma,
-            "?" if sg is None else _quote(sg),
-        )
-    ]
+    lat, sg = structure.lattice, structure.space_group_symbol
+    text = _HEAD_TEMPLATE % (
+        "".join([f"{el}{n}" for el, n in composition_of(structure).items()]),
+        lat.a, lat.b, lat.c, lat.alpha, lat.beta, lat.gamma,
+        "?" if sg is None else _quote(sg),
+    )
     if structure.space_group_number is not None:
-        parts.append(f"_symmetry_Int_Tables_number {structure.space_group_number}\n")
-    parts.append(_LOOP_HEAD)
+        text += f"_symmetry_Int_Tables_number {structure.space_group_number}\n"
     labels = structure.labels
     if not "".join(labels).isalnum():  # else `_quote` leaves every label bare
         labels = map(_quote, labels)
-    parts += [
-        _SITE_ROW % (label, element, x, y, z)
-        for label, element, (x, y, z) in zip(
-            labels, structure.elements, structure.frac.tolist()
-        )
-    ]
-    return "".join(parts)
+    rows = zip(labels, structure.elements, *structure.frac.T.tolist())
+    return text + _LOOP_HEAD + "".join([_SITE_ROW % row for row in rows])
 
 
 def frac_circle_distance(
