@@ -536,7 +536,7 @@ def test_serialized_values_re_parse(minimal_cif, label, symbol):
 
 
 def _quote_by_regex(value: str) -> str:
-    """`_quote` as it was before its alphanumeric shortcut: the reference."""
+    """`_quote` without its alphanumeric shortcut: the reference."""
     if value.splitlines() == [value]:
         m = _TOKEN_RE.match(value)
         if m is not None and m[3] == value and value[0] != ";":
