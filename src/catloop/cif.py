@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -303,10 +304,8 @@ class Structure:
 
 def composition_of(structure: Structure) -> dict[str, int]:
     """Element -> count for the structure, keys sorted alphabetically."""
-    counts = dict.fromkeys(sorted(set(structure.elements)), 0)
-    for element in structure.elements:
-        counts[element] += 1
-    return counts
+    counts = Counter(structure.elements)
+    return {el: counts[el] for el in sorted(counts)}
 
 
 @dataclass(frozen=True)
@@ -838,10 +837,9 @@ def serialize_cif(structure: Structure) -> str:
     )
     if structure.space_group_number is not None:
         text += f"_symmetry_Int_Tables_number {structure.space_group_number}\n"
-    labels = structure.labels
-    if not "".join(labels).isalnum():  # else `_quote` leaves every label bare
-        labels = map(_quote, labels)
-    rows = zip(labels, structure.elements, *structure.frac.T.tolist())
+    rows = zip(
+        map(_quote, structure.labels), structure.elements, *structure.frac.T.tolist()
+    )
     return text + _LOOP_HEAD + "".join([_SITE_ROW % row for row in rows])
 
 
