@@ -276,6 +276,14 @@ def _flat_pass(
     g = len(offsets)
     step = max(1, _BLOCK_ROWS // g)
     cut = np.array(cutoffs, dtype=float)
+    # the cutoff sphere split one axis at a time (Fincke and Pohst, Math.
+    # Comp. 44, 1985): with R the triangular factor of the cell rows taken z
+    # first (Q R = [c b a]), |f M|^2 = tx^2 + ty^2 + tz^2 for tx = R22 fx,
+    # ty = R12 fx + R11 fy and tz = R02 fx + R01 fy + R00 fz.  Q only
+    # rotates, so no entry is the square of a cell length, which can overflow
+    h, _ = np.linalg.qr(matrices[:, ::-1].transpose(0, 2, 1), mode="raw")
+    tri = h.reshape(-1, 9)  # R^T by rows: R00 R01 R02 at 0 3 6, R11 R12 at 4 7, R22 at 8
+    radius = (cut * (1.0 + _BOUND_SLACK)) ** 2
     sizes = [len(s) for s in structures]
     frac = np.concatenate([s.frac for s in structures])
     first = np.array([0, *accumulate(sizes[:-1])])  # each member's first row of `frac`
@@ -302,11 +310,26 @@ def _flat_pass(
             m, fi, fj, delta, bnd = (a.compress(near, axis=0) for a in (m, fi, fj, delta, bnd))
         for lo in range(0, len(m), step):
             bm, bi, bj, d, b = (a[lo : lo + step] for a in (m, fi, fj, delta, bnd))
-            ax = [np.abs(dk[:, None] + a) <= bk[:, None] for dk, a, bk in zip(d.T, axes, b.T)]
-            hit = ax[0][:, :, None, None] & ax[1][:, None, :, None]
-            hit = (hit & ax[2][:, None, None, :]).reshape(len(d), g)
-            hit[bi == bj, : g // 2 + 1] = False  # the zero offset sits at g // 2
-            p, k = np.nonzero(hit)
+            # x over the slab bound; then y, then z, over the sphere's slice
+            # at the offsets before it, `rem` being the squared radius they leave
+            f = d[:, :1] + axes[0]
+            p, k = np.nonzero(np.abs(f) <= b[:, :1])
+            pm = bm.take(p)
+            r, x = tri.take(pm, axis=0), f[p, k]
+            t = r[:, 8] * x
+            rem = radius.take(pm) - t * t
+            f = d[p, 1:2] + axes[1]
+            t = r[:, 4:5] * f + (r[:, 7] * x)[:, None]
+            q, k2 = np.nonzero(t * t <= rem[:, None])
+            p, k, r, x = p.take(q), k.take(q) * len(axes[1]) + k2, r.take(q, axis=0), x.take(q)
+            t, y = t[q, k2], f[q, k2]
+            rem = rem.take(q) - t * t
+            t = r[:, :1] * (d[p, 2:3] + axes[2]) + (r[:, 6] * x + r[:, 3] * y)[:, None]
+            q, k2 = np.nonzero(t * t <= rem[:, None])
+            p, k = p.take(q), k.take(q) * len(axes[2]) + k2
+            # a self pair lists only the images after the zero offset, at g // 2
+            own = (k > g // 2) | (bi != bj).take(p)
+            p, k = p[own], k[own]
             disp = d.take(p, axis=0) + offsets[k]
             pm = bm.take(p)
             # (delta + offset) @ matrix, not delta @ M + offset @ M: the two
@@ -389,6 +412,8 @@ def iter_periodic_pairs(structure: Structure, cutoff: float) -> PairTable:
         _check_cell(structure)
         return _EMPTY
     table = _pair_table(structure, cutoff)
+    if structure.__dict__["_pair_table"][0] == cutoff:
+        return table  # every row of a table is within the cutoff it was built at
     return _select(table, table.distance <= cutoff)
 
 

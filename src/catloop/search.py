@@ -124,8 +124,9 @@ class PairPotentialSurrogate:
         sigma = rsum / _SIXTH_ROOT_OF_TWO
         coincident = t.distance < 1e-9
         x = sigma / np.where(coincident, 1.0, t.distance)
-        # libm pow per term: numpy's own powers round differently
-        x6 = np.array([math.pow(v, 6.0) for v in x.tolist()])
+        # float_power's float64 loop calls libm pow, as math.pow does;
+        # np.power may take a SIMD path that rounds some terms differently
+        x6 = np.float_power(x, 6.0)
         terms = np.minimum(self.bond_cap, 4.0 * eps * (x6 * x6 - x6))
         terms[coincident] = self.bond_cap
         # cumsum adds in row order, as a running total would; np.sum does not

@@ -38,6 +38,35 @@ def kernel_passes(monkeypatch):
     return passes
 
 
+@pytest.fixture
+def measured_images(monkeypatch):
+    """The images each pair-kernel pass measures, one count per pass, in order.
+
+    A pass measures an image as one row of its per-member `np.matmul`, so
+    the count is the rows those products take: a work count that timing
+    noise cannot move.
+    """
+    counts = []
+    flat_pass = geometry._flat_pass
+
+    def record(*args):
+        counts.append(0)
+        return flat_pass(*args)
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(a, b, **kwargs):
+            counts[-1] += len(a)
+            return np.matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(geometry, "_flat_pass", record)
+    monkeypatch.setattr(geometry, "np", CountingNumpy())
+    return counts
+
+
 def make_structure(
     species,
     coords,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from catloop import geometry
-from catloop.cif import Lattice
+from catloop.cif import Lattice, parse_cif
 from catloop.geometry import (
     MAX_IMAGES,
     DegenerateCellError,
@@ -20,6 +20,7 @@ from catloop.geometry import (
     volume_per_atom,
 )
 from catloop.elements import COVALENT_RADII
+from catloop.search import MutationGenerator
 from conftest import brute_force_pairs, make_structure, pair_tuples, random_structure
 
 
@@ -160,6 +161,22 @@ def test_memoized_queries_equal_fresh_structures():
             fresh = dataclasses.replace(s)
             want = covalent(fresh, scale)
             assert covalent(s, scale) == want == covalent_oracle(s, scale)
+
+
+def test_pairs_at_the_memo_cutoff_are_the_memo():
+    rng = np.random.default_rng(67)
+    for _ in range(5):
+        s = random_structure(rng)
+        got = iter_periodic_pairs(s, 6.0)
+        assert got is s.__dict__["_pair_table"][1]  # no copy of the memo
+        want = iter_periodic_pairs(dataclasses.replace(s), 6.0)
+        for col in ("i", "j", "image", "distance"):
+            column = getattr(got, col)
+            assert column.tobytes() == getattr(want, col).tobytes()
+            with pytest.raises(ValueError):
+                column[...] = 0
+        # a narrower query filters the memo into columns of its own
+        assert pairs(s, 4.0) == pairs(dataclasses.replace(s), 4.0)
 
 
 def batch_members(rng):
@@ -374,6 +391,133 @@ def test_shared_pass_members_get_their_own_rows(cutoff, batch):
             assert not got.flags.writeable
             with pytest.raises(ValueError):
                 got[...] = 0
+
+
+def box_mask_table(structure, cutoff):
+    """The reference for the kernel's sphere walk: the dense box mask it replaced.
+
+    Every offset of the reach box is laid out for every site pair, kept where
+    each axis's slab bound holds, and measured as the kernel measures, so the
+    rows within the cutoff must match the kernel's bit for bit.
+    """
+    matrix = structure.lattice.matrix
+    spacings = geometry._slab_spacings(matrix)
+    bound = cutoff / spacings * (1.0 + geometry._BOUND_SLACK)
+    reach = np.ceil(cutoff / spacings + 0.5).astype(int)
+    offsets = np.indices(2 * reach + 1).reshape(3, -1).T - reach
+    i, j = np.triu_indices(len(structure))
+    delta = structure.frac[j] - structure.frac[i]
+    hit = np.all(np.abs(delta[:, None, :] + offsets) <= bound, axis=2)
+    hit[i == j, : len(offsets) // 2 + 1] = False  # the zero offset and those before it
+    p, k = np.nonzero(hit)
+    cart = (delta[p] + offsets[k]) @ matrix
+    dist = np.sqrt((cart * cart).sum(axis=1))
+    keep = dist <= cutoff
+    return geometry.PairTable(i[p][keep], j[p][keep], offsets[k][keep], dist[keep])
+
+
+def at_cutoff(structure, i, j, image, cutoff=12.0):
+    """The distance of one image, as the kernel measures it: a cutoff exactly at it."""
+    table = box_mask_table(structure, cutoff)
+    row = (table.i == i) & (table.j == j) & np.all(table.image == image, axis=1)
+    [dist] = table.distance[row].tolist()
+    return dist
+
+
+def budget_cutoff(structure):
+    """Nearly the largest cutoff whose offset box fits the image budget."""
+    spacings = geometry._slab_spacings(structure.lattice.matrix)
+    lo, hi = 0.1, 100.0
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        fits = np.prod(2.0 * np.ceil(mid / spacings + 0.5) + 1.0) <= MAX_IMAGES
+        lo, hi = (mid, hi) if fits else (lo, mid)
+    return lo
+
+
+def sphere_walk_cases():
+    """(structure, cutoff) pairs: cell shapes, sizes and cutoffs where a slice of
+    the cutoff sphere is wide, narrow or of zero width."""
+    rng = np.random.default_rng(71)
+    cases = []
+    for _ in range(24):  # any cell shape, 1-8 sites
+        s = random_structure(rng)
+        cases += [(s, 6.0), (s, float(rng.uniform(1.5, 9.0)))]
+    for n in (6, 24):  # near-cubic
+        lengths = rng.uniform(5.0, 5.4, size=3) * (n / 6) ** (1 / 3)
+        s = make_structure(["Cu", "O"] * (n // 2), rng.random((n, 3)),
+                           lengths=lengths, angles=rng.uniform(88.0, 92.0, size=3))
+        cases += [(s, 6.0), (s, 1.98)]
+    cases += [
+        (many_site_structure(64), 6.0),
+        (many_site_structure(128), 1.98),
+        (many_site_structure(128, slab=True), 6.0),
+    ]
+    # strongly skewed cells near the image budget, where the split of the
+    # metric is worst conditioned
+    for angles in ((78, 96, 25), (30, 35, 40), (150, 140, 35)):
+        s = make_structure(["Cu", "O", "Cu"], rng.random((3, 3)),
+                           lengths=(1.0, 1.1, 1.2), angles=angles)
+        cases.append((s, budget_cutoff(s)))
+    # images exactly at the cutoff along a face and a body diagonal: the
+    # sphere touches them, so a y or a z slice has zero width
+    one = make_structure(["Cu"], [(0.2, 0.7, 0.1)], lengths=(3.0, 3.0, 3.0))
+    two = make_structure(["Cu", "O"], [(0, 0, 0), (0.5, 0.5, 0.5)], lengths=(4.0, 4.0, 4.0))
+    skewed = make_structure(["Cu", "O", "Pt"], rng.random((3, 3)),
+                            lengths=(5.0, 5.5, 6.0), angles=(78, 96, 25))
+    cases += [
+        (one, at_cutoff(one, 0, 0, (1, 1, 0))),
+        (one, at_cutoff(one, 0, 0, (1, 1, 1))),
+        (two, at_cutoff(two, 0, 1, (0, 0, 0))),
+        (two, at_cutoff(two, 0, 0, (1, 0, -1))),
+        (skewed, at_cutoff(skewed, 0, 2, (1, -1, 1))),
+        (skewed, at_cutoff(skewed, 1, 1, (0, 1, 1))),
+    ]
+    # coincident pairs and self-images
+    coincident = make_structure(
+        ["Cu", "Cu", "O", "O"],
+        [(0.3, 0.3, 0.3), (0.3, 0.3, 0.3), (0.6, 0.5, 0.4), (0.6, 0.5, 0.4 + 1e-12)],
+        lengths=(2.5, 2.7, 3.1), angles=(80, 95, 60),
+    )
+    cases += [(coincident, 6.0), (coincident, 0.5)]
+    return cases
+
+
+@pytest.mark.parametrize("block_rows", [None, 64])
+def test_sphere_walk_tables_equal_the_box_mask(monkeypatch, block_rows):
+    cases = sphere_walk_cases()
+    assert len(cases) >= 64
+    want = [box_mask_table(s, c) for s, c in cases]
+    if block_rows is not None:  # many blocks and steps over each pass
+        monkeypatch.setattr(geometry, "_BLOCK_ROWS", block_rows)
+    compared = 0
+    for batch in (1, 16, 64):  # alone, and in shared passes
+        group = [dataclasses.replace(s) for s, _ in cases]  # no memoized tables
+        cutoff = {id(s): c for s, (_, c) in zip(group, cases)}
+        own = lambda s: cutoff[id(s)]  # noqa: E731 - each member at its own cutoff
+        for lo in range(0, len(group), batch):
+            with shared_pair_pass(group[lo : lo + batch]):
+                got = [geometry._pair_table(s, own(s), own) for s in group[lo : lo + batch]]
+            for have, ref in zip(got, want[lo : lo + batch]):
+                for col in ("i", "j", "image"):
+                    assert np.array_equal(getattr(have, col), getattr(ref, col))
+                    assert getattr(have, col).dtype == getattr(ref, col).dtype
+                assert have.distance.tobytes() == ref.distance.tobytes()
+                compared += 1
+    assert compared == 3 * len(cases)
+
+
+def test_a_cu4o2_pass_measures_only_the_images_in_the_sphere(measured_images):
+    generator = MutationGenerator()
+    group = [
+        parse_cif(generator.propose(None, {"Cu": 4, "O": 2}, seed)).structure
+        for seed in range(16)
+    ]
+    with shared_pair_pass(group):
+        iter_periodic_pairs(group[0], 6.0)
+    kept = sum(len(iter_periodic_pairs(s, 6.0)) for s in group)
+    # the box mask measured 4,432 images of a 42,000-cell mask for these rows
+    assert measured_images == [1170] and kept == 1170
 
 
 @pytest.mark.parametrize("block_rows", [None, 64])

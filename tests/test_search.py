@@ -167,6 +167,18 @@ def test_surrogate_equals_running_total():
     assert type(energy) is float and energy == 0.0
 
 
+def test_float_power_is_libm_pow_over_the_surrogate_domain():
+    # `predict` raises sigma / d to the sixth power with np.float_power, whose
+    # float64 loop calls libm pow as math.pow does.  A numpy whose float_power
+    # took another path would move every search digest; this names the cause.
+    radii = list(COVALENT_RADII.values())
+    lo = 2.0 * min(radii) / 2.0 ** (1.0 / 6.0) / PairPotentialSurrogate().cutoff
+    hi = 2.0 * max(radii) / 2.0 ** (1.0 / 6.0) / 1e-9  # the coincidence threshold
+    x = np.exp(np.random.default_rng(59).uniform(np.log(lo), np.log(hi), 300_000))
+    want = np.array([math.pow(v, 6.0) for v in x.tolist()])
+    assert np.float_power(x, 6.0).tobytes() == want.tobytes()
+
+
 def test_surrogate_satisfies_protocol():
     assert isinstance(PairPotentialSurrogate(), EnergyPredictor)
     assert isinstance(FixedPredictor(0.0), EnergyPredictor)
