@@ -7,29 +7,32 @@ Every distance comes from one kernel, `_build_tables`, reached through
 `_pair_table`.  It finds all upper-triangle site pairs within a cutoff over
 the lattice offsets that can reach it and memoizes the table on the
 structure at the largest cutoff asked for so far; smaller cutoffs, scalar
-or per pair, filter it.  The slab bound (`_slab_spacings`) sizes the offset
-grid and then, per pair and axis, skips every image it rules out, so only
-images that can lie within the cutoff are measured.  A cell below
-`DEGENERATE_VOLUME`, or needing more than `MAX_IMAGES` offsets for a
-cutoff, raises `DegenerateCellError`.  Before any image mask, the bound
-drops every site pair that has no image within it on some axis: inside the
-mask block where the pairs fit one (all 6-site work), else once, one axis
-at a time, the tightest first (128 sites at a bond cutoff, 64 at 6 A, the
-larger slabs).  When every axis bound is below 1, the self pairs are never
+or per pair, filter it, and a query at the memo's own cutoff reads it in
+place.  The slab bound (`_slab_spacings`) sizes the offset reach; within
+it, each pair's images are walked one axis at a time inside the cutoff
+sphere (Fincke and Pohst, Math. Comp. 44, 1985): x over the slab bound, y
+and z over the sphere's slices.  So only images within the cutoff, up to a
+rounding slack, are measured.  A cell below `DEGENERATE_VOLUME`, or
+needing more than `MAX_IMAGES` offsets for a cutoff, raises
+`DegenerateCellError`.  Before the walk, the bound drops every site pair
+that has no image within it on some axis: inside the block where the
+pairs fit one walk step (all 6-site work), else once, one axis at a time,
+the tightest first (128 sites at a bond cutoff, 64 at 6 A, the larger
+slabs).  When every axis bound is below 1, the self pairs are never
 listed, since no nonzero offset is in reach.  Pairs and neighbor lists come
 back as a `PairTable`, one array per column and one row per pair.
 
 The kernel builds several tables in one pass (`_flat_pass`): the site pairs
 of all its structures form one flat list, member by member, whatever their
-sizes, and each row carries its member's slab bound and cutoff.  The rows
-the masks keep are measured in one step per block, with one 2D product per
-structure, and each structure's rows are a read-only slice of the pass's
-columns.  Inside `shared_pair_pass`, the first miss of a member builds
-every member without a table, each at the cutoff its own query would ask
-for, in one pass per offset reach.  The search (per generation) and every
-CIF command (per chunk of 64 files) score through
-`reward._score_in_chunks`, which opens one such pass per chunk.
-Every table is bit-identical to the one the structure would build alone.
+sizes, and each row carries its member's slab bound, cutoff and cell
+factor.  The pairs every block keeps are walked and measured together, a
+step at a time, with one 2D product per structure, and each structure's
+rows are a read-only slice of the pass's columns.  Inside `shared_pair_pass`, the first miss
+of a member builds every member without a table, each at the cutoff its
+own query would ask for, in one pass per offset reach.  The search (per
+generation) and every CIF command (per chunk of 64 files) score through
+`reward._score_in_chunks`, which opens one such pass per chunk.  Every
+table is bit-identical to the one the structure would build alone.
 `covalent_pairs` alone turns covalent radii (Cordero et al., Dalton Trans.
 2008) into pair cutoffs, for the physics score and the neighbor list.
 """
@@ -50,7 +53,7 @@ from .elements import COVALENT_RADII
 DEGENERATE_VOLUME = 1e-6  # cubic angstroms
 DEFAULT_NEIGHBOR_SCALE = 1.2
 MAX_IMAGES = 100_000  # lattice offsets one enumeration may lay out
-_BLOCK_ROWS = 1 << 16  # cells of one block's (pairs x images) mask
+_BLOCK_ROWS = 1 << 16  # (pairs x box offsets) one walk step may span
 _BOUND_SLACK = 1e-9  # keeps a bound's own image despite rounding
 
 
@@ -242,7 +245,7 @@ def _pair_blocks(
     with a bound below 1 on every axis, only the zero offset is in a self
     pair's reach, and that one is never a row.
     """
-    block = max(1, _BLOCK_ROWS // 8)  # a float column per block: a mask block's bytes
+    block = max(1, _BLOCK_ROWS // 8)  # a float column per block: the bytes of a step's box
     m1 = 0
     for (n, self_pairs), run in groupby(zip(sizes, self_reach)):
         m0, m1 = m1, m1 + sum(1 for _ in run)
@@ -266,11 +269,14 @@ def _flat_pass(
     """Memoize each structure's table at its own cutoff, in one pass.
 
     `matrices` (B, 3, 3) and `bound` (B, 3) hold each structure's cell and
-    slab bound; the offset grid of `reach` serves them all.  The mask rows
+    slab bound; the offsets within `reach` serve them all.  The walk's rows
     are the flat pair list of `_pair_blocks`, and each row carries its
-    member's bound and cutoff.  Rows stay in member order, so each member's
-    table is a slice of the pass's columns; they are read-only, so no
-    member can write into a sibling's table.
+    member's bound, cutoff and cell factor.  The walk yields every image
+    within the cutoff, and beyond it only images within `_BOUND_SLACK` of
+    it, so the distance test keeps the rows a box of offsets would.  Rows
+    stay in member order, so each member's table is a slice of the pass's
+    columns; they are read-only, so no member can write into a sibling's
+    table.
     """
     offsets, axes = _offset_grid(reach)
     g = len(offsets)
@@ -291,10 +297,12 @@ def _flat_pass(
     # nothing; the others are tested with the tightest first
     low = bound.min(axis=0).tolist()
     order = sorted((k for k in range(3) if low[k] < 0.5), key=low.__getitem__)
-    parts = []
-    for m, fi, fj in _pair_blocks(first, sizes, (bound.max(axis=1) >= 1.0).tolist()):
+    self_reach = (bound.max(axis=1) >= 1.0).tolist()
+    self_pairs = any(self_reach)  # else `_pair_blocks` lists none
+    pruned = []
+    for m, fi, fj in _pair_blocks(first, sizes, self_reach):
         # |d - rint(d)| is a pair's nearest image offset on an axis, so a pair
-        # beyond its bound there has no row.  Within one mask block, every
+        # beyond its bound there has no row.  Within one walk step, every
         # axis is tested at once; a longer list is pruned first, axis by
         # axis, each later axis only on the pairs the earlier ones kept
         one_step = len(m) <= step
@@ -308,6 +316,11 @@ def _flat_pass(
             within = np.abs(delta - np.rint(delta)) <= bnd
             near = within[:, 0] & within[:, 1] & within[:, 2]  # beats np.all
             m, fi, fj, delta, bnd = (a.compress(near, axis=0) for a in (m, fi, fj, delta, bnd))
+        pruned.append((m, fi, fj, delta, bnd))
+    if len(pruned) > 1:  # the walk's fixed cost is paid per step, so fill the steps
+        pruned = [tuple(map(np.concatenate, zip(*pruned)))]
+    parts = []
+    for m, fi, fj, delta, bnd in pruned:
         for lo in range(0, len(m), step):
             bm, bi, bj, d, b = (a[lo : lo + step] for a in (m, fi, fj, delta, bnd))
             # x over the slab bound; then y, then z, over the sphere's slice
@@ -327,9 +340,9 @@ def _flat_pass(
             t = r[:, :1] * (d[p, 2:3] + axes[2]) + (r[:, 6] * x + r[:, 3] * y)[:, None]
             q, k2 = np.nonzero(t * t <= rem[:, None])
             p, k = p.take(q), k.take(q) * len(axes[2]) + k2
-            # a self pair lists only the images after the zero offset, at g // 2
-            own = (k > g // 2) | (bi != bj).take(p)
-            p, k = p[own], k[own]
+            if self_pairs:  # a self pair keeps the images after the zero offset, at g // 2
+                own = (k > g // 2) | (bi != bj).take(p)
+                p, k = p[own], k[own]
             disp = d.take(p, axis=0) + offsets[k]
             pm = bm.take(p)
             # (delta + offset) @ matrix, not delta @ M + offset @ M: the two
@@ -341,7 +354,8 @@ def _flat_pass(
             lo_m, hi_m = int(bm[0]), int(bm[-1]) + 1
             cuts = pm.searchsorted(np.arange(lo_m, hi_m + 1)).tolist()
             for mm, a, e in zip(range(lo_m, hi_m), cuts, cuts[1:]):
-                np.matmul(disp[a:e], matrices[mm], out=cart[a:e])
+                if a < e:  # at a bond cutoff, most members of a pass have no row
+                    np.matmul(disp[a:e], matrices[mm], out=cart[a:e])
             dist = np.sqrt((cart * cart).sum(axis=1))  # np.linalg.norm's sum
             keep = dist <= cut.take(pm)
             p, k = p[keep], k[keep]
@@ -353,9 +367,10 @@ def _flat_pass(
     cols = [i - at, j - at, *cols]  # each member's own site numbers
     for c in cols:  # each member's slices are views of these
         c.setflags(write=False)
+    i, j, image, distance = cols
     cuts = member.searchsorted(np.arange(len(structures) + 1)).tolist()
     for s, c, a, e in zip(structures, cutoffs, cuts, cuts[1:]):
-        s.__dict__["_pair_table"] = (c, PairTable(*(col[a:e] for col in cols)))
+        s.__dict__["_pair_table"] = (c, PairTable(i[a:e], j[a:e], image[a:e], distance[a:e]))
 
 
 def min_image_distance(structure: Structure, i: int, j: int) -> float:
