@@ -42,7 +42,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -299,28 +299,35 @@ def _flat_pass(
     order = sorted((k for k in range(3) if low[k] < 0.5), key=low.__getitem__)
     self_reach = (bound.max(axis=1) >= 1.0).tolist()
     self_pairs = any(self_reach)  # else `_pair_blocks` lists none
-    pruned = []
-    for m, fi, fj in _pair_blocks(first, sizes, self_reach):
-        # |d - rint(d)| is a pair's nearest image offset on an axis, so a pair
-        # beyond its bound there has no row.  Within one walk step, every
-        # axis is tested at once; a longer list is pruned first, axis by
-        # axis, each later axis only on the pairs the earlier ones kept
-        one_step = len(m) <= step
-        for k in [] if one_step else order:
-            d = frac[:, k].take(fj) - frac[:, k].take(fi)
-            near = np.abs(d - np.rint(d)) <= bound[:, k].take(m)
-            m, fi, fj = (a.compress(near) for a in (m, fi, fj))
-        delta = frac.take(fj, axis=0) - frac.take(fi, axis=0)
-        bnd = bound.take(m, axis=0)
-        if one_step and order:
-            within = np.abs(delta - np.rint(delta)) <= bnd
-            near = within[:, 0] & within[:, 1] & within[:, 2]  # beats np.all
-            m, fi, fj, delta, bnd = (a.compress(near, axis=0) for a in (m, fi, fj, delta, bnd))
-        pruned.append((m, fi, fj, delta, bnd))
-    if len(pruned) > 1:  # the walk's fixed cost is paid per step, so fill the steps
-        pruned = [tuple(map(np.concatenate, zip(*pruned)))]
-    parts = []
-    for m, fi, fj, delta, bnd in pruned:
+    parts, held, rows = [], [], 0
+    for block in chain(_pair_blocks(first, sizes, self_reach), [None]):  # None: the end
+        if block is not None:
+            m, fi, fj = block
+            # |d - rint(d)| is a pair's nearest image offset on an axis, so a
+            # pair beyond its bound there has no row.  Within one walk step,
+            # every axis is tested at once; a longer list is pruned first, axis
+            # by axis, each later axis only on the pairs the earlier ones kept
+            one_step = len(m) <= step
+            for k in [] if one_step else order:
+                d = frac[:, k].take(fj) - frac[:, k].take(fi)
+                near = np.abs(d - np.rint(d)) <= bound[:, k].take(m)
+                m, fi, fj = (a.compress(near) for a in (m, fi, fj))
+            delta = frac.take(fj, axis=0) - frac.take(fi, axis=0)
+            bnd = bound.take(m, axis=0)
+            if one_step and order:
+                within = np.abs(delta - np.rint(delta)) <= bnd
+                near = within[:, 0] & within[:, 1] & within[:, 2]  # beats np.all
+                m, fi, fj, delta, bnd = (a.compress(near, axis=0) for a in (m, fi, fj, delta, bnd))
+            # the walk's fixed cost is paid per step: hold the pairs of short
+            # blocks (a few each at a bond cutoff) until they fill one
+            held.append((m, fi, fj, delta, bnd))
+            rows += len(m)
+            if rows < step:
+                continue
+        if not held:
+            continue
+        m, fi, fj, delta, bnd = held[0] if len(held) == 1 else map(np.concatenate, zip(*held))
+        held, rows = [], 0
         for lo in range(0, len(m), step):
             bm, bi, bj, d, b = (a[lo : lo + step] for a in (m, fi, fj, delta, bnd))
             # x over the slab bound; then y, then z, over the sphere's slice
