@@ -25,12 +25,13 @@ back as a `PairTable`, one array per column and one row per pair.
 The kernel builds several tables in one pass (`_flat_pass`): the site pairs
 of all its structures form one flat list, member by member, whatever their
 sizes, and each row carries its member's slab bound, cutoff and cell
-factor.  The pairs every block keeps are walked and measured together, a
-step at a time, with one 2D product per structure, and each structure's
-rows are a read-only slice of the pass's columns.  Inside `shared_pair_pass`, the first miss
-of a member builds every member without a table, each at the cutoff its
-own query would ask for, in one pass per offset reach.  The search (per
-generation) and every CIF command (per chunk of 64 files) score through
+factor.  The pairs the prune keeps are walked and their images measured a
+step at a time, short blocks sharing a step, with one 2D product per
+structure, and each structure's rows are a read-only slice of the pass's
+columns.  Inside `shared_pair_pass`, the first miss of a member builds
+every member without a table, each at the cutoff its own query would ask
+for, in one pass per offset reach.  The search (per generation) and every
+CIF command (per chunk of 64 files) score through
 `reward._score_in_chunks`, which opens one such pass per chunk.  Every
 table is bit-identical to the one the structure would build alone.
 `covalent_pairs` alone turns covalent radii (Cordero et al., Dalton Trans.

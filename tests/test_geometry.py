@@ -494,7 +494,10 @@ def test_sphere_walk_tables_equal_the_box_mask(monkeypatch, block_rows):
     for batch in (1, 16, 64):  # alone, and in shared passes
         group = [dataclasses.replace(s) for s, _ in cases]  # no memoized tables
         cutoff = {id(s): c for s, (_, c) in zip(group, cases)}
-        own = lambda s: cutoff[id(s)]  # noqa: E731 - each member at its own cutoff
+
+        def own(s):  # each member at its own cutoff
+            return cutoff[id(s)]
+
         for lo in range(0, len(group), batch):
             with shared_pair_pass(group[lo : lo + batch]):
                 got = [geometry._pair_table(s, own(s), own) for s in group[lo : lo + batch]]
