@@ -18,9 +18,11 @@ needing more than `MAX_IMAGES` offsets for a cutoff, raises
 that has no image within it on some axis: inside the block where the
 pairs fit one walk step (all 6-site work), else once, one axis at a time,
 the tightest first (128 sites at a bond cutoff, 64 at 6 A, the larger
-slabs).  When every axis bound is below 1, the self pairs are never
-listed, since no nonzero offset is in reach.  Pairs and neighbor lists come
-back as a `PairTable`, one array per column and one row per pair.
+slabs).  A site-pair list of more than `_BLOCK_ROWS` pairs (over 361
+sites) is listed a block at a time, never whole.  When every axis bound
+is below 1, the self pairs are never listed, since no nonzero offset is
+in reach.  Pairs and neighbor lists come back as a `PairTable`, one array
+per column and one row per pair.
 
 The kernel builds several tables in one pass (`_flat_pass`): the site pairs
 of all its structures form one flat list, member by member, whatever their
@@ -216,7 +218,7 @@ def _offset_grid(
     return offsets, axes
 
 
-@lru_cache(maxsize=16)  # `_site_pairs` keeps <= _BLOCK_ROWS pairs: 1 MiB each at most
+@lru_cache(maxsize=16)  # `_pair_blocks` asks only for <= _BLOCK_ROWS pairs: 1 MiB each at most
 def _triangle(n: int, self_pairs: bool) -> tuple[np.ndarray, np.ndarray]:
     """np.triu_indices(n, 0 if self_pairs else 1), read-only: every caller shares them."""
     sites = np.arange(n)
@@ -227,30 +229,37 @@ def _triangle(n: int, self_pairs: bool) -> tuple[np.ndarray, np.ndarray]:
     return pi, pj
 
 
-def _site_pairs(n: int, self_pairs: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """`_triangle(n, self_pairs)`, cached only if it has at most `_BLOCK_ROWS` pairs."""
-    if n * (n + 1) // 2 <= _BLOCK_ROWS:
-        return _triangle(n, self_pairs)
-    return _triangle.__wrapped__(n, self_pairs)
-
-
 def _pair_blocks(
     first: np.ndarray, sizes: list[int], self_reach: list[bool]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """A pass's flat pair list, as (member, i, j) blocks of `_BLOCK_ROWS // 8` rows at most.
 
-    Member by member, each member's `_site_pairs` in order, numbered as rows
-    of the members' stacked `frac`, where member m starts at `first[m]`.  A
-    run of members with one triangle is tiled, and a long triangle spans
-    several blocks.  Self pairs are listed only where `self_reach` holds:
-    with a bound below 1 on every axis, only the zero offset is in a self
-    pair's reach, and that one is never a row.
+    Member by member, each member's upper triangle of site pairs in
+    `np.triu_indices` order, numbered as rows of the members' stacked
+    `frac`, where member m starts at `first[m]`.  A run of members with one
+    triangle is tiled, and a long triangle spans several blocks.  A triangle
+    of more than `_BLOCK_ROWS` pairs is never laid out whole: each block is
+    read off its flat pair index.  Self pairs are listed only where
+    `self_reach` holds: with a bound below 1 on every axis, only the zero
+    offset is in a self pair's reach, and that one is never a row.
     """
     block = max(1, _BLOCK_ROWS // 8)  # a float column per block: the bytes of a step's box
     m1 = 0
     for (n, self_pairs), run in groupby(zip(sizes, self_reach)):
         m0, m1 = m1, m1 + sum(1 for _ in run)
-        pi, pj = _site_pairs(n, self_pairs)
+        lead = 0 if self_pairs else 1  # j - i of each row's first pair
+        count = n * (n + 1) // 2 - lead * n
+        if count > _BLOCK_ROWS:
+            # row i holds the pairs up to flat index ends[i], the last at j = n - 1
+            ends = np.cumsum(np.arange(n - lead, -lead, -1))
+            for m in range(m0, m1):
+                for lo in range(0, count, block):
+                    k = np.arange(lo, min(lo + block, count))
+                    i = ends.searchsorted(k, side="right")
+                    j = k - ends.take(i) + n
+                    yield np.full(len(k), m), i + first[m], j + first[m]
+            continue
+        pi, pj = _triangle(n, self_pairs)
         per = max(1, block // max(1, len(pi)))  # members per block
         for a in range(m0, m1, per):
             at = first[a : min(a + per, m1), None]

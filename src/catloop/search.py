@@ -98,37 +98,33 @@ class PairPotentialSurrogate:
 
     For a pair with radii r_i, r_j the well minimum sits at r_i + r_j
     (sigma = (r_i + r_j) / 2^(1/6)) and the well depth is
-    depth_scale * (r_i + r_j) / 2 in eV.  Interactions are summed over all
-    periodic pairs within `cutoff` angstroms; each pair term is clamped at
-    `bond_cap` so near-coincident atoms give a large but finite energy.
-    Deterministic: equal structures always give equal energies.
+    DEPTH_SCALE * (r_i + r_j) / 2 in eV, DEPTH_SCALE being 0.4 eV per
+    angstrom of radius sum.  Interactions are summed over all periodic
+    pairs within CUTOFF = 6 angstroms; each pair term is clamped at
+    BOND_CAP = 1e3 eV so near-coincident atoms give a large but finite
+    energy.  It takes no settings.  Deterministic: equal structures always
+    give equal energies.
     """
 
-    depth_scale: float = 0.4  # eV per angstrom of radius sum
-    cutoff: float = 6.0  # angstroms
-    bond_cap: float = 1e3  # eV
-
-    def __post_init__(self) -> None:
-        for name in ("depth_scale", "cutoff", "bond_cap"):
-            value = getattr(self, name)
-            if not (finite_number(value) and value > 0.0):
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    DEPTH_SCALE = 0.4  # eV per angstrom of radius sum
+    CUTOFF = 6.0  # angstroms
+    BOND_CAP = 1e3  # eV
 
     def predict(self, structure: Structure) -> float:
         r = _covalent_radii(structure)
-        t = iter_periodic_pairs(structure, self.cutoff)
+        t = iter_periodic_pairs(structure, self.CUTOFF)
         if not len(t):
             return 0.0
         rsum = r[t.i] + r[t.j]
-        eps = self.depth_scale * rsum / 2.0
+        eps = self.DEPTH_SCALE * rsum / 2.0
         sigma = rsum / _SIXTH_ROOT_OF_TWO
         coincident = t.distance < 1e-9
         x = sigma / np.where(coincident, 1.0, t.distance)
         # float_power's float64 loop calls libm pow, as math.pow does;
         # np.power may take a SIMD path that rounds some terms differently
         x6 = np.float_power(x, 6.0)
-        terms = np.minimum(self.bond_cap, 4.0 * eps * (x6 * x6 - x6))
-        terms[coincident] = self.bond_cap
+        terms = np.minimum(self.BOND_CAP, 4.0 * eps * (x6 * x6 - x6))
+        terms[coincident] = self.BOND_CAP
         # cumsum adds in row order, as a running total would; np.sum does not
         return float(np.cumsum(terms)[-1])
 
@@ -161,25 +157,29 @@ class MutationGenerator:
     """Grid placement plus jitter mutation, with optional defect injection.
 
     Unconditioned mode places the target composition on a jittered cubic
-    grid sized from the largest covalent radius involved, which keeps every
-    pair above the full-credit distance and the volume per atom inside the
-    physical window (guaranteed for elements with radius <= 2.5 A).
-    Conditioned mode jitters the exemplar's coordinates and cell lengths,
-    with a per-candidate amplitude drawn in [0, 1) so some candidates move
-    very little.
+    grid whose spacing, 2.2 times the largest covalent radius involved, is
+    clamped to [SPACING_FLOOR, SPACING_CAP] = [1.9, 4.2] angstroms.  That
+    keeps every pair above the full-credit distance and the volume per atom
+    inside the physical window, so for elements with radius <= 2.5 A a
+    clean unconditioned candidate passes the hard check.  Conditioned mode
+    jitters the exemplar's fractional coordinates by up to COORD_JITTER =
+    0.05 and its cell lengths by up to a relative LATTICE_JITTER = 0.02,
+    each times a per-candidate amplitude drawn in [0, 1), so some
+    candidates move very little.
 
-    Defect injection corrupts the output with per-class probabilities from
-    `defect_rates`, a `DefectRates` or a mapping of its fields (a config's
-    JSON object).  Each class draws from its own seed substream, so
-    disabling one class leaves every other draw unchanged.  `propose` is a
-    pure function of (exemplar, target, rng_seed).
+    Defect injection, the one setting, corrupts the output with per-class
+    probabilities from `defect_rates`, a `DefectRates` or a mapping of its
+    fields (a config's JSON object).  Each class draws from its own seed
+    substream, so disabling one class leaves every other draw unchanged.
+    `propose` is a pure function of (exemplar, target, rng_seed).
     """
 
     defect_rates: DefectRates = field(default_factory=DefectRates)
-    coord_jitter: float = 0.05  # fractional units, conditioned mode
-    lattice_jitter: float = 0.02  # relative cell-length amplitude
-    spacing_floor: float = 1.9  # angstroms
-    spacing_cap: float = 4.2  # angstroms
+
+    COORD_JITTER = 0.05  # fractional units
+    LATTICE_JITTER = 0.02  # relative cell-length amplitude
+    SPACING_FLOOR = 1.9  # angstroms
+    SPACING_CAP = 4.2  # angstroms
 
     def __post_init__(self) -> None:
         if isinstance(self.defect_rates, Mapping):
@@ -187,15 +187,6 @@ class MutationGenerator:
         if not isinstance(self.defect_rates, DefectRates):
             rates = self.defect_rates
             raise TypeError(f"defect_rates must be a mapping, got {rates!r}")
-        for name in ("coord_jitter", "lattice_jitter", "spacing_floor", "spacing_cap"):
-            value = getattr(self, name)
-            if not finite_number(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        # a cell-length factor 1 +- lattice_jitter must stay positive
-        if not (self.coord_jitter >= 0.0 and 0.0 <= self.lattice_jitter < 1.0):
-            raise ValueError("need coord_jitter >= 0 and 0 <= lattice_jitter < 1")
-        if not 0.0 < self.spacing_floor <= self.spacing_cap:
-            raise ValueError("need 0 < spacing_floor <= spacing_cap")
 
     def propose(
         self,
@@ -276,7 +267,7 @@ class MutationGenerator:
             raise ValueError("target composition must contain at least one atom")
         n = len(symbols)
         r_max = max(COVALENT_RADII[el] for el in symbols)
-        spacing = min(max(2.2 * r_max, self.spacing_floor), self.spacing_cap)
+        spacing = min(max(2.2 * r_max, self.SPACING_FLOOR), self.SPACING_CAP)
         dims = _grid_dims(n)
         cells = dims[0] * dims[1] * dims[2]
         chosen = rng.choice(cells, size=n, replace=False)
@@ -305,9 +296,9 @@ class MutationGenerator:
         )
 
     def _mutate(self, exemplar: Structure, rng: np.random.Generator) -> Structure:
-        amp = self.coord_jitter * rng.random()
+        amp = self.COORD_JITTER * rng.random()
         shifts = rng.uniform(-amp, amp, size=exemplar.frac.shape)
-        lat_amp = self.lattice_jitter * rng.random()
+        lat_amp = self.LATTICE_JITTER * rng.random()
         fa, fb, fc = (1.0 + rng.uniform(-lat_amp, lat_amp, size=3)).tolist()
         lat = exemplar.lattice
         return Structure(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,31 @@ def measured_images(monkeypatch):
     monkeypatch.setattr(geometry, "_flat_pass", record)
     monkeypatch.setattr(geometry, "np", CountingNumpy())
     return counts
+
+
+@pytest.fixture
+def traced_peak():
+    """`peak(call)`: the `tracemalloc` peak of `call()` above what was already
+    allocated, in MiB.
+
+    numpy reports its array buffers to `tracemalloc`, so this counts them.
+    It traces this test process only and sets no limit.
+    """
+
+    def peak(call) -> float:
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    return peak
 
 
 def make_structure(

@@ -50,8 +50,6 @@ CONFIG_CLASSES = {
     "MmtgConfig": {},
     "SearchConfig": {"target_energy": -2.5, "target_composition": {"Cu": 4}},
     "DefectRates": {},
-    "MutationGenerator": {},
-    "PairPotentialSurrogate": {},
 }
 
 

@@ -893,10 +893,11 @@ def test_search_unknown_element(tmp_path, capsys):
         ("search", {"seed": "x"}),
         ("search", {"seed": -1}),
         ("search", {"pool_capacity": 2.5}),
-        ("generator", {"coord_jitter": "x"}),
-        ("generator", {"lattice_jitter": 1.5}),
-        ("generator", {"spacing_cap": -1}),
-        ("generator", {"spacing_floor": 5.0}),
+        # the stand-ins' tuning keys are gone, at values they once accepted
+        ("generator", {"coord_jitter": 0.04}),
+        ("generator", {"lattice_jitter": 0.0}),
+        ("generator", {"spacing_cap": 2.0}),
+        ("generator", {"spacing_floor": 1.9, "spacing_cap": 4.2}),
         ("generator", {"radii": "x"}),
         ("generator", {"radii": None}),
         ("generator", {"radii": 2.5}),
@@ -912,14 +913,15 @@ def test_search_unknown_element(tmp_path, capsys):
         ("search", {"target_composition": {"Cu": 2.7, "O": 2}}),
         ("search", {"target_composition": {"Cu": True, "O": 2}}),
         ("search", {"target_composition": {"Cu": -4, "O": 2}}),
-        ("predictor", {"cutoff": 0}),
-        ("predictor", {"cutoff": -3}),
-        ("predictor", {"cutoff": float("inf")}),
-        ("predictor", {"cutoff": "6"}),
-        ("predictor", {"cutoff": True}),
-        ("predictor", {"depth_scale": 0}),
-        ("predictor", {"depth_scale": -0.4}),
-        ("predictor", {"bond_cap": 0}),
+        ("predictor", {"cutoff": 6.0}),
+        ("predictor", {"cutoff": 5.0}),
+        ("predictor", {"cutoff": 4.5}),
+        ("predictor", {"depth_scale": 0.4}),
+        ("predictor", {"depth_scale": 1.7}),
+        ("predictor", {"bond_cap": 1e3}),
+        ("predictor", {"bond_cap": 0.25}),
+        # the predictor section an older manifest recorded
+        ("predictor", {"depth_scale": 0.4, "cutoff": 6.0, "bond_cap": 1e3}),
         ("predictor", {"radii": None}),
         ("predictor", {"radii": {"Cu": 1.32}}),
         ("predictor", {"radii": {"Cu": -1.32, "O": 0.66}}),
@@ -1161,8 +1163,8 @@ def manifest_config(capsys, *argv):
 PARTIAL_SECTIONS = {
     "weights": {"comp": 0.7, "parse": 0.1},
     "phys": {"vpa_max": 150.0},
-    "generator": {"coord_jitter": 0.04, "defect_rates": {"syntax": 0.01}},
-    "predictor": {"cutoff": 5.0},
+    "generator": {"defect_rates": {"syntax": 0.01}},
+    "predictor": {},  # the stock surrogate takes no keys
     "grpo": {"beta": 0.2},
     "mmtg": {"gating": 0.5},
 }
@@ -1200,6 +1202,9 @@ def test_manifest_records_each_section_as_built(
         "weights": built("weights", RewardWeights),
         "phys": built("phys", PhysConfig),
     }
+    stand_ins = artifact["manifest"]["config"]
+    assert list(stand_ins["generator"]) == ["defect_rates"]
+    assert stand_ins["predictor"] == {}
     # a snapshot fed back as --config reproduces the run
     for argv, cls, key in (
         (["grpo", "groups.jsonl"], GrpoConfig, "groups"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from catloop import geometry
-from catloop.cif import Lattice, parse_cif
+from catloop.cif import Lattice, parse_cif, serialize_cif
 from catloop.geometry import (
     MAX_IMAGES,
     DegenerateCellError,
@@ -20,6 +20,7 @@ from catloop.geometry import (
     volume_per_atom,
 )
 from catloop.elements import COVALENT_RADII
+from catloop.reward import pvcp
 from catloop.search import MutationGenerator
 from conftest import brute_force_pairs, make_structure, pair_tuples, random_structure
 
@@ -480,6 +481,10 @@ def sphere_walk_cases():
         lengths=(2.5, 2.7, 3.1), angles=(80, 95, 60),
     )
     cases += [(coincident, 6.0), (coincident, 0.5)]
+    for n in (30, 80):  # thin cells: self pairs in reach at 6 A, not at 2.5 A
+        thin = make_structure(["Cu", "O"] * (n // 2), rng.random((n, 3)),
+                              lengths=(12.0, 11.0, 3.5), angles=(90, 95, 60))
+        cases += [(thin, 6.0), (thin, 2.5)]
     return cases
 
 
@@ -488,7 +493,8 @@ def test_sphere_walk_tables_equal_the_box_mask(monkeypatch, block_rows):
     cases = sphere_walk_cases()
     assert len(cases) >= 64
     want = [box_mask_table(s, c) for s, c in cases]
-    if block_rows is not None:  # many blocks and steps over each pass
+    if block_rows is not None:  # many blocks and steps over each pass; a
+        # triangle of over 11 sites is read off its flat pair index
         monkeypatch.setattr(geometry, "_BLOCK_ROWS", block_rows)
     compared = 0
     for batch in (1, 16, 64):  # alone, and in shared passes
@@ -540,21 +546,44 @@ def test_pair_blocks_list_self_pairs_only_where_in_reach(monkeypatch, block_rows
     assert rows == want
 
 
-def test_triangle_cache_is_read_only_and_bounded():
+def test_triangle_cache_is_read_only_and_bounded(monkeypatch):
     for n in (1, 6, 128):
-        pi, pj = geometry._site_pairs(n)
+        pi, pj = geometry._triangle(n, True)
         want_i, want_j = np.triu_indices(n)
         assert np.array_equal(pi, want_i) and np.array_equal(pj, want_j)
         assert not pi.flags.writeable and not pj.flags.writeable
-        assert geometry._site_pairs(n)[0] is pi  # cached
-        strict = geometry._site_pairs(n, self_pairs=False)
+        assert geometry._triangle(n, True)[0] is pi  # cached
+        strict = geometry._triangle(n, False)
         assert all(np.array_equal(a, b) for a, b in zip(strict, np.triu_indices(n, 1)))
-    # 362 sites have 65,703 pairs, over the limit of 65,536: built, not kept
-    before = geometry._triangle.cache_info().currsize
-    pi, pj = geometry._site_pairs(362)
-    assert np.array_equal(pi, np.triu_indices(362)[0])
-    assert geometry._site_pairs(362)[0] is not pi
-    assert geometry._triangle.cache_info().currsize == before
+    # 362 sites have 65,703 pairs, over the limit of 65,536: `_pair_blocks`
+    # reads them off the flat pair index and never asks for the triangle
+    asked = []
+    triangle = geometry._triangle
+
+    def record(n, self_pairs):
+        asked.append(n)
+        return triangle(n, self_pairs)
+
+    monkeypatch.setattr(geometry, "_triangle", record)
+    for self_pairs, n in ((True, 362), (False, 363), (False, 362)):
+        blocks = list(geometry._pair_blocks(np.array([0, n]), [n, n], [self_pairs] * 2))
+        rows = [np.concatenate(c) for c in zip(*blocks)]
+        want = np.triu_indices(n, 0 if self_pairs else 1)
+        assert np.array_equal(rows[0], np.repeat([0, 1], len(want[0])))
+        for got, ref in zip(rows[1:], want):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, np.concatenate([ref, ref + n]))
+    assert asked == [362]  # the strict 362-site triangle has 65,341 pairs
+
+
+def test_a_sparse_many_site_cell_is_scored_in_bounded_memory(traced_peak):
+    # 3000 Cu sites at 20 cubic angstroms each: few rows, but a 4.5M-pair
+    # triangle, which laid out whole would peak near 78 MiB
+    rng = np.random.default_rng(3000)
+    n = 3000
+    edge = (20.0 * n) ** (1 / 3)
+    text = serialize_cif(make_structure(["Cu"] * n, rng.random((n, 3)), lengths=(edge,) * 3))
+    assert traced_peak(lambda: pvcp(text, {"Cu": n})) < 10.0
 
 
 def test_shared_pass_ungroups_on_exception():

@@ -43,11 +43,11 @@ CRITERION6_RATES = {
 CORPUS = ((CU4O2, 30), ({"Cu": 43, "O": 21}, 8))
 
 SEARCH_DIGESTS = {
-    0: "4c6d016131b1765cacefcf63e82bac93fef06aecde4e828fa102290b6674fc97",
-    1: "64d324f4ceda7be19c554c8f25b0d50d0f1b227f6fdf054b013fdc454bf042c9",
-    2: "e24467030900ff9d8e5be90d2021070a716673dee5ffba3cc5028d63efe9613f",
+    0: "9114b45a2b7d4c4b2d8b058382938830e6a5ba05b1adab38b46ebe435bb6892f",
+    1: "9f6883a9b432df770a2bbe3a7aae67772796293dacaa9ef0e46697fb6248e3cd",
+    2: "fbb4b22080242c34e8d5beeaeecc7baa2a975093952a0b494330089ed039fbcf",
 }
-DEFECT_SEARCH_DIGEST = "4c22534ede40a9c971ebf361158743df74e9d4805a10dbd9857af1e16953c92a"
+DEFECT_SEARCH_DIGEST = "fbd05a032781c77501e37b0b98da880a5867f944f0bdbe9c1fe3382e4a16e4a7"
 VALIDATE_DIGEST = "98e2efe9b73744241af7ee47ecbba2260ce98ed87e62ee6747ce903107cc0f4a"
 PARSE_DIGEST = "009a071abf1197f8e882544c591fab275fa351a5da7cbb838254a94780959311"
 GEOMETRY_DIGEST = "6256995eb94fcacc39413d02ec3471d63c76d92e67579392a9f6653f06120819"

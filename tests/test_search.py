@@ -117,8 +117,8 @@ def test_surrogate_repulsive_wall_capped():
 
 
 def test_surrogate_cutoff():
-    surr = PairPotentialSurrogate(cutoff=6.0)
-    assert surr.predict(cu_dimer(7.0)) == 0.0
+    assert PairPotentialSurrogate.CUTOFF == 6.0
+    assert PairPotentialSurrogate().predict(cu_dimer(7.0)) == 0.0
 
 
 def test_surrogate_deterministic():
@@ -127,20 +127,21 @@ def test_surrogate_deterministic():
     assert surr.predict(s) == surr.predict(s)
 
 
-def loop_predict(surr, structure):
+def loop_predict(structure):
     """The 12-6 sum as a running total over the pair table, one row at a time."""
     r = np.array([COVALENT_RADII[e] for e in structure.elements])
+    surr = PairPotentialSurrogate
     total = 0.0
-    t = iter_periodic_pairs(structure, surr.cutoff)
+    t = iter_periodic_pairs(structure, surr.CUTOFF)
     for i, j, dist in zip(t.i.tolist(), t.j.tolist(), t.distance.tolist()):
         rsum = r[i] + r[j]
-        eps = surr.depth_scale * rsum / 2.0
+        eps = surr.DEPTH_SCALE * rsum / 2.0
         sigma = rsum / 2.0 ** (1.0 / 6.0)
         if dist < 1e-9:
-            total += surr.bond_cap
+            total += surr.BOND_CAP
             continue
         x6 = (sigma / dist) ** 6
-        total += min(surr.bond_cap, 4.0 * eps * (x6 * x6 - x6))
+        total += min(surr.BOND_CAP, 4.0 * eps * (x6 * x6 - x6))
     return total
 
 
@@ -153,13 +154,9 @@ def test_surrogate_equals_running_total():
          (0.6, 0.5, 0.4 + 1e-12), (0.1, 0.8, 0.2), (0.1, 0.8, 0.2 + 1e-9)],
         lengths=(5.0, 6.0, 7.0), angles=(80, 100, 70),
     ))
-    surrogates = (
-        PairPotentialSurrogate(),
-        PairPotentialSurrogate(depth_scale=1.7, cutoff=4.5, bond_cap=0.25),
-    )
+    surr = PairPotentialSurrogate()
     for s in structures:
-        for surr in surrogates:
-            assert surr.predict(s) == loop_predict(surr, s)
+        assert surr.predict(s) == loop_predict(s)
     # a cell whose 6 A table is empty: 0.0 as a Python float
     empty = cu_dimer(7.0)
     assert not len(iter_periodic_pairs(empty, 6.0))
@@ -172,11 +169,24 @@ def test_float_power_is_libm_pow_over_the_surrogate_domain():
     # float64 loop calls libm pow as math.pow does.  A numpy whose float_power
     # took another path would move every search digest; this names the cause.
     radii = list(COVALENT_RADII.values())
-    lo = 2.0 * min(radii) / 2.0 ** (1.0 / 6.0) / PairPotentialSurrogate().cutoff
+    lo = 2.0 * min(radii) / 2.0 ** (1.0 / 6.0) / PairPotentialSurrogate.CUTOFF
     hi = 2.0 * max(radii) / 2.0 ** (1.0 / 6.0) / 1e-9  # the coincidence threshold
     x = np.exp(np.random.default_rng(59).uniform(np.log(lo), np.log(hi), 300_000))
     want = np.array([math.pow(v, 6.0) for v in x.tolist()])
     assert np.float_power(x, 6.0).tobytes() == want.tobytes()
+
+
+def test_stand_ins_take_no_tuning_settings():
+    # the jitters, the spacing clamp and the 12-6 constants are fixed, so no
+    # caller can void the clean-candidate guarantee criterion 6 relies on
+    assert [f.name for f in dataclasses.fields(MutationGenerator)] == ["defect_rates"]
+    assert dataclasses.fields(PairPotentialSurrogate) == ()
+    for key in ("coord_jitter", "lattice_jitter", "spacing_floor", "spacing_cap"):
+        with pytest.raises(TypeError):
+            MutationGenerator(**{key: 0.04})
+    for key in ("depth_scale", "cutoff", "bond_cap"):
+        with pytest.raises(TypeError):
+            PairPotentialSurrogate(**{key: 5.0})
 
 
 def test_surrogate_satisfies_protocol():
@@ -217,6 +227,20 @@ def test_unconditioned_candidates_are_clean(target):
         br = pvcp(text, target)
         assert br.total == 1.0, br.to_json_dict()
         assert br.failure_flags == frozenset()
+
+
+@pytest.mark.parametrize(
+    "element", sorted(el for el, r in COVALENT_RADII.items() if r <= 2.5)
+)
+def test_unconditioned_candidates_are_clean_for_every_element(element):
+    # the docstring's guarantee, which the spacing constants carry: criterion
+    # 6 and the stratified validate corpus assume these candidates are clean
+    gen = MutationGenerator()
+    for target in ({element: 3}, {element: 2, "O": 2}):
+        for seed in range(3):
+            br = pvcp(gen.propose(None, target, seed), target)
+            assert br.total == 1.0 and br.failure_flags == frozenset(), (target, seed)
+            assert gen.expected_failure_flags(seed, target) == frozenset()
 
 
 def test_unconditioned_geometry_guarantees():
