@@ -11,18 +11,18 @@ Subcommands:
 
 Shared flags: ``--config`` (JSON), ``--out`` (artifact directory),
 ``--format`` (json or table).  Every setting comes only from the config
-file, so each has one source; the seed is the ``search`` section's.  One
-reader reads the config, ``--targets-file`` and ``--pairs``; a side file
-that cannot be read or decoded is a usage error.  An artifact is one line
-of compact JSON with sorted keys, ending in a newline; pipe it through
-``python -m json.tool`` or ask for ``--format table`` to read it.  Every
-artifact embeds a run manifest: command, effective config, sha256 of each
-input file, tool version, seed (null for every command but ``search``),
-and an id over the manifest's other fields in the same JSON form; the
-config records each section as built, defaults included (``asdict`` of the
-built object, keyed by the section name that ``--config`` reads it from).
-Wall-clock time goes only to stderr, so identical manifest inputs produce
-byte-identical artifacts.
+file, so each has one source.  Its top-level keys are sections, each built
+by one class (`_SECTIONS`): an unknown key exits 1, and one file can serve
+every command whose sections it holds.  One reader reads the config,
+``--targets-file`` and ``--pairs``; a side file that cannot be read or
+decoded is a usage error.  An artifact is one line of compact JSON with
+sorted keys, ending in a newline; pipe it through ``python -m json.tool``
+or ask for ``--format table`` to read it.  Every artifact embeds a run
+manifest: command, config (each section the command builds, as built, so
+``--config`` reads it back), args (the command-line values that change
+the artifact), sha256 of each input file, tool version, and an id over
+those fields in the same JSON form.  Wall-clock time goes only to stderr,
+so identical manifest inputs produce byte-identical artifacts.
 
 ``validate``, ``geometry`` and ``textify`` score their CIFs a chunk at a
 time (`reward._score_in_chunks`).  Each input they cannot use is a
@@ -62,12 +62,7 @@ import numpy as np
 from . import __version__
 from .cif import ParseOutcome, Structure, composition_of
 from .elements import check_composition, finite_number
-from .geometry import (
-    DEFAULT_NEIGHBOR_SCALE,
-    build_neighbor_list,
-    min_pair_distance,
-    volume_per_atom,
-)
+from .geometry import build_neighbor_list, min_pair_distance, volume_per_atom
 from .policy import (
     GrpoConfig,
     MmtgConfig,
@@ -90,11 +85,13 @@ from .search import (
     SearchConfig,
     run_search,
 )
-from .textify import DEFAULT_SEPARATOR, SystemMetadata, to_system_text
+from .textify import SystemMetadata, to_system_text
 
 # What a subcommand hands to `main`: the run manifest, the artifact's other
 # keys, and the table renderer for ``--format table``.
 Outcome = tuple[dict, dict, Callable[[dict], str]]
+# What `main` hands to a subcommand to build the manifest from its inputs.
+ManifestFor = Callable[[dict[str, bytes]], dict]
 
 
 class CliError(Exception):
@@ -117,25 +114,27 @@ class _Parser(argparse.ArgumentParser):
 # config plumbing
 
 
-def _configured(config: dict, name: str, cls):
-    """`cls` built from the config's `name` object."""
+# Every key a --config file may hold: a section and the class that builds it.
+_SECTIONS = {
+    "search": SearchConfig,
+    "generator": MutationGenerator,
+    "predictor": PairPotentialSurrogate,
+    "weights": RewardWeights,
+    "phys": PhysConfig,
+    "grpo": GrpoConfig,
+    "mmtg": MmtgConfig,
+}
+
+
+def _configured(config: dict, name: str):
+    """The `name` section, built by its class from the config's `name` object."""
     section = config.get(name, {})
     if not isinstance(section, dict):
         raise CliError(f"bad {name} config: expected a JSON object, got {section!r}")
     try:
-        return cls(**section)
+        return _SECTIONS[name](**section)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad {name} config: {exc}") from None
-
-
-def _neighbor_scale(config: dict) -> float:
-    """The neighbor cutoff scale: the config's, else the default."""
-    scale = config.get("neighbor_scale", DEFAULT_NEIGHBOR_SCALE)
-    if not (finite_number(scale) and scale > 0):
-        raise CliError(
-            f"bad neighbor_scale config: {scale!r} is not a finite number above 0"
-        )
-    return scale
 
 
 def _composition(mapping: object, where: str) -> dict[str, int]:
@@ -193,12 +192,9 @@ def _canonical_json(obj: object) -> str:
 
 
 def build_manifest(
-    command: str,
-    config: dict,
-    inputs: dict[str, bytes],
-    seed: int | None,
+    command: str, config: dict, args: dict, inputs: dict[str, bytes]
 ) -> dict:
-    """Deterministic manifest: config snapshot, input digests, version, id.
+    """Deterministic manifest: config and args snapshots, input digests, version, id.
 
     Wall-clock time is deliberately not part of the manifest so that equal
     inputs always produce byte-identical artifacts.
@@ -206,9 +202,9 @@ def build_manifest(
     core = {
         "command": command,
         "config": config,
+        "args": args,
         "inputs": {name: _sha256_bytes(data) for name, data in inputs.items()},
         "tool_version": __version__,
-        "seed": seed,
     }
     return {**core, "id": _sha256_bytes(_canonical_json(core).encode())}
 
@@ -219,13 +215,12 @@ def _log(message: str) -> None:
 
 
 def _manifest(
-    args: argparse.Namespace,
-    config: dict,
-    inputs: dict[str, bytes],
-    seed: int | None = None,
+    args: argparse.Namespace, sections: dict, inputs: dict[str, bytes]
 ) -> dict:
     """Build the run manifest and log its id before the command does its work."""
-    manifest = build_manifest(args.command, config, inputs, seed)
+    config = {name: asdict(obj) for name, obj in sections.items()}
+    values = {name: getattr(args, name) for name in args.recorded}
+    manifest = build_manifest(args.command, config, values, inputs)
     _log(f"{args.command} manifest {manifest['id']}")
     return manifest
 
@@ -327,9 +322,12 @@ def _each_structure(
 # subcommands
 
 
-def cmd_validate(args: argparse.Namespace, config: dict) -> Outcome:
-    weights = _configured(config, "weights", RewardWeights)
-    phys = _configured(config, "phys", PhysConfig)
+def cmd_validate(
+    args: argparse.Namespace,
+    manifest_for: ManifestFor,
+    weights: RewardWeights,
+    phys: PhysConfig,
+) -> Outcome:
     blobs, errors = _read_inputs(args.command, args.paths)
     paths = list(blobs)
 
@@ -343,14 +341,7 @@ def cmd_validate(args: argparse.Namespace, config: dict) -> Outcome:
         for name, comp in table.items():
             per_file_targets[name] = _target(comp, f"bad targets file entry {name!r}")
     uniform_target = None if args.target is None else parse_composition_arg(args.target)
-
-    cfg_snapshot = {
-        "weights": asdict(weights),
-        "phys": asdict(phys),
-        "target": uniform_target,
-        "targets_file": args.targets_file,
-    }
-    manifest = _manifest(args, cfg_snapshot, blobs)
+    manifest = manifest_for(blobs)
 
     def score_one(k: int, outcome: ParseOutcome) -> tuple[dict, RewardBreakdown]:
         path = paths[k]
@@ -394,11 +385,7 @@ def cmd_validate(args: argparse.Namespace, config: dict) -> Outcome:
     return manifest, body, table
 
 
-def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
-    scale = _neighbor_scale(config)
-    separator = config.get("separator", DEFAULT_SEPARATOR)
-    if not isinstance(separator, str):
-        raise CliError(f"bad separator config: expected a string, got {separator!r}")
+def cmd_textify(args: argparse.Namespace, manifest_for: ManifestFor) -> Outcome:
     blobs, errors = _read_inputs(args.command, args.paths)
     inputs = dict(blobs)  # the CIFs and every sidecar read, for the manifest
     sidecars: dict[str, object] = {}  # CIF path -> sidecar JSON, or its ValueError
@@ -414,16 +401,14 @@ def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
         # JSONDecodeError, UnicodeDecodeError, or nesting past the recursion limit
         except (RecursionError, ValueError) as exc:
             sidecars[p] = ValueError(f"bad sidecar {meta_path}: {exc}")
-
-    cfg_snapshot = {"neighbor_scale": scale, "separator": separator}
-    manifest = _manifest(args, cfg_snapshot, inputs)
+    manifest = manifest_for(inputs)
 
     def textify_one(path: str, structure: Structure) -> dict:
         meta = sidecars[path]
         if isinstance(meta, ValueError):
             raise meta
         meta = SystemMetadata.from_json_dict(meta)
-        text = to_system_text(structure, meta, scale=scale, separator=separator)
+        text = to_system_text(structure, meta)
         return {
             "path": path,
             "adsorbate_part": text.adsorbate_part,
@@ -444,10 +429,11 @@ def cmd_textify(args: argparse.Namespace, config: dict) -> Outcome:
     return manifest, {"systems": systems, "errors": errors}, table
 
 
-def cmd_grpo(args: argparse.Namespace, config: dict) -> Outcome:
-    cfg = _configured(config, "grpo", GrpoConfig)
+def cmd_grpo(
+    args: argparse.Namespace, manifest_for: ManifestFor, grpo: GrpoConfig
+) -> Outcome:
     blobs, _errors = _read_inputs(args.command, [args.groups])
-    manifest = _manifest(args, {"grpo": asdict(cfg)}, blobs)
+    manifest = manifest_for(blobs)
 
     reports = []
     errors = []
@@ -458,7 +444,7 @@ def cmd_grpo(args: argparse.Namespace, config: dict) -> Outcome:
             line = raw.decode("utf-8")
             if not line.strip():
                 continue
-            report = group_report(group_from_json_line(line), cfg)
+            report = group_report(group_from_json_line(line), grpo)
             # the loss is finite only if every advantage, log-prob mean and
             # KL term that went into it is
             if not math.isfinite(report["loss"]):
@@ -482,10 +468,13 @@ def cmd_grpo(args: argparse.Namespace, config: dict) -> Outcome:
     return manifest, {"groups": reports, "errors": errors}, table
 
 
-def cmd_mmtg(args: argparse.Namespace, config: dict) -> Outcome:
+def cmd_mmtg(
+    args: argparse.Namespace, manifest_for: ManifestFor, mmtg: MmtgConfig
+) -> Outcome:
     if args.losses and len(args.losses) != 2:
         raise CliError("provide exactly two losses")
-    cfg = _configured(config, "mmtg", MmtgConfig)
+    if not all(map(math.isfinite, args.losses)):  # the manifest records them
+        raise CliError("task losses must be finite")
 
     pairs: list[tuple[float, float]] = []
     blobs: dict[str, bytes] = {}
@@ -508,10 +497,10 @@ def cmd_mmtg(args: argparse.Namespace, config: dict) -> Outcome:
     if not pairs:
         raise CliError("provide two positional losses or --pairs FILE")
 
-    manifest = _manifest(args, {"mmtg": asdict(cfg)}, blobs)
+    manifest = manifest_for(blobs)
     try:
         results = [
-            {"loss_a": a, "loss_b": b, "combined": mmtg_loss(a, b, cfg)}
+            {"loss_a": a, "loss_b": b, "combined": mmtg_loss(a, b, mmtg)}
             for a, b in pairs
         ]
     except ValueError as exc:
@@ -529,25 +518,18 @@ def cmd_mmtg(args: argparse.Namespace, config: dict) -> Outcome:
     return manifest, {"results": results}, table
 
 
-def cmd_search(args: argparse.Namespace, config: dict) -> Outcome:
-    cfg = _configured(config, "search", SearchConfig)
-    generator = _configured(config, "generator", MutationGenerator)
-    predictor = _configured(config, "predictor", PairPotentialSurrogate)
-    weights = _configured(config, "weights", RewardWeights)
-    phys = _configured(config, "phys", PhysConfig)
-
-    sections = {
-        "search": cfg,
-        "generator": generator,
-        "predictor": predictor,
-        "weights": weights,
-        "phys": phys,
-    }
-    manifest = _manifest(
-        args, {name: asdict(obj) for name, obj in sections.items()}, {}, cfg.seed
-    )
+def cmd_search(
+    args: argparse.Namespace,
+    manifest_for: ManifestFor,
+    search: SearchConfig,
+    generator: MutationGenerator,
+    predictor: PairPotentialSurrogate,
+    weights: RewardWeights,
+    phys: PhysConfig,
+) -> Outcome:
+    manifest = manifest_for({})
     try:
-        report = run_search(generator, predictor, cfg, weights, phys)
+        report = run_search(generator, predictor, search, weights, phys)
     except PoolInitializationError as exc:
         raise _NoInput(f"search failed: {exc}") from None
 
@@ -572,13 +554,12 @@ def cmd_search(args: argparse.Namespace, config: dict) -> Outcome:
     return manifest, {"report": report.to_json_dict()}, table
 
 
-def cmd_geometry(args: argparse.Namespace, config: dict) -> Outcome:
-    scale = _neighbor_scale(config)
+def cmd_geometry(args: argparse.Namespace, manifest_for: ManifestFor) -> Outcome:
     blobs, errors = _read_inputs(args.command, args.paths)
-    manifest = _manifest(args, {"neighbor_scale": scale}, blobs)
+    manifest = manifest_for(blobs)
 
     def inspect_one(path: str, s: Structure) -> dict:
-        nl = build_neighbor_list(s, scale=scale)
+        nl = build_neighbor_list(s)
         sizes = (s.lattice.volume, volume_per_atom(s))
         if not all(map(math.isfinite, sizes)):
             raise ValueError("result is not finite: the cell is too large")
@@ -635,6 +616,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The catloop parser, built once per process.
 
+    Each subcommand declares its `func`, the config `sections` passed to it
+    by name, and the values `recorded` in its manifest's `args`.
     `parse_args` leaves the parser unchanged and returns a new namespace on
     every call, so one parser serves every `main` call; callers must not
     add arguments to it.
@@ -655,17 +638,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--targets-file", help="JSON map of file name to target composition"
     )
     _add_common(p)
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(
+        func=cmd_validate,
+        sections=("weights", "phys"),
+        recorded=("target", "targets_file"),
+    )
 
     p = sub.add_parser("textify", help="render adsorption systems as text")
     p.add_argument("paths", nargs="+", help="CIF files with .meta.json sidecars")
     _add_common(p)
-    p.set_defaults(func=cmd_textify)
+    p.set_defaults(func=cmd_textify, sections=(), recorded=())
 
     p = sub.add_parser("grpo", help="advantages and loss for logged groups")
     p.add_argument("groups", help="JSONL file of candidate groups")
     _add_common(p)
-    p.set_defaults(func=cmd_grpo)
+    p.set_defaults(func=cmd_grpo, sections=("grpo",), recorded=())
 
     p = sub.add_parser("mmtg", help="max-min gated two-task loss")
     p.add_argument(
@@ -674,11 +661,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--pairs", help="JSON file with an array of [a, b] pairs")
     _add_common(p)
-    p.set_defaults(func=cmd_mmtg)
+    p.set_defaults(func=cmd_mmtg, sections=("mmtg",), recorded=("losses",))
 
     p = sub.add_parser("search", help="run the closed-loop exemplar search")
     _add_common(p)
-    p.set_defaults(func=cmd_search)
+    p.set_defaults(
+        func=cmd_search,
+        sections=("search", "generator", "predictor", "weights", "phys"),
+        recorded=(),
+    )
 
     p = sub.add_parser("geometry", help="periodic geometry summaries")
     p.add_argument("paths", nargs="+", help="CIF files to inspect")
@@ -686,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--neighbors", action="store_true", help="include full neighbor lists"
     )
     _add_common(p)
-    p.set_defaults(func=cmd_geometry)
+    p.set_defaults(func=cmd_geometry, sections=(), recorded=("neighbors",))
 
     return parser
 
@@ -706,7 +697,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                 _, config = _read_side_file(args.config, "config")
                 if not isinstance(config, dict):
                     raise CliError("bad config: top level must be an object")
-            manifest, body, table = args.func(args, config)
+                for key in config:
+                    if key not in _SECTIONS:
+                        raise CliError(f"bad config: unknown key {key!r}")
+            sections = {name: _configured(config, name) for name in args.sections}
+            manifest_for = functools.partial(_manifest, args, sections)
+            manifest, body, table = args.func(args, manifest_for, **sections)
             _emit({"manifest": manifest, **body}, args, table)
     except CliError as exc:
         print(f"catloop {args.command}: {exc}", file=sys.stderr)

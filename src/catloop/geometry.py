@@ -402,12 +402,12 @@ def min_image_distance(structure: Structure, i: int, j: int) -> float:
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"site index out of range for {n} sites")
     if i == j:
-        bound = float(np.min(np.linalg.norm(matrix, axis=1)))
+        cutoff = _row_cutoff(structure)
     else:
         delta = structure.frac[j] - structure.frac[i]
         delta -= np.round(delta)
-        bound = float(np.linalg.norm(delta @ matrix))
-    table = _pair_table(structure, bound * (1.0 + _BOUND_SLACK))
+        cutoff = float(np.linalg.norm(delta @ matrix)) * (1.0 + _BOUND_SLACK)
+    table = _pair_table(structure, cutoff)
     pair = (table.i == min(i, j)) & (table.j == max(i, j))
     return float(np.min(table.distance[pair]))
 

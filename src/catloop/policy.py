@@ -158,14 +158,19 @@ def grpo_loss(
     Per member: -A_k * l_k + beta * KL_k, with l_k the length-normalized
     current log-probability.  The total is the mean over members.
     """
-    adv = group_advantages(group, epsilon=cfg.epsilon)
-    per_member = np.array(
-        [
-            -a * normalized_logprob(m.logprobs) + cfg.beta * kl_estimate(m.logprobs)
-            for a, m in zip(adv, group.members)
-        ]
-    )
+    *_, per_member = _member_terms(group, cfg)
     return float(np.mean(per_member)), per_member
+
+
+def _member_terms(
+    group: CandidateGroup, cfg: GrpoConfig
+) -> tuple[np.ndarray, list[float], list[float], np.ndarray]:
+    """Each member's advantage A_k, l_k, KL_k and loss term, each computed once."""
+    adv = group_advantages(group, epsilon=cfg.epsilon)
+    logp = [normalized_logprob(m.logprobs) for m in group.members]
+    kl = [kl_estimate(m.logprobs) for m in group.members]
+    per_member = np.array([-a * lp + cfg.beta * k for a, lp, k in zip(adv, logp, kl)])
+    return adv, logp, kl, per_member
 
 
 @dataclass(frozen=True)
@@ -267,19 +272,16 @@ def group_from_json_line(line: str) -> CandidateGroup:
 
 def group_report(group: CandidateGroup, cfg: GrpoConfig = GrpoConfig()) -> dict:
     """Advantages, KL estimates, and losses for one group as a JSON dict."""
-    adv = group_advantages(group, epsilon=cfg.epsilon)
-    total, per_member = grpo_loss(group, cfg)
+    adv, logp, kl, per_member = _member_terms(group, cfg)
     return {
         "prompt_id": group.prompt_id,
         "n_members": len(group.members),
         "rewards": group.rewards().tolist(),
         "advantages": [float(a) for a in adv],
-        "normalized_logprob": [
-            normalized_logprob(m.logprobs) for m in group.members
-        ],
-        "kl": [kl_estimate(m.logprobs) for m in group.members],
+        "normalized_logprob": logp,
+        "kl": kl,
         "per_member_loss": [float(v) for v in per_member],
-        "loss": total,
+        "loss": float(np.mean(per_member)),
     }
 
 

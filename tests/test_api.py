@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -66,3 +67,13 @@ def test_config_numbers_reject_bools_and_strings(name):
         for v in bad:
             with pytest.raises((TypeError, ValueError)):
                 cls(**{**required, f.name: v})
+
+
+# setuptools 65 flags its whole `[tool.setuptools]` table as beta
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+def test_package_version_has_one_source():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = pyprojecttoml.read_configuration(path, expand=True)["project"]
+    assert "version" in project["dynamic"]
+    assert project["version"] == catloop.__version__

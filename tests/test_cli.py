@@ -10,7 +10,7 @@ import pytest
 
 from catloop import __version__
 from catloop.cif import parse_cif, serialize_cif
-from catloop.cli import build_parser, main, parse_composition_arg
+from catloop.cli import _SECTIONS, build_parser, main, parse_composition_arg
 from catloop.policy import GrpoConfig, MmtgConfig
 from catloop.reward import PhysConfig, RewardWeights
 from catloop.search import (
@@ -80,11 +80,11 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     )
     assert code == 0
     manifest = json.loads(out)["manifest"]
-    assert (manifest["seed"], manifest["config"]["target"]) == (None, {"Cu": 1})
+    assert manifest["args"] == {"target": "Cu:1", "targets_file": None}
     code, out, _ = run_cli(capsys, "validate", str(p), "--format", "json")
     assert code == 0
     manifest = json.loads(out)["manifest"]
-    assert (manifest["seed"], manifest["config"]["target"]) == (None, None)
+    assert manifest["args"] == {"target": None, "targets_file": None}
     code, out, err = run_cli(capsys, "validate", str(p), "--format", "xml")
     assert (code, out) == (1, "")
     assert "usage" in err
@@ -315,6 +315,18 @@ def test_validate_no_readable_inputs(tmp_path, capsys):
     assert "no readable" in err
 
 
+# per command, a top-level key outside the section table beside a good
+# section: a misspelt section, or a setting outside its section
+UNKNOWN_KEYS = {
+    "validate": {"weights": {}, "weight": {"comp": 1.0}},
+    "textify": {"separator": " | "},
+    "grpo": {"grpo": {}, "beta": 0.1},
+    "mmtg": {"mmtg": {}, "gating": 0.5},
+    "search": {"Generator": {"defect_rates": {"syntax": 1.0}}},
+    "geometry": {"neighbour_scale": 5},
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -338,6 +350,11 @@ def test_config_read_errors_exit_1(tmp_path, capsys, argv):
         (b'{"grpo": ', "bad config: "),
         (b"[1, 2]", "bad config: top level must be an object\n"),
         (TOO_DEEP, "bad config: maximum recursion depth exceeded"),
+        # checked against every section, before any input is read
+        (
+            json.dumps(UNKNOWN_KEYS[argv[0]]).encode(),
+            f"bad config: unknown key {list(UNKNOWN_KEYS[argv[0]])[-1]!r}\n",
+        ),
     ):
         cfg.write_bytes(data)
         code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
@@ -517,17 +534,6 @@ def test_textify_non_integer_sidecar_index(tmp_path, capsys, slab_files, key, va
     code, _, err = run_cli(capsys, "textify", str(cif_path))
     assert code == 2
     assert f"{cif_path}: " in err and "must be integers" in err
-
-
-def test_textify_custom_separator(tmp_path, capsys, slab_files):
-    cif_path, _ = slab_files
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"separator": " ||| "}))
-    code, out, _ = run_cli(
-        capsys, "textify", str(cif_path), "--config", str(cfg), "--format", "json"
-    )
-    assert code == 0
-    assert " ||| " in json.loads(out)["systems"][0]["text"]
 
 
 def test_textify_lists_unreadable_inputs(tmp_path, capsys, slab_files):
@@ -744,6 +750,13 @@ def test_mmtg_negative_loss(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("loss", ["nan", "inf"])
+def test_mmtg_non_finite_loss_exits_1(capsys, loss):
+    # refused before the manifest, which records the losses, is built
+    code, out, err = run_cli(capsys, "mmtg", loss, "1", "--format", "json")
+    assert (code, out, err) == (1, "", "catloop mmtg: task losses must be finite\n")
+
+
 @pytest.mark.parametrize(
     "values", [{"gating": True}, {"gating": "1"}, {"gating": 0}]
 )
@@ -803,7 +816,8 @@ def test_search_seed_override_changes_manifest(tmp_path, capsys):
     _, out_b, _ = run_cli(capsys, "search", "--config", str(cfg), "--format", "json")
     a, b = json.loads(out_a), json.loads(out_b)
     assert a["manifest"]["id"] != b["manifest"]["id"]
-    assert b["manifest"]["seed"] == 5
+    assert b["manifest"]["config"]["search"]["seed"] == 5
+    assert "seed" not in b["manifest"]  # recorded once, in its section
 
 
 # each command's options: none of them shadows a config key
@@ -816,7 +830,7 @@ OPTIONS = {
     "geometry": {"--neighbors"},
 }
 # settings held only by the config: --seed would be search.seed, --beta and
-# --epsilon grpo's, --gating mmtg's and --scale the neighbor_scale key
+# --epsilon grpo's and --gating mmtg's; --scale, the neighbor scale, is fixed
 SETTING_FLAGS = ("--seed", "--beta", "--epsilon", "--gating", "--scale")
 
 
@@ -1004,14 +1018,14 @@ def test_geometry_summary(tmp_path, capsys):
 
 def test_geometry_neighbors_flag(tmp_path, capsys):
     p = tmp_path / "ok.cif"
-    p.write_text(MINIMAL_CIF)
+    p.write_text(MINIMAL_CIF.replace("4.0", "3.0"))
     code, out, _ = run_cli(
-        capsys, "geometry", str(p), "--neighbors", "--format", "json",
-        "--config", write_config(tmp_path, {"neighbor_scale": 1.6}),
+        capsys, "geometry", str(p), "--neighbors", "--format", "json"
     )
     assert code == 0
     rec = json.loads(out)["files"][0]
-    # scale 1.6 gives cutoff 4.224 > 4.0, so the three axis self-images
+    # Cu's default cutoff, 1.2 * 2 * 1.32 = 3.168 A, lies beyond the 3.0 A
+    # axes and short of the face diagonals, so the three axis self-images
     # appear, each as two directed entries
     assert rec["n_neighbor_entries"] == 6
     assert len(rec["neighbors"]) == 6
@@ -1062,10 +1076,11 @@ def test_geometry_degenerate_cell_is_a_file_error(tmp_path, capsys):
     assert "no input could be inspected" in err
 
 
-def test_geometry_logs_why_no_file_was_inspected(tmp_path, capsys, slab_files):
-    cif_path, _ = slab_files
-    cfg = write_config(tmp_path, {"neighbor_scale": 1e6})
-    code, out, err = run_cli(capsys, "geometry", str(cif_path), "--config", cfg)
+def test_geometry_logs_why_no_file_was_inspected(tmp_path, capsys):
+    # a 0.1 A cube: the default 3.168 A cutoff spans about 3e5 lattice offsets
+    cif_path = tmp_path / "tiny.cif"
+    cif_path.write_text(MINIMAL_CIF.replace("4.0", "0.1"))
+    code, out, err = run_cli(capsys, "geometry", str(cif_path))
     assert code == 2
     assert out == ""
     assert f"geometry {cif_path}: " in err
@@ -1095,14 +1110,16 @@ def test_geometry_mixed_elements_share_one_pass(tmp_path, capsys, kernel_passes)
     assert json.loads(out)["files"] == [a["files"][0] for a in alone]
 
 
+# geometry and textify take no settings: each value their neighbor_scale
+# and separator keys once refused (`old`, the message it got) is now an
+# unknown key
 @pytest.mark.parametrize(
-    "argv, config, message",
+    "argv, config, old",
     [
         (["geometry", "--neighbors"], {"neighbor_scale": "x"}, "bad neighbor_scale"),
         (["geometry", "--neighbors"], {"neighbor_scale": None}, "bad neighbor_scale"),
         (["textify"], {"neighbor_scale": "x"}, "bad neighbor_scale"),
         (["textify"], {"separator": None}, "bad separator"),
-        # a scale at or below 0 would find no bonds at all
         (["geometry", "--neighbors"], {"neighbor_scale": 0}, "bad neighbor_scale"),
         (["geometry", "--neighbors"], {"neighbor_scale": -1}, "bad neighbor_scale"),
         (["textify"], {"neighbor_scale": 0}, "bad neighbor_scale"),
@@ -1110,14 +1127,15 @@ def test_geometry_mixed_elements_share_one_pass(tmp_path, capsys, kernel_passes)
     ],
 )
 def test_inspection_bad_config_exits_1(
-    tmp_path, capsys, slab_files, argv, config, message
+    tmp_path, capsys, slab_files, argv, config, old
 ):
     cif_path, _ = slab_files
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    code, _, err = run_cli(capsys, *argv, str(cif_path), "--config", str(cfg))
-    assert code == 1
-    assert f"catloop {argv[0]}: {message} config" in err
+    code, out, err = run_cli(capsys, *argv, str(cif_path), "--config", str(cfg))
+    assert (code, out) == (1, "")
+    [key] = config
+    assert err == f"catloop {argv[0]}: bad config: unknown key {key!r}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1130,7 +1148,8 @@ def test_manifest_contents(tmp_path, capsys):
     _, out, _ = run_cli(capsys, "validate", str(p), "--format", "json")
     manifest = json.loads(out)["manifest"]
     assert manifest["command"] == "validate"
-    assert manifest["seed"] is None
+    assert manifest["args"] == {"target": None, "targets_file": None}
+    assert "seed" not in manifest
     assert manifest["tool_version"] == __version__
     assert len(manifest["id"]) == 64
     assert set(manifest["inputs"]) == {str(p)}
@@ -1159,7 +1178,8 @@ def manifest_config(capsys, *argv):
     return json.loads(out)["manifest"]["config"]
 
 
-# one or two keys per section: the manifest fills in the defaults
+# one or two keys per section: the manifest fills in the defaults.  With
+# "search" these are all seven sections, and one file serves every command
 PARTIAL_SECTIONS = {
     "weights": {"comp": 0.7, "parse": 0.1},
     "phys": {"vpa_max": 150.0},
@@ -1168,18 +1188,28 @@ PARTIAL_SECTIONS = {
     "grpo": {"beta": 0.2},
     "mmtg": {"gating": 0.5},
 }
+# a command line for each command, with the values its manifest records
+REPLAY_ARGV = [
+    ["validate", "ok.cif", "--target", "Cu:1", "--targets-file", "targets.json"],
+    ["textify", "slab.cif"],
+    ["grpo", "groups.jsonl"],
+    ["mmtg", "2", "1", "--pairs", "pairs.json"],
+    ["search"],
+    ["geometry", "ok.cif", "--neighbors"],
+]
 
 
 @pytest.mark.parametrize(
     "sections", [{}, PARTIAL_SECTIONS], ids=["search_only", "partial"]
 )
 def test_manifest_records_each_section_as_built(
-    tmp_path, monkeypatch, capsys, sections
+    tmp_path, monkeypatch, capsys, cu_slab, sections
 ):
+    assert set(_SECTIONS) == {"search", *PARTIAL_SECTIONS}
     search = json.loads(search_config_file(tmp_path).read_text())["search"]
     (tmp_path / "cfg.json").write_text(json.dumps({"search": search, **sections}))
-    (tmp_path / "ok.cif").write_text(MINIMAL_CIF)
-    (tmp_path / "groups.jsonl").write_text(GROUP_LINE + "\n")
+    for name, data in sweep_files(cu_slab).items():
+        (tmp_path / name).write_bytes(data)
     monkeypatch.chdir(tmp_path)
 
     def built(name, cls):
@@ -1189,8 +1219,6 @@ def test_manifest_records_each_section_as_built(
     assert validate == {
         "weights": built("weights", RewardWeights),
         "phys": built("phys", PhysConfig),
-        "target": None,
-        "targets_file": None,
     }
     code, out, _ = run_cli(capsys, "search", "--config", "cfg.json", "--format", "json")
     artifact = json.loads(out)
@@ -1205,20 +1233,47 @@ def test_manifest_records_each_section_as_built(
     stand_ins = artifact["manifest"]["config"]
     assert list(stand_ins["generator"]) == ["defect_rates"]
     assert stand_ins["predictor"] == {}
-    # a snapshot fed back as --config reproduces the run
-    for argv, cls, key in (
-        (["grpo", "groups.jsonl"], GrpoConfig, "groups"),
-        (["mmtg", "2", "1"], MmtgConfig, "results"),
-    ):
-        _, out, _ = run_cli(capsys, *argv, "--config", "cfg.json", "--format", "json")
-        artifact = json.loads(out)
-        snapshot = artifact["manifest"]["config"]
-        assert snapshot == {argv[0]: built(argv[0], cls)}
+    assert manifest_config(capsys, "grpo", "groups.jsonl") == {
+        "grpo": built("grpo", GrpoConfig)
+    }
+    assert manifest_config(capsys, "mmtg", "2", "1") == {
+        "mmtg": built("mmtg", MmtgConfig)
+    }
+    # a snapshot fed back as --config, with the same command line,
+    # reproduces the artifact, manifest and all
+    for argv in REPLAY_ARGV:
+        code, out, _ = run_cli(capsys, *argv, "--config", "cfg.json", "--format", "json")
+        assert code == 0, argv
+        snapshot = json.loads(out)["manifest"]["config"]
         (tmp_path / "snapshot.json").write_text(json.dumps(snapshot))
-        _, again, _ = run_cli(
+        code, again, _ = run_cli(
             capsys, *argv, "--config", "snapshot.json", "--format", "json"
         )
-        assert json.loads(again)[key] == artifact[key]
+        assert (code, again) == (0, out), argv
+
+
+@pytest.mark.parametrize(
+    "argv_a, argv_b",
+    [
+        (["validate", "ok.cif"], ["validate", "ok.cif", "--target", "Cu:2"]),
+        (["geometry", "ok.cif"], ["geometry", "ok.cif", "--neighbors"]),
+        (["mmtg", "1", "2"], ["mmtg", "1e308", "1e308"]),
+    ],
+    ids=["validate", "geometry", "mmtg"],
+)
+def test_manifest_id_tracks_the_args_that_change_the_artifact(
+    tmp_path, monkeypatch, capsys, argv_a, argv_b
+):
+    (tmp_path / "ok.cif").write_text(MINIMAL_CIF)
+    monkeypatch.chdir(tmp_path)
+    artifacts = []
+    for argv in (argv_a, argv_b):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        artifacts.append(json.loads(out))
+    a, b = (art.pop("manifest") for art in artifacts)
+    assert artifacts[0] != artifacts[1]
+    assert a["args"] != b["args"] and a["id"] != b["id"]
 
 
 def test_artifacts_byte_identical_across_runs(tmp_path, capsys):

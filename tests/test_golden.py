@@ -43,17 +43,17 @@ CRITERION6_RATES = {
 CORPUS = ((CU4O2, 30), ({"Cu": 43, "O": 21}, 8))
 
 SEARCH_DIGESTS = {
-    0: "9114b45a2b7d4c4b2d8b058382938830e6a5ba05b1adab38b46ebe435bb6892f",
-    1: "9f6883a9b432df770a2bbe3a7aae67772796293dacaa9ef0e46697fb6248e3cd",
-    2: "fbb4b22080242c34e8d5beeaeecc7baa2a975093952a0b494330089ed039fbcf",
+    0: "d4f8cd20b75bbe25f1a7076ecce70b0866000baa738c69896ad57baa89484744",
+    1: "0ae3a92077307ac24bb63dc867cefb1a0df0a73caef2a5497e694dc6e8ae29a0",
+    2: "81ecbdb6fa502da35702bc9cf737b51e9db6969aa97e216058457c62c699c116",
 }
-DEFECT_SEARCH_DIGEST = "fbd05a032781c77501e37b0b98da880a5867f944f0bdbe9c1fe3382e4a16e4a7"
-VALIDATE_DIGEST = "98e2efe9b73744241af7ee47ecbba2260ce98ed87e62ee6747ce903107cc0f4a"
+DEFECT_SEARCH_DIGEST = "727bad5c5ef3bfe5f313011470157e81c2ba26e6d93ecfd460e24858094d7c6d"
+VALIDATE_DIGEST = "44e7f354aa46250cd8e12bd520db294dc864e28f863d2e79074c36c4a604d624"
 PARSE_DIGEST = "009a071abf1197f8e882544c591fab275fa351a5da7cbb838254a94780959311"
-GEOMETRY_DIGEST = "6256995eb94fcacc39413d02ec3471d63c76d92e67579392a9f6653f06120819"
-TEXTIFY_DIGEST = "8a1fe360bbb51ba0043858ca7b30d38f4ebba81ff7bd9684f378eb837f182850"
-GRPO_DIGEST = "5b42d33ad9edd45c97551f4d6d96f2d7b621c9651e85e7fde799299d51de14c7"
-MMTG_DIGEST = "ab50de2baf4f774d81e968e113b2a2997cfc48498936f5ead24b958d3a429f25"
+GEOMETRY_DIGEST = "ab0ce61d60b4f98fe79a9e541e7c0e51422faa95d5cda751b756148374d563ba"
+TEXTIFY_DIGEST = "abbed362c73576473e6caaaf761f59a9b73229c80a5aa427fc89d3605044e293"
+GRPO_DIGEST = "4e3f0a6a422dadd22bc2f9b0ebe021ea558f9573a050a3a656b288c4200914ad"
+MMTG_DIGEST = "ec0dda2b7a671f75723d8a0a1dd9ee3a2ac7c5f96be30c9c62fc52af6fba2b0c"
 
 # Parse corpus: generated files at 6, 64 and 128 sites, then seeded text
 # edits of the 6- and 64-site files.  The snippets hit every tokenizer rule
@@ -229,11 +229,8 @@ def textify_artifact(capsys, cu_slab) -> bytes:
         fh.write("junk")
     with open("bare.cif", "w") as fh:
         fh.write(MINIMAL_CIF)
-    with open("textify.json", "w") as fh:
-        json.dump({"separator": " | ", "neighbor_scale": 1.3}, fh)
     return _run(
-        capsys, "textify", "slab.cif", "bare.cif", "junk.cif",
-        "--config", "textify.json", "--format", "json",
+        capsys, "textify", "slab.cif", "bare.cif", "junk.cif", "--format", "json"
     )
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from catloop import policy
 from catloop.policy import (
     DEFAULT_EPSILON,
     CandidateGroup,
@@ -373,8 +374,24 @@ def test_group_from_json_line_bad_json():
         group_from_json_line("{not json")
 
 
-def test_group_report():
-    rep = group_report(two_member_group(), GrpoConfig(beta=0.1, epsilon=0.0))
+def test_group_report(monkeypatch):
+    group, cfg = two_member_group(), GrpoConfig(beta=0.1, epsilon=0.0)
+    calls = []
+    for name in ("group_advantages", "normalized_logprob", "kl_estimate"):
+        real = getattr(policy, name)
+        monkeypatch.setattr(
+            policy, name,
+            lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k),
+        )
+    rep = group_report(group, cfg)
+    # each term is computed once for the group or once per member
+    assert sorted(calls) == [
+        "group_advantages", "kl_estimate", "kl_estimate",
+        "normalized_logprob", "normalized_logprob",
+    ]
+    monkeypatch.undo()
+    total, per_member = grpo_loss(group, cfg)
+    assert (rep["loss"], rep["per_member_loss"]) == (total, per_member.tolist())
     assert rep["prompt_id"] == "p"
     assert rep["n_members"] == 2
     assert rep["rewards"] == [1.0, 0.0]
