@@ -13,16 +13,18 @@ Shared flags: ``--config`` (JSON), ``--out`` (artifact directory),
 ``--format`` (json or table).  Every setting comes only from the config
 file, so each has one source.  Its top-level keys are sections, each built
 by one class (`_SECTIONS`): an unknown key exits 1, and one file can serve
-every command whose sections it holds.  One reader reads the config,
-``--targets-file`` and ``--pairs``; a side file that cannot be read or
-decoded is a usage error.  An artifact is one line of compact JSON with
-sorted keys, ending in a newline; pipe it through ``python -m json.tool``
-or ask for ``--format table`` to read it.  Every artifact embeds a run
-manifest: command, config (each section the command builds, as built, so
-``--config`` reads it back), args (the command-line values that change
-the artifact), sha256 of each input file, tool version, and an id over
-those fields in the same JSON form.  Wall-clock time goes only to stderr,
-so identical manifest inputs produce byte-identical artifacts.
+every command whose sections it holds.  One reader (`_read`) reads every
+input once: the CIFs, ``textify``'s sidecars, the ``grpo`` groups file, the
+config, ``--targets-file`` and ``--pairs``.  A side file (the last three)
+that cannot be read or decoded is a usage error.  An artifact is one line
+of compact JSON with sorted keys, ending in a newline; pipe it through
+``python -m json.tool`` or ask for ``--format table`` to read it.  Every
+artifact embeds a run manifest: command, config (each section the command
+builds, as built, so ``--config`` reads it back), args (the command-line
+values that change the artifact), sha256 of each input file, tool
+version, and an id over those fields in the same JSON form.  Wall-clock
+time goes only to stderr, so identical manifest inputs produce
+byte-identical artifacts.
 
 ``validate``, ``geometry`` and ``textify`` score their CIFs a chunk at a
 time (`reward._score_in_chunks`).  Each input they cannot use is a
@@ -251,14 +253,26 @@ def _emit(
         sys.stdout.write(table(artifact))
 
 
-def _read_side_file(path: str, what: str) -> tuple[bytes, object]:
-    """The bytes of the side file `path` and the JSON value they hold.
+def _read(path: str) -> bytes:
+    """The whole file `path`, in one unbuffered read: the reader of every input.
 
-    A side file that cannot be read or decoded is a usage error.
+    A buffered reader would only copy the bytes once more.  Raises `OSError`,
+    or `ValueError` for a path holding a NUL byte.
+    """
+    with open(path, "rb", buffering=0) as f:
+        return f.readall()
+
+
+def _read_side_file(path: str, what: str, blobs: dict[str, bytes]) -> object:
+    """The JSON value the side file `path` holds; its bytes go into `blobs`.
+
+    A path already in `blobs` is not read again.  A side file that cannot be
+    read or decoded is a usage error.
     """
     try:
-        data = Path(path).read_bytes()
-        return data, json.loads(data.decode("utf-8"))
+        if path not in blobs:
+            blobs[path] = _read(path)
+        return json.loads(blobs[path].decode("utf-8"))
     except OSError as exc:
         raise CliError(f"cannot read {what}: {exc}") from None
     # JSONDecodeError, UnicodeDecodeError, or nesting past the recursion limit
@@ -285,8 +299,8 @@ def _read_inputs(
     errors: list[dict] = []
     for p in dict.fromkeys(paths):
         try:
-            blobs[p] = Path(p).read_bytes()
-        except OSError as exc:
+            blobs[p] = _read(p)
+        except (OSError, ValueError) as exc:
             _input_error(errors, command, p, exc)
     if not blobs:
         raise _NoInput("no readable input files")
@@ -333,9 +347,7 @@ def cmd_validate(
 
     per_file_targets: dict[str, dict[str, int]] = {}
     if args.targets_file:
-        blobs[args.targets_file], table = _read_side_file(
-            args.targets_file, "targets file"
-        )
+        table = _read_side_file(args.targets_file, "targets file", blobs)
         if not isinstance(table, dict):
             raise CliError("bad targets file: top level must be an object")
         for name, comp in table.items():
@@ -388,23 +400,25 @@ def cmd_validate(
 def cmd_textify(args: argparse.Namespace, manifest_for: ManifestFor) -> Outcome:
     blobs, errors = _read_inputs(args.command, args.paths)
     inputs = dict(blobs)  # the CIFs and every sidecar read, for the manifest
-    sidecars: dict[str, object] = {}  # CIF path -> sidecar JSON, or its ValueError
-    for p in blobs:
-        meta_path = str(Path(p).with_suffix("")) + ".meta.json"
+    meta_of = {p: str(Path(p).with_suffix("")) + ".meta.json" for p in blobs}
+    sidecars: dict[str, object] = {}  # sidecar path -> its JSON, or its ValueError
+    # two CIFs can share a sidecar, and a sidecar can be an input too
+    for meta_path in dict.fromkeys(meta_of.values()):
         try:
-            inputs[meta_path] = Path(meta_path).read_bytes()
-            sidecars[p] = json.loads(inputs[meta_path].decode("utf-8"))
+            if meta_path not in inputs:
+                inputs[meta_path] = _read(meta_path)
+            sidecars[meta_path] = json.loads(inputs[meta_path].decode("utf-8"))
         except FileNotFoundError:
-            sidecars[p] = ValueError("missing sidecar metadata")
+            sidecars[meta_path] = ValueError("missing sidecar metadata")
         except OSError as exc:
-            sidecars[p] = ValueError(f"cannot read sidecar {meta_path}: {exc}")
+            sidecars[meta_path] = ValueError(f"cannot read sidecar {meta_path}: {exc}")
         # JSONDecodeError, UnicodeDecodeError, or nesting past the recursion limit
         except (RecursionError, ValueError) as exc:
-            sidecars[p] = ValueError(f"bad sidecar {meta_path}: {exc}")
+            sidecars[meta_path] = ValueError(f"bad sidecar {meta_path}: {exc}")
     manifest = manifest_for(inputs)
 
     def textify_one(path: str, structure: Structure) -> dict:
-        meta = sidecars[path]
+        meta = sidecars[meta_of[path]]
         if isinstance(meta, ValueError):
             raise meta
         meta = SystemMetadata.from_json_dict(meta)
@@ -479,7 +493,7 @@ def cmd_mmtg(
     pairs: list[tuple[float, float]] = []
     blobs: dict[str, bytes] = {}
     if args.pairs:
-        blobs[args.pairs], data = _read_side_file(args.pairs, "pairs file")
+        data = _read_side_file(args.pairs, "pairs file", blobs)
         try:
             if not isinstance(data, list):
                 raise ValueError("expected an array of [a, b] pairs")
@@ -694,7 +708,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         with np.errstate(all="ignore"):
             config = {}
             if args.config is not None:
-                _, config = _read_side_file(args.config, "config")
+                # its bytes stay out of the manifest's inputs
+                config = _read_side_file(args.config, "config", {})
                 if not isinstance(config, dict):
                     raise CliError("bad config: top level must be an object")
                 for key in config:

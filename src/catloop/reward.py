@@ -282,7 +282,9 @@ def pvcp_from_outcome(
     s_comp = score_composition(target, actual)
     if s_comp < 1.0:
         flags.add(FailureMode.COMPOSITION_MISMATCH)
-        diagnostics.append(f"composition {actual} vs target {dict(target)}")
+        # in sorted order, as `actual` is, so equal targets give equal text
+        wanted = dict(sorted(target.items()))
+        diagnostics.append(f"composition {actual} vs target {wanted}")
     s_phys, phys_notes, hard_pass = _assess_physical(structure, phys)
     if s_phys < 1.0:
         flags.add(FailureMode.PHYSICS_VIOLATION)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .cif import Structure
 from .elements import check_composition, whole_number
-from .geometry import DEFAULT_NEIGHBOR_SCALE, build_neighbor_list
+from .geometry import DEFAULT_NEIGHBOR_SCALE, covalent_pairs
 
 DEFAULT_SEPARATOR = "</s>"
 
@@ -159,10 +159,12 @@ def find_interaction_atoms(
     and primary sites themselves.
     """
     _check_indices(structure, meta)
-    t = build_neighbor_list(structure, scale)
+    t, _ = covalent_pairs(structure, scale)  # each bond once, either way round
 
     def bonded_to(sites: set[int] | frozenset[int]) -> set[int]:
-        return set(t.j[np.isin(t.i, list(sites))].tolist())
+        sites = list(sites)
+        ends = (t.j[np.isin(t.i, sites)], t.i[np.isin(t.j, sites)])
+        return set(np.concatenate(ends).tolist())
 
     ads = meta.adsorbate_indices
     primary = bonded_to(ads) - ads

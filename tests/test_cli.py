@@ -8,16 +8,17 @@ from dataclasses import asdict
 
 import pytest
 
-from catloop import __version__
+from catloop import __version__, cli
 from catloop.cif import parse_cif, serialize_cif
 from catloop.cli import _SECTIONS, build_parser, main, parse_composition_arg
 from catloop.policy import GrpoConfig, MmtgConfig
-from catloop.reward import PhysConfig, RewardWeights
+from catloop.reward import PhysConfig, RewardWeights, pvcp
 from catloop.search import (
     DefectRates,
     MutationGenerator,
     PairPotentialSurrogate,
     SearchConfig,
+    combined_reward,
 )
 from conftest import BAD_COMPOSITIONS, BAD_SIDECAR_INTEGERS, MINIMAL_CIF
 
@@ -294,19 +295,31 @@ def test_validate_mixed_corpus_builds_each_file_once(tmp_path, capsys, kernel_pa
     assert together == alone
 
 
+# an input that cannot be read, and its message
+UNREADABLE = {
+    "missing": "[Errno 2] No such file or directory: '{}'",
+    "directory": "[Errno 21] Is a directory: '{}'",
+}
+
+
+def unreadable_path(tmp_path, kind: str) -> str:
+    """A path of the `UNREADABLE` kind `kind`: a missing file or a directory."""
+    path = tmp_path / f"{kind}.cif"
+    if kind == "directory":
+        path.mkdir()
+    return str(path)
+
+
 def test_validate_unreadable_mixed(tmp_path, capsys):
     p = tmp_path / "ok.cif"
     p.write_text(MINIMAL_CIF)
-    code, out, _ = run_cli(
-        capsys, "validate", str(p), str(tmp_path / "missing.cif"),
-        "--format", "json",
-    )
-    assert code == 0
-    artifact = json.loads(out)
-    assert len(artifact["files"]) == 1
-    [error] = artifact["errors"]
-    assert error["path"] == str(tmp_path / "missing.cif")
-    assert "No such file" in error["error"]
+    for kind, message in UNREADABLE.items():
+        bad = unreadable_path(tmp_path, kind)
+        code, out, _ = run_cli(capsys, "validate", str(p), bad, "--format", "json")
+        assert code == 0
+        artifact = json.loads(out)
+        assert len(artifact["files"]) == 1
+        assert artifact["errors"] == [{"path": bad, "error": message.format(bad)}]
 
 
 def test_validate_no_readable_inputs(tmp_path, capsys):
@@ -342,9 +355,14 @@ UNKNOWN_KEYS = {
 def test_config_read_errors_exit_1(tmp_path, capsys, argv):
     # the config is read like --targets-file and --pairs, before any input
     cfg = tmp_path / "cfg.json"
-    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
-    assert (code, out) == (1, "")
-    assert err.startswith(f"catloop {argv[0]}: cannot read config: ")
+    for kind, message in UNREADABLE.items():  # missing, then a directory
+        if kind == "directory":
+            cfg.mkdir()
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        message = message.format(cfg)
+        assert err == f"catloop {argv[0]}: cannot read config: {message}\n"
+    cfg.rmdir()
     for data, message in (
         (b'{"grpo": "\xff"}', "bad config: "),
         (b'{"grpo": ', "bad config: "),
@@ -538,16 +556,15 @@ def test_textify_non_integer_sidecar_index(tmp_path, capsys, slab_files, key, va
 
 def test_textify_lists_unreadable_inputs(tmp_path, capsys, slab_files):
     cif_path, _ = slab_files
-    missing = tmp_path / "missing.cif"
-    code, out, _ = run_cli(
-        capsys, "textify", str(cif_path), str(missing), "--format", "json"
-    )
-    assert code == 0
-    artifact = json.loads(out)
-    assert [r["path"] for r in artifact["systems"]] == [str(cif_path)]
-    [error] = artifact["errors"]
-    assert error["path"] == str(missing)
-    assert "No such file" in error["error"]
+    for kind, message in UNREADABLE.items():
+        bad = unreadable_path(tmp_path, kind)
+        code, out, _ = run_cli(
+            capsys, "textify", str(cif_path), bad, "--format", "json"
+        )
+        assert code == 0
+        artifact = json.loads(out)
+        assert [r["path"] for r in artifact["systems"]] == [str(cif_path)]
+        assert artifact["errors"] == [{"path": bad, "error": message.format(bad)}]
 
 
 def test_textify_table_output(tmp_path, capsys, slab_files):
@@ -733,7 +750,8 @@ def test_mmtg_bad_pairs_file(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     code, _, err = run_cli(capsys, "mmtg", "3", "1", "--pairs", missing)
     assert code == 1
-    assert err.startswith("catloop mmtg: cannot read pairs file: ")
+    message = UNREADABLE["missing"].format(missing)
+    assert err == f"catloop mmtg: cannot read pairs file: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [["grpo", "groups.jsonl"], ["mmtg", "1", "2"]])
@@ -1300,6 +1318,39 @@ def test_artifacts_byte_identical_across_runs(tmp_path, capsys):
     )
 
 
+def test_a_target_in_any_key_order_gives_one_artifact(tmp_path, monkeypatch, capsys):
+    (tmp_path / "ok.cif").write_text(MINIMAL_CIF)  # Cu1: no target matches it
+    monkeypatch.chdir(tmp_path)
+
+    def body(*argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        art = json.loads(out)
+        del art["manifest"]  # it records the target as typed
+        return art
+
+    runs = []
+    for target in ({"Cu": 4, "O": 2}, {"O": 2, "Cu": 4}):
+        (tmp_path / "targets.json").write_text(json.dumps({"ok.cif": target}))
+        text = ",".join(f"{el}:{n}" for el, n in target.items())
+        cfg = SearchConfig(target_energy=0.0, target_composition=target)
+        runs.append((
+            body("validate", "ok.cif", "--target", text),
+            body("validate", "ok.cif", "--targets-file", "targets.json"),
+            body("search", "--config", str(search_config_file(
+                tmp_path, target_composition=target
+            ))),
+            pvcp(MINIMAL_CIF, target),
+            combined_reward(MINIMAL_CIF, PairPotentialSurrogate(), cfg),
+        ))
+    assert runs[0] == runs[1]
+    by_text, by_file, _, by_pvcp, by_search = runs[0]
+    assert by_text == by_file
+    diagnostic = "composition {'Cu': 1} vs target {'Cu': 4, 'O': 2}"
+    assert diagnostic in by_text["files"][0]["reward"]["diagnostics"]
+    assert diagnostic in by_pvcp.diagnostics == by_search.pvcp.diagnostics
+
+
 # ---------------------------------------------------------------------------
 # non-finite results: JSON has no NaN or infinity.  `mmtg` refuses the run
 # (exit 1); `grpo` and `geometry` report the item as an error record, so a
@@ -1440,6 +1491,69 @@ def test_each_input_is_listed_once(tmp_path, monkeypatch, capsys, cu_slab, comma
         assert len(used) == 4 and "PF" in art["files"][-1]["reward"]["failure_flags"]
     else:
         assert used == ["good.cif"]
+
+
+@pytest.mark.parametrize("command", ["validate", "textify", "grpo", "geometry"])
+def test_an_input_path_that_cannot_be_opened_is_an_error(
+    tmp_path, monkeypatch, capsys, cu_slab, command
+):
+    # argv cannot hold a NUL byte, but an in-process `main(argv)` can
+    for name, data in sweep_files(cu_slab).items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    bad = "a\x00b.cif"
+    code, out, err = run_cli(capsys, command, bad)
+    assert (code, out) == (2, "")
+    logged = [LOG_LINE.sub("", line, count=1) for line in err.splitlines()]
+    assert f"{command} {bad}: embedded null byte" in logged
+    if command == "grpo":  # it reads one file
+        return
+    good = "slab.cif" if command == "textify" else "ok.cif"
+    code, out, _ = run_cli(capsys, command, good, bad, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["errors"] == [{"path": bad, "error": "embedded null byte"}]
+
+
+def test_each_input_is_read_once_by_the_one_reader(
+    tmp_path, monkeypatch, capsys, cu_slab
+):
+    reads = []
+    read = cli._read
+
+    def counted(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(cli, "_read", counted)
+    files = sweep_files(cu_slab)
+    files["slab.txt"] = files["slab.cif"]  # shares slab.meta.json with slab.cif
+    files["cfg.json"] = b"{}"
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    cfg = ["--config", "cfg.json"]
+    runs = {
+        # a CIF listed twice, and a targets file that is also an input
+        "validate": (
+            ["ok.cif", "targets.json", "ok.cif", "--targets-file", "targets.json"],
+            {"ok.cif", "targets.json"},
+        ),
+        "textify": (
+            ["slab.cif", "slab.txt", "slab.cif", "slab.meta.json"],
+            {"slab.cif", "slab.txt", "slab.meta.json", "slab.meta.meta.json"},
+        ),
+        "grpo": (["groups.jsonl"], {"groups.jsonl"}),
+        "mmtg": (["--pairs", "pairs.json"], {"pairs.json"}),
+        "geometry": (["ok.cif", "ok.cif", "--neighbors"], {"ok.cif"}),
+    }
+    for command, (argv, inputs) in runs.items():
+        reads.clear()
+        code, out, _ = run_cli(capsys, command, *argv, *cfg, "--format", "json")
+        assert code == 0, command
+        assert sorted(reads) == sorted(inputs | {"cfg.json"}), command
+        # every input the manifest hashes came through the reader
+        hashed = set(json.loads(out)["manifest"]["inputs"])
+        assert hashed == inputs - {"slab.meta.meta.json"}, command
 
 
 def _used_and_errors(capsys, command, paths, *flags):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from catloop.geometry import build_neighbor_list
 from catloop.textify import (
     DEFAULT_SEPARATOR,
     SystemMetadata,
@@ -13,7 +14,12 @@ from catloop.textify import (
     reduced_formula,
     to_system_text,
 )
-from conftest import BAD_COMPOSITIONS, BAD_SIDECAR_INTEGERS, make_structure
+from conftest import (
+    BAD_COMPOSITIONS,
+    BAD_SIDECAR_INTEGERS,
+    make_structure,
+    random_structure,
+)
 
 
 def test_hill_sorted():
@@ -110,6 +116,45 @@ def test_cu_slab_interactions(cu_slab):
     primary, secondary = find_interaction_atoms(structure, meta)
     assert primary == expected["primary"]
     assert secondary == expected["secondary"]
+
+
+def directed_interaction_atoms(structure, meta, scale):
+    """The contact sets by their definition, over the directed neighbor list."""
+    t = build_neighbor_list(structure, scale)
+
+    def bonded_to(sites):
+        return set(t.j[np.isin(t.i, list(sites))].tolist())
+
+    ads = meta.adsorbate_indices
+    primary = bonded_to(ads) - ads
+    secondary = (bonded_to(primary) & meta.surface_top_indices) - ads - primary
+    return sorted(primary), sorted(secondary)
+
+
+def test_interactions_equal_the_directed_definition(cu_slab):
+    structure, meta, _ = cu_slab
+    cases = [(structure, meta, 1.2)]
+    rng = np.random.default_rng(83)
+    while len(cases) < 200:
+        s = random_structure(rng, max_sites=10)
+        roles = rng.integers(0, 3, size=len(s))  # adsorbate, top layer, other
+        if not (roles == 0).any():
+            continue
+        meta = SystemMetadata(
+            frozenset(np.flatnonzero(roles == 0).tolist()),
+            frozenset(np.flatnonzero(roles == 1).tolist()),
+            {"Cu": 1},
+            (1, 1, 1),
+        )
+        cases.append((s, meta, float(rng.choice([0.8, 1.2, 2.0]))))
+    self_images = secondaries = 0
+    for s, meta, scale in cases:
+        expected = directed_interaction_atoms(s, meta, scale)
+        assert find_interaction_atoms(s, meta, scale) == expected
+        nl = build_neighbor_list(s, scale)
+        self_images += bool((nl.i == nl.j).any())  # a site bonds its own image
+        secondaries += bool(expected[1])
+    assert self_images >= 50 and secondaries >= 20
 
 
 def test_custom_separator(cu_slab):
