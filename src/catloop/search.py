@@ -27,7 +27,15 @@ from typing import Iterable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
-from .cif import Lattice, ParseOutcome, Structure, parse_cif, serialize_cif
+from .cif import (
+    _SPACE_GROUP_NUMBER_TAGS,
+    _SPACE_GROUP_TAGS,
+    Lattice,
+    ParseOutcome,
+    Structure,
+    parse_cif,
+    serialize_cif,
+)
 from .elements import (
     COVALENT_RADII,
     check_composition,
@@ -212,7 +220,7 @@ class MutationGenerator:
                 ln
                 for ln in text.splitlines()
                 if not ln.lower().startswith(
-                    ("_symmetry_space_group_name_h-m", "_symmetry_int_tables_number")
+                    _SPACE_GROUP_TAGS + _SPACE_GROUP_NUMBER_TAGS
                 )
             ) + "\n"
         if "syntax" in injected:
