@@ -58,10 +58,14 @@ _SIXTH_ROOT_OF_TWO = 2.0 ** (1.0 / 6.0)
 
 # substream ids for per-seed random draws inside MutationGenerator
 _STREAM_GEOMETRY = 0
-_STREAM_SYNTAX = 1
-_STREAM_MISSING_FIELD = 2
-_STREAM_COMPOSITION = 3
-_STREAM_OVERLAP = 4
+_STREAM_DEFECTS = 1  # one draw per defect class, in _DEFECT_CLASSES order
+# (class, reward flag it causes, atoms it needs), in `DefectRates` field order
+_DEFECT_CLASSES = (
+    ("syntax", "PF", 1),
+    ("missing_field", "VF", 1),
+    ("composition", "CM", 1),
+    ("overlap", "PV", 2),
+)
 
 
 @runtime_checkable
@@ -147,7 +151,7 @@ class DefectRates:
     overlap: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("syntax", "missing_field", "composition", "overlap"):
+        for name, _, _ in _DEFECT_CLASSES:
             v = getattr(self, name)
             if not (finite_number(v) and 0.0 <= v <= 1.0):
                 raise ValueError(f"{name} rate must lie in [0, 1], got {v!r}")
@@ -177,8 +181,10 @@ class MutationGenerator:
 
     Defect injection, the one setting, corrupts the output with per-class
     probabilities from `defect_rates`, a `DefectRates` or a mapping of its
-    fields (a config's JSON object).  Each class draws from its own seed
-    substream, so disabling one class leaves every other draw unchanged.
+    fields (a config's JSON object).  The four decisions are four draws from
+    one seed substream, in a fixed class order whatever the rates, so
+    disabling one class leaves every other decision unchanged; with every
+    rate 0 nothing is drawn.
     `propose` is a pure function of (exemplar, target, rng_seed).
     """
 
@@ -233,21 +239,16 @@ class MutationGenerator:
         self, rng_seed: int, target: CompositionVector
     ) -> frozenset[str]:
         """Classes this seed will corrupt; mirrors `propose` exactly."""
-        rates = self.defect_rates
+        rates = [getattr(self.defect_rates, name) for name, _, _ in _DEFECT_CLASSES]
+        if not any(rates):
+            return frozenset()
+        draws = np.random.default_rng([rng_seed, _STREAM_DEFECTS]).random(len(rates))
         n_atoms = sum(target.values())
-        out = set()
-        draws = (
-            ("syntax", rates.syntax, _STREAM_SYNTAX, 1),
-            ("missing_field", rates.missing_field, _STREAM_MISSING_FIELD, 1),
-            ("composition", rates.composition, _STREAM_COMPOSITION, 1),
-            ("overlap", rates.overlap, _STREAM_OVERLAP, 2),
+        return frozenset(
+            name
+            for (name, _, least), rate, u in zip(_DEFECT_CLASSES, rates, draws.tolist())
+            if u < rate and n_atoms >= least
         )
-        for name, rate, stream, min_atoms in draws:
-            if rate <= 0.0 or n_atoms < min_atoms:
-                continue
-            if np.random.default_rng([rng_seed, stream]).random() < rate:
-                out.add(name)
-        return frozenset(out)
 
     def expected_failure_flags(
         self, rng_seed: int, target: CompositionVector
@@ -255,15 +256,14 @@ class MutationGenerator:
         """Reward failure flags the injected defects will cause.
 
         A syntax defect is fatal, so it masks every other flag (PF only).
-        Otherwise: missing_field -> VF, composition -> CM, overlap -> PV.
+        Otherwise each injected class gives its flag in `_DEFECT_CLASSES`.
         Assumes the candidate was otherwise clean, which unconditioned
         generation guarantees.
         """
         injected = self.injected_defects(rng_seed, target)
         if "syntax" in injected:
             return frozenset({"PF"})
-        mapping = {"missing_field": "VF", "composition": "CM", "overlap": "PV"}
-        return frozenset(mapping[c] for c in injected)
+        return frozenset(flag for name, flag, _ in _DEFECT_CLASSES if name in injected)
 
     # -- internals ---------------------------------------------------------
 

@@ -47,9 +47,9 @@ SEARCH_DIGESTS = {
     1: "0ae3a92077307ac24bb63dc867cefb1a0df0a73caef2a5497e694dc6e8ae29a0",
     2: "81ecbdb6fa502da35702bc9cf737b51e9db6969aa97e216058457c62c699c116",
 }
-DEFECT_SEARCH_DIGEST = "727bad5c5ef3bfe5f313011470157e81c2ba26e6d93ecfd460e24858094d7c6d"
-VALIDATE_DIGEST = "44e7f354aa46250cd8e12bd520db294dc864e28f863d2e79074c36c4a604d624"
-PARSE_DIGEST = "009a071abf1197f8e882544c591fab275fa351a5da7cbb838254a94780959311"
+DEFECT_SEARCH_DIGEST = "1abc40c576ac2a985366bc72a87a7a223b719cc01bba37d95883ceddd3887d30"
+VALIDATE_DIGEST = "95add63cd099185c2f41d156faca0db1c34ad699faa7fc366cf4217390a4d940"
+PARSE_DIGEST = "95464be6865a877ac828a56eb2a1176dff2c0fddb76d96e28b4e0dcfca6a29b2"
 GEOMETRY_DIGEST = "ab0ce61d60b4f98fe79a9e541e7c0e51422faa95d5cda751b756148374d563ba"
 TEXTIFY_DIGEST = "abbed362c73576473e6caaaf761f59a9b73229c80a5aa427fc89d3605044e293"
 GRPO_DIGEST = "4e3f0a6a422dadd22bc2f9b0ebe021ea558f9573a050a3a656b288c4200914ad"

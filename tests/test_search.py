@@ -352,15 +352,38 @@ def test_syntax_masks_other_flags():
 
 
 def test_substreams_are_independent():
-    with_syntax = MutationGenerator(
-        defect_rates=DefectRates(syntax=0.5, overlap=0.5)
-    )
-    without_syntax = MutationGenerator(defect_rates=DefectRates(overlap=0.5))
-    for seed in range(100):
-        a = with_syntax.injected_defects(seed, TARGET)
-        b = without_syntax.injected_defects(seed, TARGET)
-        # turning the syntax channel off never flips an overlap decision
-        assert ("overlap" in a) == ("overlap" in b)
+    classes = [f.name for f in dataclasses.fields(DefectRates)]
+    all_on = MutationGenerator(defect_rates=DefectRates(**dict.fromkeys(classes, 0.5)))
+    for off in classes:
+        rates = dict.fromkeys(classes, 0.5)
+        rates[off] = 0.0
+        ablated = MutationGenerator(defect_rates=DefectRates(**rates))
+        for seed in range(100):
+            a = all_on.injected_defects(seed, TARGET)
+            b = ablated.injected_defects(seed, TARGET)
+            # turning one class off never flips another class's decision
+            assert b == a - {off}, (off, seed)
+
+
+def test_defect_table_follows_the_rates_fields():
+    assert [name for name, _, _ in search._DEFECT_CLASSES] == [
+        f.name for f in dataclasses.fields(DefectRates)
+    ]
+
+
+@pytest.mark.parametrize("on", range(16))
+def test_expected_flags_equal_pvcp_for_every_class_subset(on):
+    classes = [f.name for f in dataclasses.fields(DefectRates)]
+    rates = {name: float(on >> k & 1) for k, name in enumerate(classes)}
+    gen = MutationGenerator(defect_rates=DefectRates(**rates))
+    flags = {"syntax": "PF", "missing_field": "VF", "composition": "CM", "overlap": "PV"}
+    want = frozenset(flags[name] for name, rate in rates.items() if rate)
+    if "PF" in want:
+        want = frozenset({"PF"})  # a parse failure masks every other flag
+    for seed in range(3):
+        assert gen.expected_failure_flags(seed, TARGET) == want
+        br = pvcp(gen.propose(None, TARGET, seed), TARGET)
+        assert frozenset(br.flag_codes()) == want, (rates, seed)
 
 
 def test_overlap_needs_two_atoms():
@@ -392,7 +415,7 @@ def test_injection_rates_recovered():
 # defect digest.
 PROPOSE_DIGESTS = {
     "clean": "f12f205bbf7666b2e22965fac76b5a182aff45667aa2528d0b49278073bac893",
-    "defect": "610ec2b5ff685b5afe62ae12f6169bcb0e0c4f15cdcbd1a7c70df99af211c655",
+    "defect": "f5c38339db754672192d4f7de28c4dd4ca6bf39c3c161840965b23ecc4589ad3",
 }
 
 
