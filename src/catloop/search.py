@@ -30,6 +30,7 @@ import numpy as np
 from .cif import (
     _SPACE_GROUP_NUMBER_TAGS,
     _SPACE_GROUP_TAGS,
+    DEFAULT_MAX_CHARS,
     Lattice,
     ParseOutcome,
     Structure,
@@ -400,8 +401,16 @@ class SearchConfig:
         if not self.success_tolerance > 0.0:
             raise ValueError("success_tolerance must be positive")
         counts = check_composition(self.target_composition, "target_composition")
-        if not sum(counts.values()):
+        n_atoms = sum(counts.values())
+        if not n_atoms:
             raise ValueError("target_composition needs at least one atom")
+        # a site row is at least four one-character values, each followed by
+        # a separator, so no text under the parser cap holds more sites
+        if n_atoms > DEFAULT_MAX_CHARS // 8:
+            raise ValueError(
+                f"target_composition has {n_atoms} atoms; no CIF under the "
+                f"parser cap holds more than {DEFAULT_MAX_CHARS // 8}"
+            )
         object.__setattr__(self, "target_composition", counts)
 
 

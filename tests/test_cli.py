@@ -985,6 +985,8 @@ def test_search_unknown_element(tmp_path, capsys):
         ("generator", {"defect_rates": None}),
         # a negative weight, although the two still sum to 1
         ("search", {"energy_weight": -0.5, "pvcp_weight": 1.5}),
+        # more atoms than any CIF under the parser cap can hold
+        ("search", {"target_composition": {"Cu": 10**9}}),
     ],
 )
 def test_search_bad_config_values_exit_1(tmp_path, capsys, section, values):

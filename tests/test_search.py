@@ -559,6 +559,10 @@ def test_search_config_validation():
     for empty in ({}, {"Cu": 0}):
         with pytest.raises(ValueError, match="needs at least one atom"):
             base_config(target_composition=empty)
+    # the most sites a CIF under the parser cap can hold: 8 characters a row
+    assert base_config(target_composition={"Cu": 131071, "O": 1})
+    with pytest.raises(ValueError, match="holds more than 131072"):
+        base_config(target_composition={"Cu": 131072, "O": 1})
     with pytest.raises(TypeError, match="target_composition"):
         SearchConfig(target_energy=0.0)  # a target is required
     cfg = base_config(seed=np.int64(3), iterations=np.int32(2),
