@@ -1,13 +1,14 @@
 """CIF parsing, defect reporting, and round-trip serialization."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from catloop.cif import (
     _TOKEN_RE,
+    CELL_TAGS,
     DEFAULT_MAX_CHARS,
     DefectCode,
     FATAL_DEFECTS,
@@ -767,3 +768,180 @@ def test_row_defects(text, defects, labels):
     out = parse_cif(text)
     assert [(d.code.value, d.message, d.line) for d in out.defects] == defects
     assert (out.structure and out.structure.labels) == labels
+
+
+def test_cell_tags_name_the_lattice_fields_in_order():
+    # the parser builds `Lattice(*values)` from the values in CELL_TAGS order
+    assert [tag.rsplit("_", 1)[1] for tag in CELL_TAGS] == [
+        f.name for f in fields(Lattice)
+    ]
+
+
+SG_LINE = "_symmetry_space_group_name_H-M 'P 1'\n"  # line 8 of MINIMAL_CIF
+CUBE = (4.0, 4.0, 4.0, 90.0, 90.0, 90.0)
+
+
+def header(*edits: tuple[str, str]) -> str:
+    text = MINIMAL_CIF
+    for old, new in edits:
+        text = edit(text, old, new)
+    return text
+
+
+def sg(*lines: str) -> str:
+    """MINIMAL_CIF with its space-group line replaced by `lines`."""
+    return header((SG_LINE, "".join(f"{line}\n" for line in lines)))
+
+
+@pytest.mark.parametrize(
+    "text, defects, parsed",
+    [
+        # the cell tags
+        (
+            header(("_cell_length_b 4.0", "_cell_length_b x")),
+            [("BAD_NUMBER", "_cell_length_b value 'x' is not numeric", 3)],
+            None,
+        ),
+        (
+            header(("_cell_length_a 4.0", "_cell_length_a 0")),
+            [("BAD_NUMBER", "_cell_length_a value 0.0 outside physical range", 2)],
+            None,
+        ),
+        (
+            header(("_cell_length_c 4.0", "_cell_length_c -2.5(1)")),
+            [("BAD_NUMBER", "_cell_length_c value -2.5 outside physical range", 4)],
+            None,
+        ),
+        (
+            header(("_cell_angle_alpha 90", "_cell_angle_alpha 0")),
+            [("BAD_NUMBER", "_cell_angle_alpha value 0.0 outside physical range", 5)],
+            None,
+        ),
+        (
+            header(("_cell_angle_beta 90", "_cell_angle_beta 180")),
+            [("BAD_NUMBER", "_cell_angle_beta value 180.0 outside physical range", 6)],
+            None,
+        ),
+        (
+            header(("_cell_angle_gamma 90", "_cell_angle_gamma 200")),
+            [("BAD_NUMBER", "_cell_angle_gamma value 200.0 outside physical range", 7)],
+            None,
+        ),
+        (
+            # reported in tag order, not file order
+            header(
+                ("_cell_length_a 4.0\n", ""),
+                ("_cell_angle_gamma 90\n", "_cell_angle_gamma 90\n_cell_length_a ?\n"),
+                ("_cell_angle_alpha 90", "_cell_angle_alpha 200"),
+            ),
+            [
+                ("BAD_NUMBER", "_cell_length_a value '?' is not numeric", 7),
+                ("BAD_NUMBER", "_cell_angle_alpha value 200.0 outside physical range", 4),
+            ],
+            None,
+        ),
+        (
+            header(
+                ("_cell_angle_alpha 90", "_cell_angle_alpha 150"),
+                ("_cell_angle_beta 90", "_cell_angle_beta 150"),
+                ("_cell_angle_gamma 90", "_cell_angle_gamma 150"),
+            ),
+            [("BAD_NUMBER", "cell angles do not define a positive-volume cell", 0)],
+            None,
+        ),
+        (
+            # cos(120 deg) rounds above -1/2, so the volume factor stays positive
+            header(
+                ("_cell_angle_alpha 90", "_cell_angle_alpha 120"),
+                ("_cell_angle_beta 90", "_cell_angle_beta 120"),
+                ("_cell_angle_gamma 90", "_cell_angle_gamma 120"),
+            ),
+            [],
+            ((4.0, 4.0, 4.0, 120.0, 120.0, 120.0), "P 1", None),
+        ),
+        (
+            header(("_cell_angle_beta 90\n", "")),
+            [("MISSING_LATTICE", "missing cell tags: _cell_angle_beta", 0)],
+            None,
+        ),
+        (
+            header(("_cell_length_b 4.0\n", ""), ("_cell_angle_gamma 90", "_cell_angle_gamma x")),
+            [("MISSING_LATTICE", "missing cell tags: _cell_length_b", 0)],
+            None,
+        ),
+        # the space-group tags
+        (sg("_symmetry_space_group_name_H-M 'P 1'"), [], (CUBE, "P 1", None)),
+        (sg("_symmetry_Int_Tables_number 225"), [], (CUBE, None, 225)),
+        (
+            sg("_symmetry_Int_Tables_number 225", "_symmetry_space_group_name_H-M 'F m -3 m'"),
+            [],
+            (CUBE, "F m -3 m", 225),
+        ),
+        (
+            sg("_space_group_name_H-M_alt 'F m -3 m'", "_space_group_IT_number 225"),
+            [],
+            (CUBE, "F m -3 m", 225),
+        ),
+        (
+            # the first tag of each list wins, wherever it stands in the file
+            sg(
+                "_space_group_name_H-M_alt 'F m -3 m'",
+                "_space_group_IT_number 229",
+                "_symmetry_space_group_name_H-M 'I m -3 m'",
+                "_symmetry_Int_Tables_number 225",
+            ),
+            [],
+            (CUBE, "I m -3 m", 225),
+        ),
+        (
+            # a placeholder under the first tag hides the alias
+            sg("_symmetry_space_group_name_H-M ?", "_space_group_name_H-M_alt 'P 1'"),
+            [],
+            (CUBE, None, None),
+        ),
+        (sg("_symmetry_space_group_name_H-M ?"), [], (CUBE, None, None)),
+        (sg("_symmetry_space_group_name_H-M ."), [], (CUBE, None, None)),
+        (sg("_symmetry_space_group_name_H-M ''"), [], (CUBE, None, None)),
+        (sg("_symmetry_space_group_name_H-M ' P 1 '"), [], (CUBE, "P 1", None)),
+        (sg("_symmetry_Int_Tables_number 0"), [], (CUBE, None, None)),
+        (sg("_symmetry_Int_Tables_number 231"), [], (CUBE, None, None)),
+        (sg("_symmetry_Int_Tables_number 1.5"), [], (CUBE, None, None)),
+        (sg("_symmetry_Int_Tables_number ?"), [], (CUBE, None, None)),
+        (sg("_symmetry_Int_Tables_number 225(1)"), [], (CUBE, None, 225)),
+        (
+            sg("_symmetry_Int_Tables_number x", "_space_group_IT_number 225"),
+            [],
+            (CUBE, None, None),
+        ),
+        (sg(), [("MISSING_SPACE_GROUP", "no space group tag", 0)], (CUBE, None, None)),
+        (
+            # both stages report: the cell first, then the space group
+            header((SG_LINE, ""), ("_cell_length_a 4.0", "_cell_length_a 0")),
+            [
+                ("BAD_NUMBER", "_cell_length_a value 0.0 outside physical range", 2),
+                ("MISSING_SPACE_GROUP", "no space group tag", 0),
+            ],
+            None,
+        ),
+    ],
+    ids=[
+        "cell-not-numeric", "cell-length-zero", "cell-length-negative",
+        "cell-angle-0", "cell-angle-180", "cell-angle-200", "cell-two-bad-in-tag-order",
+        "cell-angles-150-no-volume", "cell-angles-120-parse", "cell-missing-tag",
+        "cell-missing-before-bad", "sg-symbol", "sg-number", "sg-both", "sg-aliases",
+        "sg-first-tag-wins", "sg-placeholder-hides-alias", "sg-symbol-?", "sg-symbol-.",
+        "sg-symbol-empty", "sg-symbol-padded", "sg-number-0", "sg-number-231",
+        "sg-number-1.5", "sg-number-?", "sg-number-suffix", "sg-bad-number-hides-alias",
+        "sg-neither", "cell-and-sg-defects",
+    ],
+)
+def test_header_defects(text, defects, parsed):
+    out = parse_cif(text)
+    assert [(d.code.value, d.message, d.line) for d in out.defects] == defects
+    st = out.structure
+    got = st and (
+        st.lattice.lengths + st.lattice.angles,
+        st.space_group_symbol,
+        st.space_group_number,
+    )
+    assert got == parsed
