@@ -572,44 +572,24 @@ def _parse_lattice(document: CifDocument, defects: list[Defect]) -> Lattice | No
             )
         )
         return None
-    values: dict[str, float] = {}
-    bad = False
+    values: list[float] = []  # in CELL_TAGS order, which is Lattice's
     for tag in CELL_TAGS:
         raw = document.scalars[tag]
         num = parse_number(raw)
         if num is None:
-            defects.append(
-                Defect(
-                    DefectCode.BAD_NUMBER,
-                    f"{tag} value {raw!r} is not numeric",
-                    document.tag_lines.get(tag, 0),
-                )
-            )
-            bad = True
+            fault = f"{raw!r} is not numeric"
+        elif (0.0 < num < 180.0) if "angle" in tag else num > 0.0:
+            values.append(num)
             continue
-        is_angle = "angle" in tag
-        if (is_angle and not 0.0 < num < 180.0) or (not is_angle and num <= 0.0):
-            defects.append(
-                Defect(
-                    DefectCode.BAD_NUMBER,
-                    f"{tag} value {num} outside physical range",
-                    document.tag_lines.get(tag, 0),
-                )
-            )
-            bad = True
-            continue
-        values[tag] = num
-    if bad:
+        else:
+            fault = f"{num} outside physical range"
+        defects.append(
+            Defect(DefectCode.BAD_NUMBER, f"{tag} value {fault}", document.tag_lines[tag])
+        )
+    if len(values) < len(CELL_TAGS):
         return None
     try:
-        return Lattice(
-            a=values["_cell_length_a"],
-            b=values["_cell_length_b"],
-            c=values["_cell_length_c"],
-            alpha=values["_cell_angle_alpha"],
-            beta=values["_cell_angle_beta"],
-            gamma=values["_cell_angle_gamma"],
-        )
+        return Lattice(*values)
     except ValueError as exc:
         defects.append(Defect(DefectCode.BAD_NUMBER, str(exc), 0))
         return None
@@ -618,29 +598,21 @@ def _parse_lattice(document: CifDocument, defects: list[Defect]) -> Lattice | No
 def _parse_space_group(
     document: CifDocument, defects: list[Defect]
 ) -> tuple[str | None, int | None]:
-    symbol: str | None = None
-    tag_present = False
-    for tag in _SPACE_GROUP_TAGS:
-        if tag in document.scalars:
-            tag_present = True
-            raw = document.scalars[tag].strip()
-            if raw and raw not in _PLACEHOLDERS:
-                symbol = raw
-            break
-    number: int | None = None
-    for tag in _SPACE_GROUP_NUMBER_TAGS:
-        if tag in document.scalars:
-            tag_present = True
-            raw = document.scalars[tag].strip()
-            num = parse_number(raw)
-            if num is not None and float(num).is_integer() and 1 <= int(num) <= 230:
-                number = int(num)
-            break
-    if not tag_present:
+    # each family is read from its first tag present; a later alias is ignored
+    scalars = document.scalars
+    symbol, number = (
+        next((scalars[tag].strip() for tag in tags if tag in scalars), None)
+        for tags in (_SPACE_GROUP_TAGS, _SPACE_GROUP_NUMBER_TAGS)
+    )
+    if symbol is None and number is None:
         defects.append(
             Defect(DefectCode.MISSING_SPACE_GROUP, "no space group tag", 0)
         )
-    return symbol, number
+    num = None if number is None else parse_number(number)
+    return (
+        symbol if symbol and symbol not in _PLACEHOLDERS else None,
+        int(num) if num is not None and num.is_integer() and 1 <= num <= 230 else None,
+    )
 
 
 def _parse_sites(
@@ -651,18 +623,15 @@ def _parse_sites(
     if loop is None:
         defects.append(Defect(DefectCode.EMPTY_SITES, "no atom site loop", 0))
         return None, True
-    fract_cols = ("_atom_site_fract_x", "_atom_site_fract_y", "_atom_site_fract_z")
-    missing = [c for c in fract_cols if c not in loop.columns]
-    has_label = "_atom_site_label" in loop.columns
-    has_type = "_atom_site_type_symbol" in loop.columns
-    if missing or not (has_label or has_type):
-        what = list(missing)
-        if not (has_label or has_type):
-            what.append("_atom_site_label/_atom_site_type_symbol")
+    label_tag, type_tag, *fract_tags = SITE_TAGS
+    missing = [c for c in fract_tags if c not in loop.columns]
+    if label_tag not in loop.columns and type_tag not in loop.columns:
+        missing.append(f"{label_tag}/{type_tag}")
+    if missing:
         defects.append(
             Defect(
                 DefectCode.EMPTY_SITES,
-                "atom site loop unusable, missing: " + ", ".join(what),
+                "atom site loop unusable, missing: " + ", ".join(missing),
                 loop.line,
             )
         )
@@ -676,14 +645,14 @@ def _parse_sites(
     # one pass per column: convert the coordinates, resolve each distinct
     # symbol once; a row pass only when some row has a problem
     columns = dict(zip(loop.columns, loop.values))
-    raw_xyz = [columns[col] for col in fract_cols]
+    raw_xyz = [columns[col] for col in fract_tags]
     xyz, numeric = zip(*map(_number_column, raw_xyz))
     read = [c if ok else [v for v in c if v is not None] for c, ok in zip(xyz, numeric)]
     coords_in_window = all(-0.5 <= min(c) and max(c) < 1.5 for c in read if c)
-    labels = columns.get("_atom_site_label")
+    labels = columns.get(label_tag)
     elements: list[str | None] = [None] * len(loop.row_lines)
     resolved = False
-    for column in (columns.get("_atom_site_type_symbol"), labels):
+    for column in (columns.get(type_tag), labels):
         if column is not None and not resolved:
             symbol = {tok: normalize_symbol(tok) for tok in set(column)}
             elements = [el or symbol[tok] for el, tok in zip(elements, column)]
@@ -691,7 +660,7 @@ def _parse_sites(
     unique = labels is not None and all(labels) and len(set(labels)) == len(labels)
     if resolved and unique and all(numeric):
         return (list(labels), elements, np.array(xyz).T), coords_in_window
-    sources = labels or columns["_atom_site_type_symbol"]
+    sources = labels or columns[type_tag]
 
     site_labels: list[str] = []
     fatal = False
@@ -702,7 +671,7 @@ def _parse_sites(
         zip(xs, ys, zs, elements, loop.row_lines)
     ):
         if x is None or y is None or z is None or element is None:
-            for col, raws, num in zip(fract_cols, raw_xyz, (x, y, z)):
+            for col, raws, num in zip(fract_tags, raw_xyz, (x, y, z)):
                 if num is None:
                     defects.append(
                         Defect(

@@ -23,7 +23,6 @@ from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .cif import (
-    CELL_TAGS,
     SITE_TAGS,
     DefectCode,
     ParseOutcome,
@@ -142,7 +141,7 @@ def validity_checklist(outcome: ParseOutcome) -> list[tuple[str, bool]]:
     sg_ok = s is not None and (
         s.space_group_symbol is not None or s.space_group_number is not None
     )
-    cell_ok = doc is not None and all(t in doc.scalars for t in CELL_TAGS)
+    cell_ok = doc is not None and not outcome.has(DefectCode.MISSING_LATTICE)
     loop = find_atom_site_loop(doc) if doc is not None else None
     columns_ok = loop is not None and all(c in loop.columns for c in SITE_TAGS)
     labels_ok = not outcome.has(DefectCode.DUPLICATE_LABEL)
