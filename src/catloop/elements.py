@@ -5,11 +5,12 @@ H through Cm, extended with Pyykko single-bond radii for Bk through Og so
 that every element up to Z=118 has an entry.  For carbon the sp3 value is
 used.  All radii lie in (0.2, 3.0).  Also the one home of the rules for
 values read from outside (configs, sidecars, records): `finite_number`,
-`whole_number` and `check_composition`.
+`store_floats`, `whole_number` and `check_composition`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from typing import Mapping
@@ -62,6 +63,15 @@ def finite_number(value: object) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int too large for a float; consumers compute in floats
         return False
+
+
+def store_floats(config: object) -> None:
+    """Store each `float` field of the frozen dataclass `config` as a plain
+    float, once the fields have passed `finite_number`: a setting typed as
+    an int or a numpy scalar is then recorded as the float it stands for."""
+    for f in dataclasses.fields(config):
+        if f.type in ("float", float):
+            object.__setattr__(config, f.name, float(getattr(config, f.name)))
 
 
 def whole_number(value: object) -> bool:

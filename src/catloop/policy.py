@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .elements import finite_number, whole_number
+from .elements import finite_number, store_floats, whole_number
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,7 @@ class GrpoConfig:
         if not (finite_number(self.beta) and self.beta >= 0.0):
             raise ValueError("beta must be finite and >= 0")
         _check_epsilon(self.epsilon)
+        store_floats(self)
 
 
 def normalized_logprob(seq: SequenceLogProbs) -> float:
@@ -182,6 +183,7 @@ class MmtgConfig:
     def __post_init__(self) -> None:
         if not (finite_number(self.gating) and 0.0 < self.gating <= 1.0):
             raise ValueError(f"gating must lie in (0, 1], got {self.gating!r}")
+        store_floats(self)
 
 
 def mmtg_loss(

@@ -31,7 +31,7 @@ from .cif import (
     find_atom_site_loop,
     parse_cif,
 )
-from .elements import finite_number
+from .elements import finite_number, store_floats
 from .geometry import (
     DegenerateCellError,
     covalent_pairs,
@@ -70,6 +70,7 @@ class RewardWeights:
             raise ValueError("weights must be finite and non-negative")
         if abs(sum(vals) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(vals)!r}")
+        store_floats(self)
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,7 @@ class PhysConfig:
             raise ValueError("need 0 < hard_overlap_fraction < full_credit_fraction")
         if not 0.0 < self.vpa_min < self.vpa_max:
             raise ValueError("need 0 < vpa_min < vpa_max")
+        store_floats(self)
 
 
 DEFAULT_WEIGHTS = RewardWeights()

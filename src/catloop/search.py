@@ -41,6 +41,7 @@ from .elements import (
     COVALENT_RADII,
     check_composition,
     finite_number,
+    store_floats,
     whole_number,
 )
 from .geometry import _covalent_radii, iter_periodic_pairs
@@ -156,6 +157,7 @@ class DefectRates:
             v = getattr(self, name)
             if not (finite_number(v) and 0.0 <= v <= 1.0):
                 raise ValueError(f"{name} rate must lie in [0, 1], got {v!r}")
+        store_floats(self)
 
 
 def _grid_dims(n: int) -> tuple[int, int, int]:
@@ -381,8 +383,7 @@ class SearchConfig:
             value = getattr(self, name)
             if not finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        # accept numpy scalars without letting them leak into reports
-        object.__setattr__(self, "target_energy", float(self.target_energy))
+        store_floats(self)
         for name in ("seed", "iterations", "candidates_per_iteration",
                      "pool_capacity", "init_candidates", "init_rounds"):
             value = getattr(self, name)

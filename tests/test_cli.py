@@ -1353,6 +1353,36 @@ def test_a_target_in_any_key_order_gives_one_artifact(tmp_path, monkeypatch, cap
     assert diagnostic in by_pvcp.diagnostics == by_search.pvcp.diagnostics
 
 
+@pytest.mark.parametrize(
+    "section, values, argv",
+    [
+        ("search", {"lambda_energy": 1, "success_tolerance": 1}, ["search"]),
+        ("generator", {"defect_rates": {"syntax": 0, "overlap": 0}}, ["search"]),
+        ("weights", {"comp": 1, "parse": 0, "valid": 0, "phys": 0}, ["validate", "ok.cif"]),
+        ("phys", {"vpa_min": 1, "vpa_max": 200}, ["validate", "ok.cif"]),
+        ("grpo", {"beta": 1, "epsilon": 0}, ["grpo", "groups.jsonl"]),
+        ("mmtg", {"gating": 1}, ["mmtg", "2", "1"]),
+    ],
+    ids=["search", "generator", "weights", "phys", "grpo", "mmtg"],
+)
+def test_a_float_setting_typed_as_an_int_gives_one_artifact(
+    tmp_path, monkeypatch, capsys, section, values, argv
+):
+    (tmp_path / "ok.cif").write_text(MINIMAL_CIF)
+    (tmp_path / "groups.jsonl").write_text(GROUP_LINE + "\n")
+    base = json.loads(search_config_file(tmp_path).read_text()) if argv == ["search"] else {}
+    monkeypatch.chdir(tmp_path)
+    artifacts = []
+    for typed in (values, json.loads(json.dumps(values), parse_int=float)):
+        config = json.loads(json.dumps(base))
+        config.setdefault(section, {}).update(typed)
+        cfg = write_config(tmp_path, config)
+        code, out, _ = run_cli(capsys, *argv, "--config", cfg, "--format", "json")
+        assert code == 0
+        artifacts.append(out)
+    assert artifacts[0] == artifacts[1]
+
+
 # ---------------------------------------------------------------------------
 # non-finite results: JSON has no NaN or infinity.  `mmtg` refuses the run
 # (exit 1); `grpo` and `geometry` report the item as an error record, so a

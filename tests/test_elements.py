@@ -1,5 +1,6 @@
 """Element table sanity and the shared value rules."""
 
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -13,6 +14,7 @@ from catloop.elements import (
     finite_number,
     is_element,
     normalize_symbol,
+    store_floats,
     whole_number,
 )
 from conftest import BAD_COMPOSITIONS
@@ -71,6 +73,23 @@ def test_number_rules():
         assert whole_number(v), v
     for v in (True, False, np.bool_(True), 1.0, np.float64(2.0), "1", None):
         assert not whole_number(v), v
+
+
+@dataclass(frozen=True)
+class Settings:
+    scale: float
+    count: int
+    name: str = "x"
+
+    def __post_init__(self) -> None:
+        store_floats(self)
+
+
+def test_store_floats_converts_only_float_fields():
+    for scale in (2, np.int64(2), np.float32(2.0), 2.0):
+        settings = Settings(scale, np.int64(3))
+        assert type(settings.scale) is float and settings.scale == 2.0
+        assert type(settings.count) is np.int64 and settings.name == "x"
 
 
 def test_check_composition_takes_numpy_counts_and_any_mapping():
