@@ -575,14 +575,11 @@ def _parse_lattice(document: CifDocument, defects: list[Defect]) -> Lattice | No
     values: list[float] = []  # in CELL_TAGS order, which is Lattice's
     for tag in CELL_TAGS:
         raw = document.scalars[tag]
-        num = parse_number(raw)
-        if num is None:
-            fault = f"{raw!r} is not numeric"
-        elif (0.0 < num < 180.0) if "angle" in tag else num > 0.0:
+        num = parse_number(raw)  # finite or None
+        if num is not None and 0.0 < num < (180.0 if "angle" in tag else math.inf):
             values.append(num)
             continue
-        else:
-            fault = f"{num} outside physical range"
+        fault = f"{raw!r} is not numeric" if num is None else f"{num} outside physical range"
         defects.append(
             Defect(DefectCode.BAD_NUMBER, f"{tag} value {fault}", document.tag_lines[tag])
         )
